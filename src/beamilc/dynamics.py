@@ -306,13 +306,46 @@ def plane_frame_coeffs(chain, q, dq, ddq):
 
 
 def _pend_accel_from_coeffs(theta, dtheta, k, c, m, l, g2, m_dw, m_ww, d_unused=None):
-    st, ct = math.sin(theta), math.cos(theta)
+    if ad.is_dual(theta):
+        st, ct = ad.sin(theta), ad.cos(theta)
+    else:
+        st, ct = math.sin(theta), math.cos(theta)
     # r = (ct, st), r' = (-st, ct); r'^T M r expanded on the 2x2 blocks
     def proj(mm):
         return (-st * ct * mm[0, 0] - st * st * mm[0, 1]
                 + ct * ct * mm[1, 0] + ct * st * mm[1, 1])
     term_g = (-st * g2[0] + ct * g2[1]) / l
     return -(k * theta + c * dtheta) / (m * l * l) + term_g - proj(m_dw) - proj(m_ww)
+
+
+def _substate_rk4(y0, params, coeffs, d_seq, h):
+    """RK4 of the pendulum and sensing substate over precomputed frame terms.
+
+    ``y0`` is ``(theta, dtheta, tau_hat, tau_e)`` and ``params`` the
+    ``(k, c, m, l, a, b)`` scalars. Plain arithmetic, so it runs on floats
+    and on :mod:`beamilc.ad` duals alike. Returns the substates at every
+    step start and at the end.
+    """
+    k_, c_, m_, l_, a_, b_ = params
+    g2, m_dw, m_ww = coeffs["g2"], coeffs["m_dw"], coeffs["m_ww"]
+    out = [y0]
+    for kk in range(len(d_seq)):
+        d = float(d_seq[kk])
+
+        def f(s, y):
+            thi, dthi, tauhi, tauei = y
+            dd = _pend_accel_from_coeffs(thi, dthi, k_, c_, m_, l_,
+                                         g2[kk, s], m_dw[kk, s], m_ww[kk, s])
+            tau = -c_ * dthi - k_ * thi + d
+            return (dthi, dd, -a_ * tauhi + a_ * (tau + tauei), -b_ * tauei)
+
+        k1 = f(0, y0)
+        k2 = f(1, tuple(y0[i] + 0.5 * h * k1[i] for i in range(4)))
+        k3 = f(2, tuple(y0[i] + 0.5 * h * k2[i] for i in range(4)))
+        k4 = f(3, tuple(y0[i] + h * k3[i] for i in range(4)))
+        y0 = tuple(y0[i] + (h / 6.0) * (k1[i] + 2 * k2[i] + 2 * k3[i] + k4[i]) for i in range(4))
+        out.append(y0)
+    return out
 
 
 def fast_rollout(chain, x0, u_seq, p, d_seq=None, dt=None):
@@ -330,34 +363,8 @@ def fast_rollout(chain, x0, u_seq, p, d_seq=None, dt=None):
     arm0 = np.concatenate([x0[:n], x0[n + 1:2 * n + 1]])
     qk, dqk, q_s, dq_s, u_s = arm_stage_states(arm0, u_seq, dt)
     coeffs = plane_frame_coeffs(chain, q_s, dq_s, u_s)
-    g2 = coeffs["g2"]
-    m_dw = coeffs["m_dw"]
-    m_ww = coeffs["m_ww"]
-    k_, c_, m_, l_, a_, b_ = p.k, p.c, p.m, p.l, p.a, p.b
-
-    th, dth = float(x0[n]), float(x0[2 * n + 1])
-    tauh, taue = float(x0[2 * n + 2]), float(x0[2 * n + 3])
-    out = np.zeros((n_steps + 1, 4))
-    out[0] = (th, dth, tauh, taue)
-    h = dt
-    for kk in range(n_steps):
-        d = float(d_seq[kk])
-
-        def f(s, y):
-            thi, dthi, tauhi, tauei = y
-            dd = _pend_accel_from_coeffs(thi, dthi, k_, c_, m_, l_,
-                                         g2[kk, s], m_dw[kk, s], m_ww[kk, s])
-            tau = -c_ * dthi - k_ * thi + d
-            return (dthi, dd, -a_ * tauhi + a_ * (tau + tauei), -b_ * tauei)
-
-        y0 = (th, dth, tauh, taue)
-        k1 = f(0, y0)
-        k2 = f(1, tuple(y0[i] + 0.5 * h * k1[i] for i in range(4)))
-        k3 = f(2, tuple(y0[i] + 0.5 * h * k2[i] for i in range(4)))
-        k4 = f(3, tuple(y0[i] + h * k3[i] for i in range(4)))
-        th, dth, tauh, taue = tuple(
-            y0[i] + (h / 6.0) * (k1[i] + 2 * k2[i] + 2 * k3[i] + k4[i]) for i in range(4))
-        out[kk + 1] = (th, dth, tauh, taue)
+    y0 = (float(x0[n]), float(x0[2 * n + 1]), float(x0[2 * n + 2]), float(x0[2 * n + 3]))
+    out = np.array(_substate_rk4(y0, (p.k, p.c, p.m, p.l, p.a, p.b), coeffs, d_seq, dt))
     if not np.all(np.isfinite(out)):
         raise IntegrationBlowupError("non-finite state in fast rollout")
 

@@ -14,8 +14,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import ad, nlp
-from .dynamics import (BeamParams, equilibrium_for_rotation, equilibrium_residual,
-                       fast_rollout, rest_state, rk4_step, state_dim)
+from .dynamics import (BeamParams, _substate_rk4, arm_stage_states,
+                       equilibrium_for_rotation, equilibrium_residual, fast_rollout,
+                       plane_frame_coeffs, rest_state, rk4_step, state_dim)
 from .kinematics import forward_kinematics
 from .trajectory import Trajectory
 
@@ -63,7 +64,7 @@ class EstimationResult:
     tau_e0: float
     solution: nlp.NlpSolution
     fell_back: bool
-    hessian_condition: float = np.nan
+    hessian_condition: float = np.nan   # cond(dy/dp) at the returned parameters
 
 
 @dataclass
@@ -216,27 +217,44 @@ def estimate_parameters(chain, y, u, p_prev, q0, cfg, opts=None):
     problem.set_initial_guess("p", p_prev.as_array())
 
     sol = nlp.solve(problem, opts or nlp.SolverOptions(max_iter=80))
-    cond = _param_condition(problem, sol)
     if not sol.converged and sol.status != "max-iter":
         x0f, thf = _model_init_state(chain, q0, p_prev)
-        return EstimationResult(p_prev, thf, x0f[-2], x0f[-1], sol, True, cond)
+        return EstimationResult(p_prev, thf, x0f[-2], x0f[-1], sol, True,
+                                _param_condition(chain, q0, p_prev, u_data, dt))
     p_arr = np.clip(sol.variables["p"], cfg.p_lb, cfg.p_ub)
     params = BeamParams.from_array(p_arr)
     xsol = sol.variables["x"].reshape(horizon + 1, n_x)
     return EstimationResult(params, float(xsol[0, n]), float(xsol[0, -2]),
-                            float(xsol[0, -1]), sol, False, cond)
+                            float(xsol[0, -1]), sol, False,
+                            _param_condition(chain, q0, params, u_data, dt))
 
 
-def _param_condition(problem, sol):
-    """Condition number of the parameter block of the GN normal matrix."""
-    try:
-        z = np.concatenate([sol.variables[b.name] for b in problem.blocks])
-        _, jr = nlp._eval_groups(problem.residual_groups, z, True)
-        p_off = problem.block("p").offset
-        jp = jr[:, p_off:p_off + 7].toarray()
-        return float(np.linalg.cond(jp.T @ jp))
-    except Exception:
-        return np.nan
+def _param_condition(chain, q0, p, u_data, dt):
+    """Condition number of the output sensitivity dy/dp at ``p``.
+
+    One forward-mode rollout of the model from its rest state at ``q0``,
+    with the 7 parameters as seeds. The rest pendulum angle moves with the
+    parameters through the equilibrium, by the implicit-function theorem.
+    """
+    n = chain.n_joints
+    p_arr = p.as_array()
+    x0, th = _model_init_state(chain, q0, p)
+    rb0 = forward_kinematics(chain, q0).rotation
+    r = equilibrium_residual(ad.constant(rb0, 8), ad.Dual(np.asarray(th), np.eye(8)[0]),
+                             ad.seed(p_arr, 8, 1))
+    dth = -r.dot[1:] / r.dot[0]
+    e_k, e_taue = np.eye(7)[0], np.eye(7)[6]
+    # (theta, dtheta, tau_hat = -k theta + tau_e0, tau_e = tau_e0) at rest
+    y0 = (ad.Dual(th, dth), ad.constant(0.0, 7),
+          ad.Dual(x0[-2], -p_arr[0] * dth - th * e_k + e_taue), ad.Dual(x0[-1], e_taue))
+    arm0 = np.concatenate([x0[:n], x0[n + 1:2 * n + 1]])
+    _, _, q_s, dq_s, u_s = arm_stage_states(arm0, u_data, dt)
+    p_dual = ad.seed(p_arr, 7, 0)
+    params = tuple(ad.comp(p_dual, i) for i in range(6))
+    ys = _substate_rk4(y0, params, plane_frame_coeffs(chain, q_s, dq_s, u_s),
+                       np.zeros(u_data.shape[0]), dt)
+    dy_dp = np.array([y[2].dot for y in ys[:-1]])
+    return float(np.linalg.cond(dy_dp)) if np.all(np.isfinite(dy_dp)) else np.nan
 
 
 def estimate_disturbance(chain, y, u, params, theta0, tau_hat0, tau_e0, d_prev, q0,

@@ -74,15 +74,10 @@ def vibration_metric(y, motion_end, window_samples):
     return float(np.sum(np.abs(seg - np.mean(seg))) / window_samples)
 
 
-def _predict_output(chain, q0, params, d_est, n_samples, dt):
-    """Model-predicted measurement for the next experiment, on the est grid."""
-    d_arr = d_est.data[:, 0] if d_est is not None else np.zeros(n_samples)
-    x0, _ = _model_init_state(chain, q0, params, d0=float(d_arr[0]) if d_arr.size else 0.0)
-    return x0, d_arr
-
-
 def _rollout_prediction(chain, q0, params, d_est, u_traj, horizon, dt):
-    x0, d_arr = _predict_output(chain, q0, params, d_est, horizon, dt)
+    """Model-predicted measurement for the next experiment, on the est grid."""
+    d_arr = d_est.data[:, 0] if d_est is not None else np.zeros(horizon)
+    x0, _ = _model_init_state(chain, q0, params, d0=float(d_arr[0]) if d_arr.size else 0.0)
     t_grid = np.arange(horizon) * dt
     u_hold = u_traj.sample_hold(t_grid)
     d_full = np.zeros(horizon)

@@ -314,9 +314,10 @@ def solve(problem, opts=None):
 
         accepted = False
         step = np.zeros(n)
+        jtj = (jr.T @ jr).tocsc()
         for bump in range(6):
             # quadratic model: H on the decision part, tiny diagonal on slacks
-            h_mat = (jr.T @ jr).tocsc() + lam * sp.identity(n, format="csc")
+            h_mat = jtj + lam * sp.identity(n, format="csc")
             if n_sl:
                 p_qp = sp.block_diag([h_mat, opts.slack_reg * sp.identity(n_sl)], format="csc")
             else:

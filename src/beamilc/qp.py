@@ -7,6 +7,19 @@ violations and dual signs simultaneously. Iterative refinement removes the
 effect of the dual regularization, and a cycle guard falls back to
 single-exchange updates. Warm starting with a previous working set makes
 repeated solves (SQP, learning iterations) cheap.
+
+The KKT factorization uses static pivoting with iterative refinement
+(Li & Demmel, ACM TOMS 29(2), 2003). It first factors with diagonal
+pivots in SuperLU's default COLAMD column order; on the estimation KKT
+this keeps the fill about 15 times smaller than partial pivoting does.
+The solution is refined against the unregularized system until the
+residual stops halving, at most ``REFINE_MAX`` times. It is kept only if
+it is finite and its normwise backward error is at most ``BACKWARD_TOL``.
+Otherwise the system is factored again with partial pivoting and refined
+``refine_steps`` times, and the rest of that ``solve_qp`` call uses partial
+pivoting: diagonal pivots break down on the OCP's active-set KKT, and one
+wasted factorization per call is cheaper than one per iteration.
+``solve_qp_ipm`` always uses partial pivoting.
 """
 from __future__ import annotations
 
@@ -15,6 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
+
+REFINE_MAX = 10        # refinement steps after a diagonal-pivot factorization
+BACKWARD_TOL = 1e-14   # normwise backward error a diagonal-pivot solve must reach
 
 
 @dataclass
@@ -28,6 +44,38 @@ class QpSolution:
     status: str                  # converged | max-iter | factorization-failed
     iterations: int
     working_set: np.ndarray      # boolean mask over inequality rows
+
+
+def _static_pivot_solve(kkt, rhs, residual):
+    """Solve with diagonal pivots, refining until the residual stops halving.
+
+    Returns None when the factorization breaks down or the refined solution
+    is not finite or not backward stable to ``BACKWARD_TOL``.
+    """
+    try:
+        lu = splu(kkt, diag_pivot_thresh=0.0)
+    except RuntimeError:
+        return None
+    # a broken-down factorization blows up; the checks below reject it
+    with np.errstate(over="ignore", invalid="ignore"):
+        sol = lu.solve(rhs)
+        if not np.all(np.isfinite(sol)):
+            return None
+        r = residual(sol)
+        r_norm = np.max(np.abs(r), initial=0.0)
+        for _ in range(REFINE_MAX):
+            trial = sol + lu.solve(r)
+            r_trial = residual(trial)
+            t_norm = np.max(np.abs(r_trial), initial=0.0)
+            if not t_norm < r_norm:
+                break
+            halved = t_norm <= 0.5 * r_norm
+            sol, r, r_norm = trial, r_trial, t_norm
+            if not halved:
+                break
+        k_norm = np.max(np.asarray(abs(kkt).sum(axis=1)), initial=0.0)
+        scale = k_norm * np.max(np.abs(sol), initial=0.0) + np.max(np.abs(rhs), initial=0.0)
+    return sol if r_norm <= BACKWARD_TOL * scale else None
 
 
 def solve_qp(p_mat, q, a_eq=None, b_eq=None, g_ineq=None, h_ineq=None, *,
@@ -67,7 +115,10 @@ def solve_qp(p_mat, q, a_eq=None, b_eq=None, g_ineq=None, h_ineq=None, *,
     nu = np.zeros(me)
     mu = np.zeros(mi)
 
+    diag_pivots = True
+
     def kkt_solve(act):
+        nonlocal diag_pivots
         g_act = g_ineq[act]
         ma = g_act.shape[0]
         kkt = sp.bmat([
@@ -76,19 +127,29 @@ def solve_qp(p_mat, q, a_eq=None, b_eq=None, g_ineq=None, h_ineq=None, *,
             [g_act if ma else None, None, -reg * sp.identity(ma) if ma else None],
         ], format="csc")
         rhs = np.concatenate([-q, b_eq, h_ineq[act]])
-        try:
-            lu = splu(kkt)
-        except RuntimeError:
-            return None
-        sol = lu.solve(rhs)
-        for _ in range(refine_steps):
+
+        def residual(sol):
+            # of the unregularized system, so refinement removes the -reg blocks
             xx = sol[:n]
             vv = sol[n:n + me]
             ww = sol[n + me:]
             r1 = -q - (p_mat @ xx + (a_eq.T @ vv if me else 0) + (g_act.T @ ww if ma else 0))
             r2 = b_eq - (a_eq @ xx if me else np.zeros(0))
             r3 = h_ineq[act] - (g_act @ xx if ma else np.zeros(0))
-            sol = sol + lu.solve(np.concatenate([r1, r2, r3]))
+            return np.concatenate([r1, r2, r3])
+
+        if diag_pivots:
+            sol = _static_pivot_solve(kkt, rhs, residual)
+            if sol is not None:
+                return sol
+            diag_pivots = False
+        try:
+            lu = splu(kkt)
+        except RuntimeError:
+            return None
+        sol = lu.solve(rhs)
+        for _ in range(refine_steps):
+            sol = sol + lu.solve(residual(sol))
         if not np.all(np.isfinite(sol)):
             return None
         return sol

@@ -50,13 +50,6 @@ class Trajectory:
     def column(self, label):
         return self.data[:, self.labels.index(label)]
 
-    def zero_padded(self, n_rows):
-        """Extend with zero rows up to ``n_rows`` (no-op when already longer)."""
-        if n_rows <= len(self):
-            return self
-        pad = np.zeros((n_rows - len(self), self.n_channels))
-        return Trajectory(self.dt, np.vstack([self.data, pad]), self.labels, self.t0)
-
     def sample_hold(self, t):
         """Zero-order-hold values at times ``t`` (zero outside the horizon)."""
         t = np.asarray(t, dtype=float)

@@ -59,6 +59,7 @@ def ablation_ilc_run():
     return records, cfg
 
 
+@pytest.mark.slow
 def test_criterion_1_ilc_convergence(default_ilc_run):
     records, elapsed, _ = default_ilc_run
     v1 = records[0].metric
@@ -69,6 +70,7 @@ def test_criterion_1_ilc_convergence(default_ilc_run):
                 f"runtime={elapsed:.0f}s (< 300s)")
 
 
+@pytest.mark.slow
 def test_criterion_2_ilc_beats_ablation(default_ilc_run, ablation_ilc_run):
     full, _, _ = default_ilc_run
     part, _ = ablation_ilc_run
@@ -81,6 +83,7 @@ def test_criterion_2_ilc_beats_ablation(default_ilc_run, ablation_ilc_run):
                 f"iteration-1={e_first:.4g}")
 
 
+@pytest.mark.slow
 def test_criterion_3_reference_task(chain7, nominal_params):
     task = TaskDefinition.from_displacement(chain7, REFERENCE_Q0_7DOF,
                                             [0.20, 0.0, -0.20],
@@ -227,6 +230,7 @@ def test_criterion_6_metric_correctness():
             f"sinusoid V={v_sin:.5f} vs 2A/pi={2 * amp / np.pi:.5f}, constant V={v_const}")
 
 
+@pytest.mark.slow
 def test_criterion_7_determinism(tmp_path):
     doc = json.loads(json.dumps(RunConfig.default().raw))
     doc["ilc"] = {"i_max": 2, "metric_window": 1.5, "n_meas": 450,
@@ -271,12 +275,14 @@ def test_criterion_8_analytic_initialization(reference_beam):
 # loop-level invariants on the acceptance run
 
 
+@pytest.mark.slow
 def test_loop_disturbance_step_improves_fit(default_ilc_run):
     records, _, _ = default_ilc_run
     for rec in records:
         assert rec.rmse_after <= rec.rmse_params_only * (1 + 1e-3) + 1e-9
 
 
+@pytest.mark.slow
 def test_loop_prediction_metric_consistency(default_ilc_run):
     # at convergence the model's own prediction carries the same residual
     # vibration as the measurement, up to the noise floor
@@ -291,6 +297,7 @@ def test_loop_prediction_metric_consistency(default_ilc_run):
     assert abs(v_meas - v_pred) < 3 * noise_floor
 
 
+@pytest.mark.slow
 def test_loop_records_not_flagged(default_ilc_run):
     records, _, _ = default_ilc_run
     assert not any(r.flagged for r in records)

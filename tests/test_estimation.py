@@ -70,6 +70,12 @@ def test_unexcited_experiment_degeneracy(chain3, free_params):
     assert np.all(est.params.as_array() <= cfg.p_ub + 1e-12)
     assert est.hessian_condition > 1e8
 
+    # contrast: a rich input with a decaying bias excites every parameter
+    p_true = BeamParams(k=5.2, c=0.006, m=0.10, l=0.38, a=55.0, b=2.2, tau_e0=0.03)
+    y, u = synth_record(chain3, p_true)
+    est = estimate_parameters(chain3, y, u, p_true, Q0, cfg)
+    assert est.hessian_condition < 1e6
+
 
 def test_grid_mismatch_rejected(chain3, free_params):
     y, u = synth_record(chain3, free_params)

@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
-from beamilc import ad
+from beamilc import ad, qp
 from beamilc.dynamics import pendulum_accel, setup_ode, state_dim
 from beamilc.nlp import (L1Term, LinearGroup, NlpProblem, SolverOptions,
                          check_derivatives, solve, transcribe_shooting)
@@ -73,6 +76,95 @@ def test_qp_slack_pair_complementarity():
     assert sol.status == "converged"
     assert sol.x[0] == pytest.approx(2.0, abs=1e-9)
     assert min(sol.x[1], sol.x[2]) <= 1e-8  # at most one slack of the pair nonzero
+
+
+def estimation_shaped_qp(n_nodes=60, n_x=4, n_p=3, seed=0):
+    """Gauss-Newton QP of a shooting fit: gap equalities, dense parameter columns."""
+    rng = np.random.default_rng(seed)
+    n_s = (n_nodes + 1) * n_x
+    n = n_s + n_p
+    a_dyn = np.eye(n_x) + 0.05 * rng.standard_normal((n_x, n_x))
+    rows = []
+    for k in range(n_nodes):
+        blk = np.zeros((n_x, n))
+        blk[:, k * n_x:(k + 1) * n_x] = a_dyn
+        blk[:, (k + 1) * n_x:(k + 2) * n_x] = -np.eye(n_x)
+        blk[:, n_s:] = rng.standard_normal((n_x, n_p))
+        rows.append(blk)
+    pin = np.zeros((n_x, n))
+    pin[:, :n_x] = np.eye(n_x)
+    a_eq = sp.csr_matrix(np.vstack(rows + [pin]))
+    b_eq = rng.standard_normal(a_eq.shape[0]) * 1e-3
+    # one observed state per node plus a weak prior on the parameters
+    obs = sp.csr_matrix((np.ones(n_nodes + 1), (np.arange(n_nodes + 1),
+                                                np.arange(n_nodes + 1) * n_x)), shape=(n_nodes + 1, n))
+    prior = sp.csr_matrix((np.full(n_p, 1e-3), (np.arange(n_p), n_s + np.arange(n_p))),
+                          shape=(n_p, n))
+    jac = sp.vstack([obs, prior], format="csr")
+    p_mat = (jac.T @ jac + 1e-6 * sp.identity(n)).tocsc()
+    q = -(jac.T @ np.concatenate([rng.standard_normal(n_nodes + 1), np.zeros(n_p)]))
+    return p_mat, q, a_eq, b_eq
+
+
+@pytest.fixture
+def lu_pivots(monkeypatch):
+    """Records the diagonal pivot threshold of every factorization in solve_qp."""
+    seen = []
+
+    def recording_splu(a, **kwargs):
+        seen.append(kwargs.get("diag_pivot_thresh"))
+        return splu(a, **kwargs)
+
+    monkeypatch.setattr(qp, "splu", recording_splu)
+    return seen
+
+
+def partial_pivoting_reference(monkeypatch, *args, **kwargs):
+    with monkeypatch.context() as m:
+        m.setattr(qp, "_static_pivot_solve", lambda *a: None)
+        return solve_qp(*args, **kwargs)
+
+
+def test_qp_estimation_kkt_takes_diagonal_pivots(lu_pivots, monkeypatch):
+    args = estimation_shaped_qp()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        sol = solve_qp(*args)
+    assert sol.status == "converged"
+    assert lu_pivots == [0.0]
+    ref = partial_pivoting_reference(monkeypatch, *args)
+    for got, want in ((sol.x, ref.x), (sol.eq_duals, ref.eq_duals)):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("duplicate", [False, True])
+def test_qp_diagonal_pivot_breakdown_falls_back(duplicate, lu_pivots, monkeypatch):
+    # the tiny-Hessian slack pair of test_qp_slack_pair_complementarity,
+    # optionally with its active bound x <= 2 stated twice
+    g_rows = [[0.0, -1.0, 0.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0]]
+    h = [0.0, 0.0, 2.0]
+    kwargs = {}
+    if duplicate:
+        g_rows.append(g_rows[-1])
+        h.append(h[-1])
+        kwargs["working_set"] = np.array([False, True, True, True])
+    args = (sp.diags([1e-10, 1e-10, 1e-10]).tocsc(), np.array([0.0, 1.0, 1.0]),
+            sp.csr_matrix(np.array([[1.0, -1.0, 1.0]])), np.array([3.0]),
+            sp.csr_matrix(np.array(g_rows)), np.array(h))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        sol = solve_qp(*args, **kwargs)
+    # diagonal pivots until one is rejected, then partial pivoting for the call
+    n_diag = lu_pivots.count(0.0)
+    assert n_diag >= 1
+    assert len(lu_pivots) > n_diag
+    assert lu_pivots == [0.0] * n_diag + [None] * (len(lu_pivots) - n_diag)
+    ref = partial_pivoting_reference(monkeypatch, *args, **kwargs)
+    assert sol.status == ref.status == "converged"
+    assert sol.x[0] == pytest.approx(2.0, abs=1e-9)
+    np.testing.assert_array_equal(sol.x, ref.x)
+    np.testing.assert_array_equal(sol.eq_duals, ref.eq_duals)
+    np.testing.assert_array_equal(sol.ineq_duals, ref.ineq_duals)
 
 
 # ---------------------------------------------------------------------------

@@ -74,6 +74,7 @@ def test_two_segment_residual_spectrum(chain3, free_params, mismatch_two_segment
 # two-segment dynamics oracles
 
 
+@pytest.mark.slow
 def test_two_segment_stiff_coupling_limit(chain3, free_params):
     # k2 -> inf locks the segments into one rigid rod; the response matches
     # the percussion-equivalent single pendulum (same inertia and lever)
