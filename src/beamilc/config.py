@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import BeamGeometry, BeamParams, analytic_init_params
-from .estimation import DEFAULT_PARAM_BOX, EstimationConfig
+from .estimation import DEFAULT_PARAM_BOX, EstimationConfig, prior_scaled_weights
 from .ilc import IlcConfig
 from .kinematics import builtin_chain, load_chain
 from .nlp import SolverOptions
@@ -213,14 +213,10 @@ class RunConfig:
 
     def estimation_config(self, p0=None):
         e = self.raw.get("estimation", {})
-        p0 = p0 or self.prior_params()
-        scale = np.maximum(np.abs(p0.as_array()), 0.05)
-        v1 = np.asarray(e["v1"], dtype=float) if "v1" in e \
-            else e.get("v1_scale", 1e-6) / scale**2
-        v2 = np.asarray(e["v2"], dtype=float) if "v2" in e \
-            else e.get("v2_scale", 1e-2) / scale**2
+        scales = {k: e[k] for k in ("v1_scale", "v2_scale") if k in e}
+        v1, v2 = prior_scaled_weights(p0 or self.prior_params(), **scales)
         return EstimationConfig(
-            v1=v1, v2=v2,
+            v1=e.get("v1", v1), v2=e.get("v2", v2),
             w1=e.get("w1", 1e-4), w2=e.get("w2", 1e-3), w3=e.get("w3", 1e-2),
             p_lb=np.asarray(e.get("p_lb", DEFAULT_PARAM_BOX["lb"]), dtype=float),
             p_ub=np.asarray(e.get("p_ub", DEFAULT_PARAM_BOX["ub"]), dtype=float),

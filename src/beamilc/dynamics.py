@@ -6,6 +6,12 @@ tracking), the beam is a single pendulum on a passive spring-damper joint
 swinging about the Z axis of frame {b}, and the measured output is a
 first-order-filtered reaction torque with an exponentially decaying
 estimator error.
+
+When the joint input is known, so is the arm's motion
+(:func:`arm_stage_states`), and only the beam-and-sensing substate
+``(theta, dtheta, tau_hat, tau_e)`` is integrated, by
+:func:`substate_rk4_step` over frame terms from :func:`plane_frame_coeffs`.
+The OCP, whose input is a decision variable, steps the full state.
 """
 from __future__ import annotations
 
@@ -214,11 +220,6 @@ def rk4_step(chain, x, u, p, d, dt, check=True):
     return x_next
 
 
-def output_map(x):
-    """Measured output: the filtered torque estimate channel."""
-    return ad.comp(x, ad.value(x).shape[-1] - 2)
-
-
 def rollout(chain, x0, u_seq, p, d_seq=None, dt=None):
     """Integrate N steps; returns states (N+1, nx) and outputs (N,).
 
@@ -244,9 +245,10 @@ def arm_stage_states(q0, u_seq, dt):
 
     The arm substate is a double integrator with zero-order-held input, so
     RK4 reproduces it exactly and the four internal stage values of every
-    step are known in closed form. Returns ``(q, dq)`` at step starts,
-    shapes (N, n), and stage arrays ``(q_s, dq_s, u_s)`` of shape (N, 4, n)
-    matching the canonical :func:`rk4_step` stage arithmetic bit for bit.
+    step are known in closed form. Returns ``(q, dq)`` at every step start
+    and at the end, shapes (N+1, n), and stage arrays ``(q_s, dq_s, u_s)``
+    of shape (N, 4, n) matching the canonical :func:`rk4_step` stage
+    arithmetic bit for bit.
     """
     u_seq = np.atleast_2d(np.asarray(u_seq, dtype=float))
     n_steps, n = u_seq.shape
@@ -273,7 +275,7 @@ def arm_stage_states(q0, u_seq, dt):
         dqk + h * u_seq,
     ], axis=1)
     u_s = np.repeat(u_seq[:, None, :], 4, axis=1)
-    return q[:-1], dq[:-1], q_s, dq_s, u_s
+    return q, dq, q_s, dq_s, u_s
 
 
 def plane_frame_coeffs(chain, q, dq, ddq):
@@ -305,11 +307,12 @@ def plane_frame_coeffs(chain, q, dq, ddq):
     return {"g2": g2, "m_dw": m_dw, "m_ww": m_ww, "m_w": m_w}
 
 
-def _pend_accel_from_coeffs(theta, dtheta, k, c, m, l, g2, m_dw, m_ww, d_unused=None):
-    if ad.is_dual(theta):
-        st, ct = ad.sin(theta), ad.cos(theta)
-    else:
+def _pend_accel_from_coeffs(theta, dtheta, k, c, m, l, g2, m_dw, m_ww):
+    # scalar loops keep libm's sine, whose last bits numpy's need not match
+    if isinstance(theta, float):
         st, ct = math.sin(theta), math.cos(theta)
+    else:
+        st, ct = ad.sin(theta), ad.cos(theta)
     # r = (ct, st), r' = (-st, ct); r'^T M r expanded on the 2x2 blocks
     def proj(mm):
         return (-st * ct * mm[0, 0] - st * st * mm[0, 1]
@@ -318,32 +321,40 @@ def _pend_accel_from_coeffs(theta, dtheta, k, c, m, l, g2, m_dw, m_ww, d_unused=
     return -(k * theta + c * dtheta) / (m * l * l) + term_g - proj(m_dw) - proj(m_ww)
 
 
-def _substate_rk4(y0, params, coeffs, d_seq, h):
-    """RK4 of the pendulum and sensing substate over precomputed frame terms.
+def substate_rk4_step(y, p, coeffs, d, h):
+    """Classical RK4 step of the beam-and-sensing substate, ``d`` held.
 
-    ``y0`` is ``(theta, dtheta, tau_hat, tau_e)`` and ``params`` the
-    ``(k, c, m, l, a, b)`` scalars. Plain arithmetic, so it runs on floats
-    and on :mod:`beamilc.ad` duals alike. Returns the substates at every
-    step start and at the end.
+    ``y`` is ``(theta, dtheta, tau_hat, tau_e)``, ``p`` a parameter carrier
+    and ``coeffs`` the :func:`plane_frame_coeffs` of the step's four stages,
+    indexed ``[stage, component..., node...]``. Floats, arrays batched over
+    the node axes and :mod:`beamilc.ad` duals all run through it.
     """
-    k_, c_, m_, l_, a_, b_ = params
+    k, c, m, l, _, _ = _params_tuple(p)
     g2, m_dw, m_ww = coeffs["g2"], coeffs["m_dw"], coeffs["m_ww"]
+
+    def f(s, y):
+        theta, dtheta, tau_hat, tau_e = y
+        ddtheta = _pend_accel_from_coeffs(theta, dtheta, k, c, m, l, g2[s], m_dw[s], m_ww[s])
+        dtau_hat, dtau_e = measurement_dynamics(
+            tau_hat, reaction_torque(theta, dtheta, p, d), tau_e, p)
+        return (dtheta, ddtheta, dtau_hat, dtau_e)
+
+    k1 = f(0, y)
+    k2 = f(1, tuple(y[i] + 0.5 * h * k1[i] for i in range(4)))
+    k3 = f(2, tuple(y[i] + 0.5 * h * k2[i] for i in range(4)))
+    k4 = f(3, tuple(y[i] + h * k3[i] for i in range(4)))
+    return tuple(y[i] + (h / 6.0) * (k1[i] + 2 * k2[i] + 2 * k3[i] + k4[i]) for i in range(4))
+
+
+def _substate_rk4(y0, p, coeffs, d_seq, h):
+    """Substates at every step start and at the end, one :func:`substate_rk4_step` a step.
+
+    ``coeffs`` is laid out as :func:`plane_frame_coeffs` returns it.
+    """
     out = [y0]
     for kk in range(len(d_seq)):
-        d = float(d_seq[kk])
-
-        def f(s, y):
-            thi, dthi, tauhi, tauei = y
-            dd = _pend_accel_from_coeffs(thi, dthi, k_, c_, m_, l_,
-                                         g2[kk, s], m_dw[kk, s], m_ww[kk, s])
-            tau = -c_ * dthi - k_ * thi + d
-            return (dthi, dd, -a_ * tauhi + a_ * (tau + tauei), -b_ * tauei)
-
-        k1 = f(0, y0)
-        k2 = f(1, tuple(y0[i] + 0.5 * h * k1[i] for i in range(4)))
-        k3 = f(2, tuple(y0[i] + 0.5 * h * k2[i] for i in range(4)))
-        k4 = f(3, tuple(y0[i] + h * k3[i] for i in range(4)))
-        y0 = tuple(y0[i] + (h / 6.0) * (k1[i] + 2 * k2[i] + 2 * k3[i] + k4[i]) for i in range(4))
+        y0 = substate_rk4_step(y0, p, {nm: v[kk] for nm, v in coeffs.items()},
+                               float(d_seq[kk]), h)
         out.append(y0)
     return out
 
@@ -361,25 +372,14 @@ def fast_rollout(chain, x0, u_seq, p, d_seq=None, dt=None):
     d_seq = np.zeros(n_steps) if d_seq is None else np.asarray(d_seq, dtype=float)
     x0 = np.asarray(x0, dtype=float)
     arm0 = np.concatenate([x0[:n], x0[n + 1:2 * n + 1]])
-    qk, dqk, q_s, dq_s, u_s = arm_stage_states(arm0, u_seq, dt)
+    q, dq, q_s, dq_s, u_s = arm_stage_states(arm0, u_seq, dt)
     coeffs = plane_frame_coeffs(chain, q_s, dq_s, u_s)
     y0 = (float(x0[n]), float(x0[2 * n + 1]), float(x0[2 * n + 2]), float(x0[2 * n + 3]))
-    out = np.array(_substate_rk4(y0, (p.k, p.c, p.m, p.l, p.a, p.b), coeffs, d_seq, dt))
+    out = np.array(_substate_rk4(y0, p, coeffs, d_seq, dt))
     if not np.all(np.isfinite(out)):
         raise IntegrationBlowupError("non-finite state in fast rollout")
-
-    nx = state_dim(n)
-    xs = np.zeros((n_steps + 1, nx))
-    q_all = np.vstack([qk, qk[-1:] + dt * dqk[-1:] + 0.5 * dt * dt * u_seq[-1:]])
-    dq_all = np.vstack([dqk, dqk[-1:] + dt * u_seq[-1:]])
-    xs[:, :n] = q_all
-    xs[:, n] = out[:, 0]
-    xs[:, n + 1:2 * n + 1] = dq_all
-    xs[:, 2 * n + 1] = out[:, 1]
-    xs[:, 2 * n + 2] = out[:, 2]
-    xs[:, 2 * n + 3] = out[:, 3]
-    ys = xs[:n_steps, -2].copy()
-    return xs, ys
+    xs = np.hstack([q, out[:, :1], dq, out[:, 1:]])
+    return xs, xs[:n_steps, -2].copy()
 
 
 def equilibrium_residual(rb, theta, p):

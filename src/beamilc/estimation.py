@@ -5,6 +5,11 @@ experiment's input/output record. The parameter step fits the lumped model
 with the disturbance ignored; the disturbance step then freezes the
 parameters and absorbs what is left of the output error into a per-sample
 torque disturbance.
+
+The joint input is data, so the arm's motion is known in closed form: the
+frame terms of every RK4 stage are computed once per record, and both
+problems carry only the beam-and-sensing substate ``(theta, dtheta,
+tau_hat, tau_e)`` per node, stepped by :func:`substate_rk4_step`.
 """
 from __future__ import annotations
 
@@ -16,7 +21,7 @@ import scipy.sparse as sp
 from . import ad, nlp
 from .dynamics import (BeamParams, _substate_rk4, arm_stage_states,
                        equilibrium_for_rotation, equilibrium_residual, fast_rollout,
-                       plane_frame_coeffs, rest_state, rk4_step, state_dim)
+                       plane_frame_coeffs, rest_state, substate_rk4_step)
 from .kinematics import forward_kinematics
 from .trajectory import Trajectory
 
@@ -51,9 +56,14 @@ class EstimationConfig:
     @staticmethod
     def default(p0, horizon=240, dt=6e-3):
         """Scale-invariant defaults anchored at the prior parameters."""
-        scale = np.maximum(np.abs(p0.as_array()), 0.05)
-        return EstimationConfig(v1=1e-6 / scale**2, v2=1e-2 / scale**2,
-                                horizon=horizon, dt=dt)
+        v1, v2 = prior_scaled_weights(p0)
+        return EstimationConfig(v1=v1, v2=v2, horizon=horizon, dt=dt)
+
+
+def prior_scaled_weights(p0, v1_scale=1e-6, v2_scale=1e-2):
+    """Tikhonov and iteration-change diagonals relative to the prior magnitudes."""
+    scale = np.maximum(np.abs(p0.as_array()), 0.05)
+    return v1_scale / scale**2, v2_scale / scale**2
 
 
 @dataclass
@@ -110,22 +120,51 @@ def _check_grids(y, u, cfg):
         raise ValueError("records shorter than the estimation horizon")
 
 
+def _rest_substate(rb0, p, d0=0.0):
+    """Rest ``(theta, dtheta, tau_hat, tau_e)`` in the frame orientation ``rb0``.
+
+    The filter has settled on the biased torque; the bias decay starts now.
+    """
+    th = equilibrium_for_rotation(rb0, p)
+    return th, 0.0, -p.k * th + d0 + p.tau_e0, p.tau_e0
+
+
 def _model_init_state(chain, q0, p, d0=0.0):
-    th = equilibrium_for_rotation(forward_kinematics(chain, q0).rotation, p)
-    tau_hat = -p.k * th + d0 + p.tau_e0
+    th, _, tau_hat, tau_e = _rest_substate(forward_kinematics(chain, q0).rotation, p, d0)
     x0 = rest_state(chain, q0, p, theta=th)
     x0[-2] = tau_hat
-    x0[-1] = p.tau_e0
+    x0[-1] = tau_e
     return x0, th
 
 
-def _output_fit_group(problem, y_data, n_x, n):
-    """Rows (tau_hat_k - y_k) for k = 0..N-1 over the x block."""
-    horizon = y_data.shape[0]
-    rows = np.arange(horizon)
-    cols = problem.block("x").offset + rows * n_x + (2 * n + 2)
-    a = sp.csr_matrix((np.ones(horizon), (rows, cols)), shape=(horizon, problem.n))
+def _output_fit_group(problem, y_data):
+    """Rows (tau_hat_k - y_k) for k = 0..N-1 over the substate block."""
+    rows = np.arange(y_data.shape[0])
+    a = sp.csr_matrix((np.ones(rows.size), (rows, problem.x_index(rows, 2))),
+                      shape=(rows.size, problem.n))
     return nlp.LinearGroup(a, y_data)
+
+
+def _record_coeffs(chain, q0, u_data, dt):
+    """Frame terms at the RK4 stages of a record whose arm starts at rest at ``q0``."""
+    _, _, q_s, dq_s, u_s = arm_stage_states(q0, u_data, dt)
+    return plane_frame_coeffs(chain, q_s, dq_s, u_s)
+
+
+def _shooting_dynamics(coeffs, dt, params=None):
+    """Substate dynamics ``dyn(y, u, p, d)`` of the shooting gaps, batched over nodes.
+
+    ``params``, if given, stands in for the decision parameters ``p``.
+    """
+    nodes_last = {name: np.moveaxis(v, 0, -1) for name, v in coeffs.items()}
+
+    def dyn(y, _u, p, d):
+        y = tuple(ad.comp(y, i) for i in range(4))
+        y_next = substate_rk4_step(y, p if params is None else params, nodes_last,
+                                   0.0 if d is None else ad.comp(d, 0), dt)
+        return ad.stack_last(y_next)
+
+    return dyn
 
 
 def fit_rmse(chain, q0, p, u_data, y_data, dt, d=None, theta0=None, tau_hat0=None, tau_e0=None):
@@ -143,39 +182,32 @@ def fit_rmse(chain, q0, p, u_data, y_data, dt, d=None, theta0=None, tau_hat0=Non
 def estimate_parameters(chain, y, u, p_prev, q0, cfg, opts=None):
     """Fit the lumped model parameters to one experiment (disturbance ignored).
 
-    Solves the shooting NLS over the state trajectory and the decision
+    Solves the shooting NLS over the substate trajectory and the decision
     parameters, with the initial pendulum angle tied to the parameters
     through the equilibrium equality and the initial filter/bias states
     free. Falls back to ``p_prev`` when the solver fails.
     """
     _check_grids(y, u, cfg)
-    n = chain.n_joints
-    n_x = state_dim(n)
     horizon = cfg.horizon
     y_data = y.data[:horizon, 0]
-    u_data = u.data[:horizon, :n]
+    u_data = u.data[:horizon, :chain.n_joints]
     q0 = np.asarray(q0, dtype=float)
     rb0 = forward_kinematics(chain, q0).rotation
     dt = cfg.dt
+    coeffs = _record_coeffs(chain, q0, u_data, dt)
 
-    def dyn(x, _u, p, _d):
-        du = u_data if not ad.is_dual(x) else ad.constant(u_data, x.nseeds)
-        return rk4_step(chain, x, du, p, 0.0, dt, check=False)
-
-    problem = nlp.transcribe_shooting(dyn, n_x, horizon, n_p=7,
+    problem = nlp.transcribe_shooting(_shooting_dynamics(coeffs, dt), 4, horizon, n_p=7,
                                       param_lb=cfg.p_lb, param_ub=cfg.p_ub)
     # state bounds: pendulum angle stays inside (-pi, pi)
     xblk = problem.block("x")
-    theta_idx = np.arange(horizon + 1) * n_x + n
-    xblk.lb[theta_idx] = -np.pi + 1e-3
-    xblk.ub[theta_idx] = np.pi - 1e-3
+    xblk.lb[0::4] = -np.pi + 1e-3
+    xblk.ub[0::4] = np.pi - 1e-3
 
-    # initial node: q pinned at rest, rates zero; theta/tau_hat/tau_e free
-    problem.pin_state(0, range(n), q0)
-    problem.pin_state(0, range(n + 1, 2 * n + 2), np.zeros(n + 1))
+    # initial node: at rest; theta/tau_hat/tau_e free
+    problem.pin_state(0, [1], [0.0])
 
     # data fit + regularizers exactly as summed over the horizon
-    problem.residual_groups.append(_output_fit_group(problem, y_data, n_x, n))
+    problem.residual_groups.append(_output_fit_group(problem, y_data))
     p_off = problem.block("p").offset
     scale1 = np.sqrt(horizon * cfg.v1)
     scale2 = np.sqrt(horizon * cfg.v2)
@@ -188,12 +220,12 @@ def estimate_parameters(chain, y, u, p_prev, q0, cfg, opts=None):
     # tie the tau_e entry of the initial state to the tau_e0 parameter
     tie = sp.csr_matrix(
         (np.array([1.0, -1.0]), (np.zeros(2, dtype=int),
-                                 np.array([problem.x_index(0, 2 * n + 3), p_off + 6]))),
+                                 np.array([problem.x_index(0, 3), p_off + 6]))),
         shape=(1, problem.n))
     problem.eq_groups.append(nlp.LinearGroup(tie, np.zeros(1)))
 
     # equilibrium equality f_eq(theta_0, p) = 0
-    th_idx = problem.x_index(0, n)
+    th_idx = problem.x_index(0, 0)
 
     def eq_eval(z):
         return np.atleast_1d(ad.value(
@@ -211,48 +243,39 @@ def estimate_parameters(chain, y, u, p_prev, q0, cfg, opts=None):
     problem.eq_groups.append(nlp.CallableGroup(1, eq_eval, eq_jac))
 
     # feasible initial guess: rollout at the previous parameters
-    x0_guess, _ = _model_init_state(chain, q0, p_prev)
-    xs, _ = fast_rollout(chain, x0_guess, u_data, p_prev, None, dt)
-    problem.set_state_guess(xs)
+    y0 = _rest_substate(rb0, p_prev)
+    problem.set_state_guess(_substate_rk4(y0, p_prev, coeffs, np.zeros(horizon), dt))
     problem.set_initial_guess("p", p_prev.as_array())
 
     sol = nlp.solve(problem, opts or nlp.SolverOptions(max_iter=80))
     if not sol.converged and sol.status != "max-iter":
-        x0f, thf = _model_init_state(chain, q0, p_prev)
-        return EstimationResult(p_prev, thf, x0f[-2], x0f[-1], sol, True,
-                                _param_condition(chain, q0, p_prev, u_data, dt))
+        return EstimationResult(p_prev, y0[0], y0[2], y0[3], sol, True,
+                                _param_condition(rb0, p_prev, coeffs, dt))
     p_arr = np.clip(sol.variables["p"], cfg.p_lb, cfg.p_ub)
     params = BeamParams.from_array(p_arr)
-    xsol = sol.variables["x"].reshape(horizon + 1, n_x)
-    return EstimationResult(params, float(xsol[0, n]), float(xsol[0, -2]),
-                            float(xsol[0, -1]), sol, False,
-                            _param_condition(chain, q0, params, u_data, dt))
+    theta0, _, tau_hat0, tau_e0 = sol.variables["x"][:4]
+    return EstimationResult(params, float(theta0), float(tau_hat0), float(tau_e0), sol, False,
+                            _param_condition(rb0, params, coeffs, dt))
 
 
-def _param_condition(chain, q0, p, u_data, dt):
+def _param_condition(rb0, p, coeffs, dt):
     """Condition number of the output sensitivity dy/dp at ``p``.
 
-    One forward-mode rollout of the model from its rest state at ``q0``,
-    with the 7 parameters as seeds. The rest pendulum angle moves with the
-    parameters through the equilibrium, by the implicit-function theorem.
+    One forward-mode rollout of the model from its rest state in the frame
+    orientation ``rb0``, with the 7 parameters as seeds. The rest pendulum
+    angle moves with the parameters through the equilibrium, by the
+    implicit-function theorem.
     """
-    n = chain.n_joints
     p_arr = p.as_array()
-    x0, th = _model_init_state(chain, q0, p)
-    rb0 = forward_kinematics(chain, q0).rotation
+    th, _, tau_hat, tau_e = _rest_substate(rb0, p)
     r = equilibrium_residual(ad.constant(rb0, 8), ad.Dual(np.asarray(th), np.eye(8)[0]),
                              ad.seed(p_arr, 8, 1))
     dth = -r.dot[1:] / r.dot[0]
     e_k, e_taue = np.eye(7)[0], np.eye(7)[6]
     # (theta, dtheta, tau_hat = -k theta + tau_e0, tau_e = tau_e0) at rest
     y0 = (ad.Dual(th, dth), ad.constant(0.0, 7),
-          ad.Dual(x0[-2], -p_arr[0] * dth - th * e_k + e_taue), ad.Dual(x0[-1], e_taue))
-    arm0 = np.concatenate([x0[:n], x0[n + 1:2 * n + 1]])
-    _, _, q_s, dq_s, u_s = arm_stage_states(arm0, u_data, dt)
-    p_dual = ad.seed(p_arr, 7, 0)
-    params = tuple(ad.comp(p_dual, i) for i in range(6))
-    ys = _substate_rk4(y0, params, plane_frame_coeffs(chain, q_s, dq_s, u_s),
-                       np.zeros(u_data.shape[0]), dt)
+          ad.Dual(tau_hat, -p_arr[0] * dth - th * e_k + e_taue), ad.Dual(tau_e, e_taue))
+    ys = _substate_rk4(y0, ad.seed(p_arr, 7, 0), coeffs, np.zeros(coeffs["g2"].shape[0]), dt)
     dy_dp = np.array([y[2].dot for y in ys[:-1]])
     return float(np.linalg.cond(dy_dp)) if np.all(np.isfinite(dy_dp)) else np.nan
 
@@ -266,24 +289,19 @@ def estimate_disturbance(chain, y, u, params, theta0, tau_hat0, tau_e0, d_prev, 
     Falls back to ``d_prev`` when the solver fails.
     """
     _check_grids(y, u, cfg)
-    n = chain.n_joints
-    n_x = state_dim(n)
     horizon = cfg.horizon
     y_data = y.data[:horizon, 0]
-    u_data = u.data[:horizon, :n]
+    u_data = u.data[:horizon, :chain.n_joints]
     d_prev_data = np.zeros(horizon) if d_prev is None else np.asarray(d_prev.data[:horizon, 0])
     dt = cfg.dt
-    q0 = np.asarray(q0, dtype=float)
+    coeffs = _record_coeffs(chain, np.asarray(q0, dtype=float), u_data, dt)
 
-    def dyn(x, _u, _p, d):
-        du = u_data if not ad.is_dual(x) else ad.constant(u_data, x.nseeds)
-        return rk4_step(chain, x, du, params, ad.comp(d, 0), dt, check=False)
+    problem = nlp.transcribe_shooting(_shooting_dynamics(coeffs, dt, params), 4, horizon,
+                                      n_d=1)
+    y0 = (theta0, 0.0, tau_hat0, tau_e0)
+    problem.pin_state(0, range(4), y0)
 
-    problem = nlp.transcribe_shooting(dyn, n_x, horizon, n_d=1)
-    x0 = np.concatenate([q0, [theta0], np.zeros(n + 1), [tau_hat0, tau_e0]])
-    problem.pin_state(0, range(n_x), x0)
-
-    problem.residual_groups.append(_output_fit_group(problem, y_data, n_x, n))
+    problem.residual_groups.append(_output_fit_group(problem, y_data))
     d_off = problem.block("d").offset
     rows = np.arange(horizon)
     eye_d = sp.csr_matrix((np.ones(horizon), (rows, d_off + rows)),
@@ -301,8 +319,7 @@ def estimate_disturbance(chain, y, u, params, theta0, tau_hat0, tau_e0, d_prev, 
         diff = sp.csr_matrix((vv, (rr, cc)), shape=(horizon - 1, problem.n))
         problem.residual_groups.append(nlp.LinearGroup(diff, np.zeros(horizon - 1)))
 
-    xs, _ = fast_rollout(chain, x0, u_data, params, d_prev_data, dt)
-    problem.set_state_guess(xs)
+    problem.set_state_guess(_substate_rk4(y0, params, coeffs, d_prev_data, dt))
     problem.set_initial_guess("d", d_prev_data)
 
     sol = nlp.solve(problem, opts or nlp.SolverOptions(max_iter=60))

@@ -604,9 +604,6 @@ class ShootingProblem(NlpProblem):
     def u_index(self, ctrl_node, entry=0):
         return self.block("u").offset + ctrl_node * self.n_u + entry
 
-    def d_index(self, node):
-        return self.block("d").offset + node * self.n_d
-
     def set_state_guess(self, xs):
         self.set_initial_guess("x", np.asarray(xs, dtype=float).ravel())
 

@@ -18,9 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (BeamParams, IntegrationBlowupError, arm_stage_states,
-                       plane_frame_coeffs, _pend_accel_from_coeffs,
-                       equilibrium_for_rotation)
+from .dynamics import (BeamParams, IntegrationBlowupError, _substate_rk4, arm_stage_states,
+                       equilibrium_for_rotation, plane_frame_coeffs, reaction_torque)
 from .kinematics import forward_kinematics
 from .trajectory import Trajectory
 
@@ -168,6 +167,39 @@ def truth_equilibrium(cfg, chain, q0, nominal):
     return tuple(th)
 
 
+def _two_segment_trace(cfg, th_eq, coeffs, n_steps, h):
+    """RK4 trace of the two-segment beam and the sensing path, settled filter."""
+    ts = cfg.two_segment
+    a_t, b_t = cfg.a_true, cfg.b_true
+    g2_all, mdw_all = coeffs["g2"], coeffs["m_dw"]
+    mww_all, mw_all = coeffs["m_ww"], coeffs["m_w"]
+
+    def torque(y):
+        return -ts.c1 * y[2] - ts.k1 * y[0]
+
+    def deriv(s, kk, y):
+        dd1, dd2 = two_segment_ode((y[0], y[1]), (y[2], y[3]), ts,
+                                   g2_all[kk, s], mdw_all[kk, s],
+                                   mww_all[kk, s], mw_all[kk, s])
+        tau = torque(y)
+        return np.array([y[2], y[3], dd1, dd2, -a_t * y[4] + a_t * (tau + y[5]), -b_t * y[5]])
+
+    # settled filter tracking the biased signal, bias decay starts at t=0
+    state = np.array([th_eq[0], th_eq[1], 0.0, 0.0, 0.0, 0.0])
+    state[-1] = cfg.tau_e0_true
+    state[-2] = torque(state) + cfg.tau_e0_true
+    trace = np.zeros((n_steps, state.shape[0]))
+    trace[0] = state
+    for kk in range(n_steps - 1):
+        y = trace[kk]
+        f1 = deriv(0, kk, y)
+        f2 = deriv(1, kk, y + 0.5 * h * f1)
+        f3 = deriv(2, kk, y + 0.5 * h * f2)
+        f4 = deriv(3, kk, y + h * f3)
+        trace[kk + 1] = y + (h / 6.0) * (f1 + 2 * f2 + 2 * f3 + f4)
+    return trace
+
+
 def run_experiment(cfg, chain, q0, u, n_samples, dt_est, nominal_params, seed=None):
     """Apply ``u`` to the truth plant and measure the filtered torque.
 
@@ -191,56 +223,19 @@ def run_experiment(cfg, chain, q0, u, n_samples, dt_est, nominal_params, seed=No
     q0 = np.asarray(q0, dtype=float)
     n = chain.n_joints
     arm0 = np.concatenate([q0, np.zeros(n)])
-    qk, dqk, q_s, dq_s, u_s = arm_stage_states(arm0, u_hold, h)
+    q, dq, q_s, dq_s, u_s = arm_stage_states(arm0, u_hold, h)
     coeffs = plane_frame_coeffs(chain, q_s, dq_s, u_s)
-    g2_all, mdw_all = coeffs["g2"], coeffs["m_dw"]
-    mww_all, mw_all = coeffs["m_ww"], coeffs["m_w"]
 
     th_eq = truth_equilibrium(cfg, chain, q0, nominal_params)
-    a_t, b_t = cfg.a_true, cfg.b_true
-
     if cfg.truth_kind == "perturbed_single":
+        # the nominal model's substate integrator, run at the true parameters;
+        # the filter starts settled on the biased torque
         pt = _true_single_params(cfg, nominal_params)
-        state = np.array([th_eq[0], 0.0, 0.0, 0.0])  # th, dth, tauh, taue
-        k1_, c1_ = pt.k, pt.c
-
-        def torque(y):
-            return -c1_ * y[1] - k1_ * y[0]
-
-        def deriv(s, kk, y):
-            dd = _pend_accel_from_coeffs(y[0], y[1], pt.k, pt.c, pt.m, pt.l,
-                                         g2_all[kk, s], mdw_all[kk, s], mww_all[kk, s])
-            tau = torque(y)
-            return np.array([y[1], dd, -a_t * y[2] + a_t * (tau + y[3]), -b_t * y[3]])
+        tau_e0 = cfg.tau_e0_true
+        y0 = (th_eq[0], 0.0, reaction_torque(th_eq[0], 0.0, pt) + tau_e0, tau_e0)
+        trace = np.array(_substate_rk4(y0, pt, coeffs, np.zeros(n_steps - 1), h))
     else:
-        ts = cfg.two_segment
-        state = np.array([th_eq[0], th_eq[1], 0.0, 0.0, 0.0, 0.0])
-        k1_, c1_ = ts.k1, ts.c1
-
-        def torque(y):
-            return -c1_ * y[2] - k1_ * y[0]
-
-        def deriv(s, kk, y):
-            dd1, dd2 = two_segment_ode((y[0], y[1]), (y[2], y[3]), ts,
-                                       g2_all[kk, s], mdw_all[kk, s],
-                                       mww_all[kk, s], mw_all[kk, s])
-            tau = torque(y)
-            return np.array([y[2], y[3], dd1, dd2, -a_t * y[4] + a_t * (tau + y[5]), -b_t * y[5]])
-
-    # settled filter tracking the biased signal, bias decay starts at t=0
-    state[-1] = cfg.tau_e0_true
-    state[-2] = torque(state) + cfg.tau_e0_true
-
-    n_state = state.shape[0]
-    trace = np.zeros((n_steps, n_state))
-    trace[0] = state
-    for kk in range(n_steps - 1):
-        y = trace[kk]
-        f1 = deriv(0, kk, y)
-        f2 = deriv(1, kk, y + 0.5 * h * f1)
-        f3 = deriv(2, kk, y + 0.5 * h * f2)
-        f4 = deriv(3, kk, y + h * f3)
-        trace[kk + 1] = y + (h / 6.0) * (f1 + 2 * f2 + 2 * f3 + f4)
+        trace = _two_segment_trace(cfg, th_eq, coeffs, n_steps, h)
     if not np.all(np.isfinite(trace)):
         raise IntegrationBlowupError("truth plant integration blew up")
 
@@ -250,9 +245,7 @@ def run_experiment(cfg, chain, q0, u, n_samples, dt_est, nominal_params, seed=No
     noise = rng.standard_normal(n_samples) * cfg.noise_std if cfg.noise_std > 0 else 0.0
     y_meas = y_clean + noise
 
-    q_full = np.vstack([qk, qk[-1:]])
-    dq_full = np.vstack([dqk, dqk[-1:] + h * u_hold[-1:]])
-    joints = np.hstack([q_full[meas_idx], dq_full[meas_idx]])
+    joints = np.hstack([q[meas_idx], dq[meas_idx]])
     labels = tuple(f"q{i+1}" for i in range(n)) + tuple(f"dq{i+1}" for i in range(n))
     return ExperimentResult(
         y=Trajectory(dt_est, y_meas[:, None], ("tau_hat",)),

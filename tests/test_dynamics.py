@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+from beamilc import ad
 from beamilc.dynamics import (BeamGeometry, BeamParams, EquilibriumError, SetupState,
-                              analytic_init_params, fast_rollout, pendulum_accel,
-                              pendulum_equilibrium, reaction_torque,
-                              measurement_dynamics, rest_state, rk4_step, rollout,
-                              setup_ode, state_dim)
+                              analytic_init_params, arm_stage_states, fast_rollout,
+                              pendulum_accel, pendulum_equilibrium, plane_frame_coeffs,
+                              reaction_torque, measurement_dynamics, rest_state, rk4_step,
+                              rollout, setup_ode, state_dim, substate_rk4_step)
 from beamilc.kinematics import GRAVITY, KinematicChain, forward_kinematics
 from beamilc.trajectory import Trajectory
 
@@ -252,6 +253,36 @@ def test_fast_rollout_matches_canonical(chain3, free_params):
     xs_b, ys_b = fast_rollout(chain3, x0, u, free_params, d, 6e-3)
     np.testing.assert_allclose(xs_a, xs_b, atol=1e-12)
     np.testing.assert_allclose(ys_a, ys_b, atol=1e-12)
+
+
+def test_substate_step_matches_full_state_step(chain7, free_params):
+    # batched over nodes, the substate step is the substate part of the
+    # full-state step, in value and in the derivatives with respect to the
+    # substate, the parameters and the disturbance; the spatial arm loads
+    # every frame term
+    rng = np.random.default_rng(9)
+    n, nodes, h = 7, 6, 6e-3
+    u = 2.0 * rng.standard_normal((nodes, n))
+    arm0 = np.concatenate([rng.uniform(-1, 1, n), rng.uniform(-1, 1, n)])
+    q, dq, q_s, dq_s, u_s = arm_stage_states(arm0, u, h)
+    coeffs = {name: np.moveaxis(v, 0, -1)
+              for name, v in plane_frame_coeffs(chain7, q_s, dq_s, u_s).items()}
+    sub = rng.standard_normal((nodes, 4)) * [0.3, 1.0, 0.1, 0.05]
+    m = 4 + 7 + nodes                       # seeds: substate, parameters, d
+    p = ad.seed(free_params.as_array(), m, 4)
+    d = ad.Dual(0.05 * rng.standard_normal(nodes), np.eye(m)[11:])
+    y = ad.seed(sub, m, 0)
+    y_next = ad.stack_last(substate_rk4_step(tuple(ad.comp(y, i) for i in range(4)),
+                                             p, coeffs, d, h))
+
+    idx = [n, 2 * n + 1, 2 * n + 2, 2 * n + 3]
+    x = np.zeros((nodes, state_dim(n)))
+    x[:, :n], x[:, n + 1:2 * n + 1], x[:, idx] = q[:-1], dq[:-1], sub
+    x_dot = np.zeros(x.shape + (m,))
+    x_dot[:, idx, :4] = np.eye(4)
+    x_next = rk4_step(chain7, ad.Dual(x, x_dot), ad.constant(u, m), p, d, h, check=False)
+    np.testing.assert_allclose(y_next.val, x_next.val[:, idx], rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(y_next.dot, x_next.dot[:, idx], rtol=1e-12, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,7 @@ def test_parameter_recovery_from_nominal_data(chain3):
     p_prev = BeamParams(k=4.35, c=0.0049, m=0.085, l=0.4, a=50.0, b=2.0, tau_e0=0.0)
     est = estimate_parameters(chain3, y, u, p_prev, Q0, zero_reg_config())
     assert est.solution.converged
+    assert est.solution.variables["x"].size == (N + 1) * 4
     got, want = est.params.as_array(), p_true.as_array()
     for idx in (0, 1, 3, 4):  # k, c, l, a
         assert abs(got[idx] - want[idx]) / abs(want[idx]) < 1e-4
@@ -108,6 +109,7 @@ def test_known_disturbance_recovery(chain3, free_params):
                            w3=0.0, horizon=N, dt=DT)
     res = estimate_disturbance(chain3, y, u, free_params, th0, x0[-2], x0[-1],
                                None, Q0, cfg)
+    assert res.solution.variables["x"].size == (N + 1) * 4
     rmse = float(np.sqrt(np.mean((res.d.data[:, 0] - d_true) ** 2)))
     assert rmse < 0.05 * 0.1
 

@@ -399,6 +399,21 @@ def test_gap_group_jacobian_matches_fd(chain2, free_params):
                                z, eps=1e-6)
     assert report.max_rel_error < 1e-5
 
+    # the estimation substate dynamics, with parameters and a per-node
+    # disturbance as decision variables
+    from beamilc.estimation import _record_coeffs, _shooting_dynamics
+
+    coeffs = _record_coeffs(chain2, np.array([0.3, -0.4]), rng.standard_normal((3, 2)), 0.01)
+    sub = transcribe_shooting(_shooting_dynamics(coeffs, 0.01), 4, 3, n_p=7, n_d=1)
+    z = rng.standard_normal(sub.n) * 0.3
+    p_off = sub.block("p").offset
+    z[p_off:p_off + 7] = free_params.as_array()
+
+    report = check_derivatives(sub.gap_group.eval,
+                               lambda zz: sub.gap_group.eval_with_jac(zz)[1],
+                               z, eps=1e-6)
+    assert report.max_rel_error < 1e-5
+
 
 # ---------------------------------------------------------------------------
 # solver invariants

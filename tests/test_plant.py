@@ -177,7 +177,8 @@ def test_noise_stream_independent_of_horizon(chain3, free_params, mismatch_two_s
 
 
 def test_nominal_truth_matches_model_rollout(chain3, free_params):
-    # no mismatch, matched grids: the plant reproduces the nominal rollout
+    # no mismatch, matched grids: the plant runs the model's substate
+    # integrator, so it reproduces the nominal rollout exactly
     cfg = PlantConfig(truth_kind="perturbed_single", param_factors=(1, 1, 1, 1),
                       a_true=free_params.a, b_true=free_params.b,
                       tau_e0_true=0.0, noise_std=0.0, rate=1000.0)
@@ -187,8 +188,7 @@ def test_nominal_truth_matches_model_rollout(chain3, free_params):
     x0 = rest_state(chain3, [0.5, -0.9, 0.6], free_params)
     u_hold = u.sample_hold(np.arange(n - 1) * 0.001)
     _, ys = fast_rollout(chain3, x0, u_hold, free_params, None, 0.001)
-    scale = max(np.max(np.abs(ys)), 1e-9)
-    assert np.max(np.abs(res.y.data[:n - 1, 0] - ys)) / scale < 1e-6
+    np.testing.assert_array_equal(res.y.data[:n - 1, 0], ys)
 
 
 def test_grid_incompatibility_rejected(chain3, free_params, mismatch_two_segment):
