@@ -137,6 +137,7 @@ def _write_plan(plan, chain, task, out):
     pose = forward_kinematics(chain, plan.states[task.n_ctrl, :n])
     summary = {
         "status": plan.solution.status,
+        **plan.solution.qp_effort,
         "fell_back": plan.fell_back,
         "objective": plan.objective,
         "iterations": plan.solution.iterations,

@@ -89,6 +89,12 @@ def _rollout_prediction(chain, q0, params, d_est, u_traj, horizon, dt):
     return Trajectory(dt, ys[:, None], ("tau_hat",))
 
 
+def _ocp_status(plan):
+    """A plan's status, fallback flag and QP effort counts, for the artifacts."""
+    return {"status": plan.solution.status, **plan.solution.qp_effort,
+            "fell_back": plan.fell_back}
+
+
 def run_ilc(chain, task, p0, est_cfg, ocp_weights, plant_cfg, ilc_cfg, d0=None,
             nominal_for_plant=None, solver_opts=None):
     """Execute the full learning loop and return one record per iteration.
@@ -116,7 +122,7 @@ def run_ilc(chain, task, p0, est_cfg, ocp_weights, plant_cfg, ilc_cfg, d0=None,
                          opts=solver_opts)
     y_pred = _rollout_prediction(chain, task.q0, p_cur, d_cur, plan.u, n_est, dt_est)
     u_cur = plan.u
-    ocp_status = {"status": plan.solution.status, "fell_back": plan.fell_back}
+    ocp_status = _ocp_status(plan)
 
     records = []
     for i in range(1, ilc_cfg.i_max + 1):
@@ -139,8 +145,7 @@ def run_ilc(chain, task, p0, est_cfg, ocp_weights, plant_cfg, ilc_cfg, d0=None,
                                   ocp_weights, opts=solver_opts)
         statuses = dict(model.statuses)
         statuses["ocp_entry"] = dict(ocp_status)
-        statuses["ocp_next"] = {"status": plan_next.solution.status,
-                                "fell_back": plan_next.fell_back}
+        statuses["ocp_next"] = _ocp_status(plan_next)
         flagged = (plan_next.fell_back or model.statuses.get("parameters_fell_back", False)
                    or model.statuses.get("disturbance_fell_back", False))
         records.append(IlcRecord(
@@ -158,5 +163,5 @@ def run_ilc(chain, task, p0, est_cfg, ocp_weights, plant_cfg, ilc_cfg, d0=None,
         u_cur = plan_next.u
         p_cur = model.params
         d_cur = model.disturbance
-        ocp_status = {"status": plan_next.solution.status, "fell_back": plan_next.fell_back}
+        ocp_status = _ocp_status(plan_next)
     return records

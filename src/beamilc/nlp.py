@@ -21,6 +21,9 @@ from .qp import solve_qp, solve_qp_ipm
 
 log = logging.getLogger("beamilc.nlp")
 
+# deterministic QP effort counts in every NlpSolution.diagnostics
+QP_EFFORT = ("qp_calls", "qp_as_at_budget", "qp_ipm_calls")
+
 
 # ---------------------------------------------------------------------------
 # problem container
@@ -153,11 +156,18 @@ class NlpSolution:
     status: str                      # converged | max-iter | line-search-failure
     qp_gap_max: float = 0.0
     merit_history: list = field(default_factory=list)
+    # the QP_EFFORT counts: qp_calls (active-set and interior-point solves),
+    # qp_as_at_budget (active-set solves that ended at max-iter) and
+    # qp_ipm_calls; plus the worst equality rows when a QP was infeasible
     diagnostics: dict = field(default_factory=dict)
 
     @property
     def converged(self):
         return self.status == "converged"
+
+    @property
+    def qp_effort(self):
+        return {key: self.diagnostics[key] for key in QP_EFFORT}
 
 
 @dataclass
@@ -169,7 +179,7 @@ class SolverOptions:
     armijo: float = 1e-4
     alpha_min: float = 1e-8
     lam_max: float = 1e8
-    qp_max_iter: int = 60
+    qp_max_iter: int = 15
     slack_reg: float = 1e-10
 
 
@@ -237,7 +247,7 @@ def solve(problem, opts=None):
     stationarity = np.inf
     viol_inf = np.inf
     n_iter = 0
-    diagnostics = {}
+    diagnostics = dict.fromkeys(QP_EFFORT, 0)
 
     for n_iter in range(1, opts.max_iter + 1):
         r, jr = _eval_groups(problem.residual_groups, z, True)
@@ -334,15 +344,22 @@ def solve(problem, opts=None):
 
             qp = solve_qp(p_qp, q_qp, a_eq, b_eq, g_qp, h_qp,
                           working_set=working_set, max_iter=opts.qp_max_iter)
+            diagnostics["qp_calls"] += 1
+            diagnostics["qp_as_at_budget"] += qp.status == "max-iter"
             if qp.status != "converged":
-                # LP-like subproblems can defeat the active-set method;
-                # the interior-point path settles them, then a warm
-                # active-set pass polishes to machine precision
+                # on degenerate subproblems the active-set method may not
+                # settle within its budget, warm-started or not; the
+                # interior-point path settles them, then a warm active-set
+                # pass polishes to machine precision
                 qp_ip = solve_qp_ipm(p_qp, q_qp, a_eq, b_eq, g_qp, h_qp)
+                diagnostics["qp_calls"] += 1
+                diagnostics["qp_ipm_calls"] += 1
                 if qp_ip.status == "converged":
                     qp_pol = solve_qp(p_qp, q_qp, a_eq, b_eq, g_qp, h_qp,
                                       working_set=qp_ip.working_set,
                                       max_iter=opts.qp_max_iter)
+                    diagnostics["qp_calls"] += 1
+                    diagnostics["qp_as_at_budget"] += qp_pol.status == "max-iter"
                     qp = qp_pol if qp_pol.status == "converged" else qp_ip
                 elif qp_ip.status == "infeasible":
                     qp = qp_ip
@@ -358,7 +375,7 @@ def solve(problem, opts=None):
                 log.warning("QP reported infeasible; worst rows %s", diag["worst_equality_rows"])
                 status = "line-search-failure"
                 accepted = False
-                diagnostics = diag
+                diagnostics.update(diag)
                 break
             else:
                 lam = min(lam * 10.0, opts.lam_max)

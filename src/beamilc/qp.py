@@ -3,10 +3,13 @@
 Solves ``min 1/2 x'Px + q'x  s.t.  Ax = b, Gx <= h`` for strictly convex P.
 Each iteration treats the working set as equalities, factorizes the
 quasi-definite KKT system with a sparse LU and updates the set from primal
-violations and dual signs simultaneously. Iterative refinement removes the
-effect of the dual regularization, and a cycle guard falls back to
-single-exchange updates. Warm starting with a previous working set makes
-repeated solves (SQP, learning iterations) cheap.
+violations and dual signs simultaneously (Hintermüller, Ito & Kunisch,
+SIAM J. Optim. 13(3), 2002). Iterative refinement removes the effect of the
+dual regularization. On degenerate QPs the method has no convergence
+guarantee and may cycle; ``max_iter`` ends such a call with status
+``max-iter``, and the caller settles the QP another way. Warm starting with
+a previous working set makes repeated solves (SQP, learning iterations)
+cheap.
 
 The KKT factorization uses static pivoting with iterative refinement
 (Li & Demmel, ACM TOMS 29(2), 2003). It first factors with diagonal
@@ -109,8 +112,6 @@ def solve_qp(p_mat, q, a_eq=None, b_eq=None, g_ineq=None, h_ineq=None, *,
     if working_set is not None and working_set.shape == (mi,):
         active = working_set.copy()
 
-    seen = set()
-    cautious = False
     x = np.zeros(n)
     nu = np.zeros(me)
     mu = np.zeros(mi)
@@ -173,21 +174,7 @@ def solve_qp(p_mat, q, a_eq=None, b_eq=None, g_ineq=None, h_ineq=None, *,
             status = "converged"
             break
 
-        key = active.tobytes()
-        if key in seen and not cautious:
-            cautious = True
-        seen.add(key)
-
-        if cautious:
-            # single exchange: worst violation first, else worst dual
-            if violated.any():
-                j = np.flatnonzero(violated)[np.argmax(slack[violated])]
-                active[j] = True
-            else:
-                j = np.flatnonzero(negative)[np.argmin(mu[negative])]
-                active[j] = False
-        else:
-            active = (active & ~negative) | violated
+        active = (active & ~negative) | violated
 
     mu = np.maximum(mu, 0.0) * cost_scale
     nu = nu * cost_scale

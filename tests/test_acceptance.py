@@ -83,7 +83,6 @@ def test_criterion_2_ilc_beats_ablation(default_ilc_run, ablation_ilc_run):
                 f"iteration-1={e_first:.4g}")
 
 
-@pytest.mark.slow
 def test_criterion_3_reference_task(chain7, nominal_params):
     task = TaskDefinition.from_displacement(chain7, REFERENCE_Q0_7DOF,
                                             [0.20, 0.0, -0.20],
@@ -230,7 +229,6 @@ def test_criterion_6_metric_correctness():
             f"sinusoid V={v_sin:.5f} vs 2A/pi={2 * amp / np.pi:.5f}, constant V={v_const}")
 
 
-@pytest.mark.slow
 def test_criterion_7_determinism(tmp_path):
     doc = json.loads(json.dumps(RunConfig.default().raw))
     doc["ilc"] = {"i_max": 2, "metric_window": 1.5, "n_meas": 450,

@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from beamilc import nlp
 from beamilc.dynamics import BeamParams, fast_rollout
 from beamilc.kinematics import (KinematicChain, forward_kinematics,
                                 orientation_error)
@@ -121,6 +124,38 @@ def test_warm_start_converges_fast(chain3, nominal_params, plan3):
     warm = solve_ptp_ocp(chain3, task, nominal_params, u_prev=plan.u.data)
     assert warm.solution.converged
     assert warm.solution.iterations <= 3
+
+
+def test_qp_budget_keeps_the_answer(chain3, nominal_params, plan3, monkeypatch):
+    # a warm replan with a stiffer model: its first active-set QP does not
+    # settle, at the budget or at 60 iterations, and the interior point takes it
+    task, plan = plan3
+    stiffer = dataclasses.replace(nominal_params, k=1.05 * nominal_params.k)
+    calls = []
+    solve_qp = nlp.solve_qp
+
+    def recording_solve_qp(*args, **kwargs):
+        sol = solve_qp(*args, **kwargs)
+        calls.append((sol.status, sol.iterations))
+        return sol
+
+    with monkeypatch.context() as m:
+        m.setattr(nlp, "solve_qp", recording_solve_qp)
+        replan = solve_ptp_ocp(chain3, task, stiffer, u_prev=plan.u.data)
+    budget = SolverOptions().qp_max_iter
+    assert replan.solution.converged
+    assert all(it <= budget for status, it in calls if status == "converged")
+    assert ("max-iter", budget) in calls
+    effort = replan.solution.qp_effort
+    assert effort["qp_as_at_budget"] == sum(status == "max-iter" for status, _ in calls)
+    assert effort["qp_ipm_calls"] >= 1
+    assert effort["qp_calls"] == len(calls) + effort["qp_ipm_calls"]
+
+    ref = solve_ptp_ocp(chain3, task, stiffer, u_prev=plan.u.data,
+                        opts=SolverOptions(max_iter=150, qp_max_iter=60))
+    assert ref.solution.iterations == replan.solution.iterations
+    for name, value in ref.solution.variables.items():
+        np.testing.assert_array_equal(replan.solution.variables[name], value)
 
 
 # ---------------------------------------------------------------------------
