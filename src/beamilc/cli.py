@@ -80,10 +80,9 @@ def cmd_estimate(args):
     p0 = cfg.prior_params()
     est_cfg = cfg.estimation_config(p0)
     d_prev = Trajectory.from_csv(args.d_prev) if args.d_prev else None
-    solver_opts = cfg.solver_options() if "solver" in cfg.raw else None
     model = learn_iteration(chain, y, u, p0, d_prev, cfg.task(chain).q0, est_cfg,
                             include_disturbance=not cfg.ilc_config().ablation_no_disturbance,
-                            opts=solver_opts)
+                            opts=cfg.raw.get("solver"))
     out = _out_dir(args, cfg, "beamilc_estimate")
     doc = model.as_dict()
     doc["param_units"] = dict(zip(PARAM_NAMES, PARAM_UNITS))
@@ -110,9 +109,8 @@ def cmd_ocp(args):
     if args.d:
         d = resample_disturbance(Trajectory.from_csv(args.d), task.dt, task.n_pred)
     u_prev = Trajectory.from_csv(args.u_prev).data if args.u_prev else None
-    solver_opts = cfg.solver_options() if "solver" in cfg.raw else None
     plan = solve_ptp_ocp(chain, task, params, d, u_prev, cfg.ocp_weights(),
-                         opts=solver_opts)
+                         opts=cfg.raw.get("solver"))
     out = _out_dir(args, cfg, "beamilc_ocp")
     _write_plan(plan, chain, task, out)
     _json_dump(_manifest(cfg, chain), os.path.join(out, "manifest.json"))
@@ -157,9 +155,8 @@ def cmd_ilc(args):
     chain = cfg.chain()
     task = cfg.task(chain)
     p0 = cfg.prior_params()
-    solver_opts = cfg.solver_options() if "solver" in cfg.raw else None
     records = run_ilc(chain, task, p0, cfg.estimation_config(p0), cfg.ocp_weights(),
-                      cfg.plant_config(), cfg.ilc_config(), solver_opts=solver_opts)
+                      cfg.plant_config(), cfg.ilc_config(), solver_opts=cfg.raw.get("solver"))
     out = _out_dir(args, cfg, "beamilc_run")
     _json_dump(_manifest(cfg, chain), os.path.join(out, "manifest.json"))
     _json_dump(cfg.raw, os.path.join(out, "config.json"))

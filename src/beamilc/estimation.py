@@ -54,14 +54,16 @@ class EstimationConfig:
             raise ValueError("empty parameter box")
 
     @staticmethod
-    def default(p0, horizon=240, dt=6e-3):
+    def default(p0, **kw):
         """Scale-invariant defaults anchored at the prior parameters."""
         v1, v2 = prior_scaled_weights(p0)
-        return EstimationConfig(v1=v1, v2=v2, horizon=horizon, dt=dt)
+        return EstimationConfig(v1=v1, v2=v2, **kw)
 
 
 def prior_scaled_weights(p0, v1_scale=1e-6, v2_scale=1e-2):
     """Tikhonov and iteration-change diagonals relative to the prior magnitudes."""
+    if v1_scale < 0 or v2_scale < 0:
+        raise ValueError("weight scales must be nonnegative")
     scale = np.maximum(np.abs(p0.as_array()), 0.05)
     return v1_scale / scale**2, v2_scale / scale**2
 
@@ -247,7 +249,7 @@ def estimate_parameters(chain, y, u, p_prev, q0, cfg, opts=None):
     problem.set_state_guess(_substate_rk4(y0, p_prev, coeffs, np.zeros(horizon), dt))
     problem.set_initial_guess("p", p_prev.as_array())
 
-    sol = nlp.solve(problem, opts or nlp.SolverOptions(max_iter=80))
+    sol = nlp.solve(problem, nlp.SolverOptions(**{"max_iter": 80, **(opts or {})}))
     if not sol.converged and sol.status != "max-iter":
         return EstimationResult(p_prev, y0[0], y0[2], y0[3], sol, True,
                                 _param_condition(rb0, p_prev, coeffs, dt))
@@ -322,7 +324,7 @@ def estimate_disturbance(chain, y, u, params, theta0, tau_hat0, tau_e0, d_prev, 
     problem.set_state_guess(_substate_rk4(y0, params, coeffs, d_prev_data, dt))
     problem.set_initial_guess("d", d_prev_data)
 
-    sol = nlp.solve(problem, opts or nlp.SolverOptions(max_iter=60))
+    sol = nlp.solve(problem, nlp.SolverOptions(**{"max_iter": 60, **(opts or {})}))
     if not sol.converged and sol.status != "max-iter":
         d_traj = Trajectory(dt, d_prev_data[:, None], ("d",))
         return DisturbanceResult(d_traj, sol, True)
@@ -332,7 +334,11 @@ def estimate_disturbance(chain, y, u, params, theta0, tau_hat0, tau_e0, d_prev, 
 
 def learn_iteration(chain, y, u, p_prev, d_prev, q0, cfg, include_disturbance=True,
                     opts=None):
-    """Run both estimation problems and collect fit diagnostics."""
+    """Run both estimation problems and collect fit diagnostics.
+
+    ``opts`` maps ``nlp.SolverOptions`` fields to overrides of each fit's
+    defaults.
+    """
     n = chain.n_joints
     horizon = cfg.horizon
     y_data = y.data[:horizon, 0]

@@ -182,6 +182,11 @@ class SolverOptions:
     qp_max_iter: int = 15
     slack_reg: float = 1e-10
 
+    def __post_init__(self):
+        for nm in ("tol_feas", "tol_opt", "levenberg_init"):
+            if getattr(self, nm) <= 0:
+                raise ValueError(f"{nm} must be positive")
+
 
 # ---------------------------------------------------------------------------
 # evaluation helpers

@@ -43,15 +43,15 @@ class TaskDefinition:
             raise ValueError("dt must be positive")
 
     @staticmethod
-    def from_goal_joints(chain, q0, q_goal, n_ctrl=48, n_pred=144, dt=1e-2):
+    def from_goal_joints(chain, q0, q_goal, **kw):
         pose = forward_kinematics(chain, np.asarray(q_goal, dtype=float))
-        return TaskDefinition(q0, pose.position, pose.rotation, n_ctrl, n_pred, dt)
+        return TaskDefinition(q0, pose.position, pose.rotation, **kw)
 
     @staticmethod
-    def from_displacement(chain, q0, displacement, n_ctrl=48, n_pred=144, dt=1e-2):
+    def from_displacement(chain, q0, displacement, **kw):
         pose = forward_kinematics(chain, np.asarray(q0, dtype=float))
         return TaskDefinition(q0, pose.position + np.asarray(displacement, dtype=float),
-                              pose.rotation, n_ctrl, n_pred, dt)
+                              pose.rotation, **kw)
 
 
 @dataclass(frozen=True)
@@ -68,6 +68,8 @@ class OcpWeights:
     gamma: float = 1.05                 # exponential weight, > 1
 
     def __post_init__(self):
+        if self.q_state is not None:
+            object.__setattr__(self, "q_state", np.asarray(self.q_state, dtype=float))
         if self.gamma <= 1.0:
             raise ValueError("gamma must be above 1")
         for nm in ("r1", "r2", "r0", "rho1", "rho2", "rho3"):
@@ -80,10 +82,9 @@ class OcpWeights:
             w = np.zeros(n_x)
             w[:n_dof] = 1.0
             return w
-        w = np.asarray(self.q_state, dtype=float)
-        if w.shape != (n_x,):
+        if self.q_state.shape != (n_x,):
             raise ValueError("q_state must have the state dimension")
-        return w
+        return self.q_state
 
 
 @dataclass
@@ -165,7 +166,8 @@ def solve_ptp_ocp(chain, task, params, d=None, u_prev=None, weights=None, opts=N
 
     ``d`` is the learned disturbance already resampled to the OCP grid
     (Trajectory or array of n_pred samples; None for zero). ``u_prev`` warm
-    starts the solve and serves as the fallback on solver failure.
+    starts the solve and serves as the fallback on solver failure. ``opts``
+    maps ``nlp.SolverOptions`` fields to overrides of this solve's defaults.
     """
     weights = weights or OcpWeights()
     n = chain.n_joints
@@ -326,7 +328,7 @@ def solve_ptp_ocp(chain, task, params, d=None, u_prev=None, weights=None, opts=N
     problem.set_state_guess(xs_guess)
     problem.set_initial_guess("u", u_guess[:n_un].ravel())
 
-    sol = nlp.solve(problem, opts or nlp.SolverOptions(max_iter=150))
+    sol = nlp.solve(problem, nlp.SolverOptions(**{"max_iter": 150, **(opts or {})}))
 
     # a feasible plan is executable even when optimality stalled; only an
     # infeasible iterate forces the fallback to the previous input

@@ -30,14 +30,14 @@ TRUTH_KINDS = ("perturbed_single", "two_segment")
 class TwoSegmentParams:
     """Double-pendulum-with-springs surrogate for the flexible beam."""
 
-    m1: float
-    l1: float
-    k1: float
-    c1: float
-    m2: float
-    l2: float
-    k2: float
-    c2: float
+    m1: float = 0.12
+    l1: float = 0.4
+    k1: float = 7.835
+    c1: float = 0.010
+    m2: float = 0.03
+    l2: float = 0.2
+    k2: float = 2.0856
+    c2: float = 0.004
 
     def __post_init__(self):
         for nm in ("m1", "l1", "k1", "m2", "l2", "k2"):
@@ -60,7 +60,7 @@ class PlantConfig:
 
     truth_kind: str = "two_segment"
     param_factors: tuple = (1.0, 1.0, 1.0, 1.0)          # (k, c, m, l) scaling
-    two_segment: TwoSegmentParams | None = None
+    two_segment: TwoSegmentParams = TwoSegmentParams()
     a_true: float = 60.0
     b_true: float = 2.4
     tau_e0_true: float = 0.05
@@ -69,6 +69,7 @@ class PlantConfig:
     seed: int = 1234
 
     def __post_init__(self):
+        object.__setattr__(self, "param_factors", tuple(self.param_factors))
         if self.truth_kind not in TRUTH_KINDS:
             raise ValueError(f"truth_kind must be one of {TRUTH_KINDS}")
         if self.a_true <= 0 or self.b_true <= 0 or self.rate <= 0:

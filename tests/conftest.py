@@ -39,8 +39,7 @@ def chain7():
 @pytest.fixture(scope="session")
 def mismatch_two_segment():
     # first mode detuned below the analytic prior, second mode near 3x
-    return TwoSegmentParams(m1=0.12, l1=0.4, k1=7.835, c1=0.010,
-                            m2=0.03, l2=0.2, k2=2.0856, c2=0.004)
+    return TwoSegmentParams()
 
 
 @pytest.fixture(scope="session")

@@ -1,13 +1,17 @@
+import dataclasses
 import hashlib
 import json
 import os
+import re
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
 from beamilc.cli import main
-from beamilc.config import ConfigError, RunConfig
+from beamilc import nlp
+from beamilc.config import DEFAULT_CONFIG, ConfigError, RunConfig
+from beamilc.nlp import SolverOptions
 from beamilc.trajectory import Trajectory
 
 TINY = {
@@ -58,6 +62,21 @@ def test_config_rejects_unknown_keys():
     doc["ocp"] = {"rho_unknown": 1.0}
     with pytest.raises(ConfigError):
         RunConfig.from_dict(doc)
+    # every section, an explicit prior, and the two keys that are not knobs:
+    # the plant seed is the top-level seed, and the QP budget is not exposed
+    cases = [(sec, "unknown_key") for sec in ("beam", "sensing", "task", "estimation", "ocp",
+                                             "plant", "ilc", "solver", "prior")]
+    cases += [("plant", "seed"), ("solver", "qp_max_iter")]
+    for section, key in cases:
+        doc = json.loads(json.dumps(DEFAULT_CONFIG))
+        doc["prior"] = {"k": 4.35, "c": 0.0049, "m": 0.085, "l": 0.4, "a": 50.0, "b": 2.0}
+        doc.setdefault(section, {})[key] = 1
+        with pytest.raises(ConfigError, match=section):
+            RunConfig.from_dict(doc)
+    doc = json.loads(json.dumps(TINY))
+    doc["plant"]["two_segment"]["m3"] = 0.1
+    with pytest.raises(ConfigError, match="plant"):
+        RunConfig.from_dict(doc)
 
 
 def test_config_rejects_physical_nonsense():
@@ -73,6 +92,12 @@ def test_config_rejects_physical_nonsense():
     doc["plant"]["two_segment"]["m1"] = -0.1
     with pytest.raises(ConfigError):
         RunConfig.from_dict(doc)
+    doc = json.loads(json.dumps(TINY))
+    doc["solver"] = {"levenberg_init": 0.0}
+    with pytest.raises(ConfigError, match="solver"):
+        RunConfig.from_dict(doc)
+    with pytest.raises(ValueError):
+        SolverOptions(tol_opt=0.0)
 
 
 def test_config_defaults_parse():
@@ -95,6 +120,60 @@ def test_config_solver_section():
     doc["solver"] = {"unknown_opt": 1}
     with pytest.raises(ConfigError):
         RunConfig.from_dict(doc)
+
+
+def test_partial_solver_section_keeps_each_budget(tmp_path, monkeypatch):
+    # the section overrides only what it names: each solve keeps its own
+    # SQP budget (OCP 150, parameter fit 80, disturbance fit 60)
+    doc = json.loads(json.dumps(TINY))
+    doc["ilc"]["i_max"] = 1
+    doc["solver"] = {"tol_opt": 1e-7}
+    seen = []
+    solve = nlp.solve
+
+    def recording_solve(problem, opts=None):
+        seen.append(opts)
+        return solve(problem, dataclasses.replace(opts, max_iter=2))
+
+    monkeypatch.setattr(nlp, "solve", recording_solve)
+    main(["ilc", "--config", write_cfg(tmp_path, doc), "--out", str(tmp_path / "run")])
+    assert [o.max_iter for o in seen] == [150, 80, 60, 150]
+    assert all(o == SolverOptions(max_iter=o.max_iter, tol_opt=1e-7) for o in seen)
+
+
+def readme_config():
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md"),
+              encoding="utf-8") as fh:
+        block = re.search(r"A minimal configuration:\s*```json\n(.*?)```", fh.read(), re.S)
+    return json.loads(block.group(1))
+
+
+def assert_same_config(a, b):
+    assert type(a) is type(b)
+    for f in dataclasses.fields(a):
+        np.testing.assert_array_equal(getattr(a, f.name), getattr(b, f.name))
+
+
+def test_readme_minimal_config_matches_defaults(tmp_path):
+    # the default document restates the code defaults: leaving a section
+    # out of the README's minimal config changes nothing
+    minimal = RunConfig.from_dict(readme_config())
+    default = RunConfig.default()
+    for accessor in ("prior_params", "task", "estimation_config", "ocp_weights",
+                     "plant_config", "ilc_config"):
+        assert_same_config(getattr(minimal, accessor)(), getattr(default, accessor)())
+    t = np.arange(40) * 0.01
+    u_path = tmp_path / "u.csv"
+    Trajectory(0.01, np.stack([np.sin(3 * t + j) for j in range(3)], axis=1),
+               ("u1", "u2", "u3")).to_csv(u_path)
+    outputs = []
+    for name, doc in (("readme", readme_config()), ("default", DEFAULT_CONFIG)):
+        out = tmp_path / name
+        rc = main(["simulate", "--config", write_cfg(tmp_path, doc, f"{name}.json"),
+                   "--input", str(u_path), "--out", str(out), "--samples", "200"])
+        assert rc == 0
+        outputs.append((out / "y_meas.csv").read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 # ---------------------------------------------------------------------------

@@ -114,7 +114,7 @@ def test_infeasible_task_falls_back(chain3, nominal_params):
                                            n_ctrl=48, n_pred=100, dt=0.01)
     u_prev = np.zeros((100, 3))
     plan = solve_ptp_ocp(chain3, task, nominal_params, u_prev=u_prev,
-                         opts=SolverOptions(max_iter=25))
+                         opts={"max_iter": 25})
     assert plan.fell_back
     np.testing.assert_array_equal(plan.u.data, np.zeros((100, 3)))
 
@@ -152,7 +152,7 @@ def test_qp_budget_keeps_the_answer(chain3, nominal_params, plan3, monkeypatch):
     assert effort["qp_calls"] == len(calls) + effort["qp_ipm_calls"]
 
     ref = solve_ptp_ocp(chain3, task, stiffer, u_prev=plan.u.data,
-                        opts=SolverOptions(max_iter=150, qp_max_iter=60))
+                        opts={"max_iter": 150, "qp_max_iter": 60})
     assert ref.solution.iterations == replan.solution.iterations
     for name, value in ref.solution.variables.items():
         np.testing.assert_array_equal(replan.solution.variables[name], value)
@@ -228,7 +228,7 @@ def test_equilibrium_torque_consistency(chain3, nominal_params):
     d = Trajectory(0.006, (0.02 * rng.standard_normal(140)).reshape(-1, 1), ("d",))
     d_ocp = resample_disturbance(d, 0.01, 80)
     plan = solve_ptp_ocp(chain3, task, nominal_params, d_ocp,
-                         opts=SolverOptions(max_iter=40))
+                         opts={"max_iter": 40})
     d_mean = float(np.mean(d_ocp.data[30:, 0]))
     ref = reaction_torque(plan.theta_goal, 0.0, nominal_params, d_mean)
     assert plan.tau_goal == pytest.approx(ref, abs=1e-12)
