@@ -7,8 +7,8 @@ checks: ``beam`` builds ``BeamGeometry``, ``sensing`` fills the keywords of
 ``task`` a ``TaskDefinition``, ``estimation`` an ``EstimationConfig`` (its
 ``v1_scale``/``v2_scale`` go to ``prior_scaled_weights``), ``ocp``
 ``OcpWeights``, ``plant`` ``PlantConfig`` (``two_segment``:
-``TwoSegmentParams``), ``ilc`` ``IlcConfig``, and ``solver`` names up to four
-``SolverOptions`` fields that override each solve's own defaults.
+``TwoSegmentParams``), ``ilc`` ``IlcConfig``, and ``solver`` names up to all
+four ``SolverOptions`` fields, which override each solve's own defaults.
 ``validate`` builds every section once, so a bad file fails with a
 ``ConfigError`` naming the section before any computation starts.
 """
@@ -31,7 +31,6 @@ from .plant import PlantConfig, TwoSegmentParams
 
 SECTIONS = ("seed", "out_dir", "chain", "beam", "prior", "sensing", "task",
             "estimation", "ocp", "plant", "ilc", "solver")
-SOLVER_KEYS = ("max_iter", "tol_feas", "tol_opt", "levenberg_init")
 
 
 class ConfigError(ValueError):
@@ -97,7 +96,6 @@ class RunConfig:
     def validate(self):
         d = self.raw
         _reject_unknown_keys("config", d, SECTIONS)
-        _reject_unknown_keys("solver", d.get("solver", {}), SOLVER_KEYS)
         built = {}
         for name, build in (
                 ("solver", self.solver_options), ("chain", self.chain),

@@ -196,13 +196,12 @@ def setup_ode(chain, x, u, p, d=0.0):
     dtheta = ad.comp(x, 2 * n + 1)
     tau_hat = ad.comp(x, 2 * n + 2)
     tau_e = ad.comp(x, 2 * n + 3)
-    b = p.b if isinstance(p, BeamParams) else ad.comp(p, 5)
 
     ddtheta = pendulum_accel(chain, q, dq, u, theta, dtheta, p)
     tau = reaction_torque(theta, dtheta, p, d)
-    dtau_hat, _ = measurement_dynamics(tau_hat, tau, tau_e, p)
+    dtau_hat, dtau_e = measurement_dynamics(tau_hat, tau, tau_e, p)
     parts = [dq, ad.stack_last([dtheta]), u, ad.stack_last([ddtheta]),
-             ad.stack_last([dtau_hat]), ad.stack_last([-b * tau_e])]
+             ad.stack_last([dtau_hat]), ad.stack_last([dtau_e])]
     return ad.concat_last(parts)
 
 

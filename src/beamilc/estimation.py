@@ -1,15 +1,18 @@
 """Learning step of the ILC: parameter and equivalent-disturbance estimation.
 
-Both problems are multiple-shooting nonlinear least squares over one
-experiment's input/output record. The parameter step fits the lumped model
-with the disturbance ignored; the disturbance step then freezes the
-parameters and absorbs what is left of the output error into a per-sample
-torque disturbance.
-
-The joint input is data, so the arm's motion is known in closed form: the
-frame terms of every RK4 stage are computed once per record, and both
-problems carry only the beam-and-sensing substate ``(theta, dtheta,
+The parameter step fits the lumped model to one experiment's input/output
+record with the disturbance ignored, as multiple-shooting nonlinear least
+squares. The joint input is data, so the arm's motion is known in closed
+form: the frame terms of every RK4 stage are computed once per record, and
+the fit carries only the beam-and-sensing substate ``(theta, dtheta,
 tau_hat, tau_e)`` per node, stepped by :func:`substate_rk4_step`.
+
+The disturbance step then freezes the parameters and absorbs what is left
+of the output error into a per-sample torque disturbance. The pendulum
+never sees the disturbance and the sensing filter is linear, so the output
+is affine in it: the rollout without it plus the filter's lifted impulse
+response times the samples. That step is linear least squares over the
+samples alone.
 """
 from __future__ import annotations
 
@@ -17,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import toeplitz
 
 from . import ad, nlp
 from .dynamics import (BeamParams, _substate_rk4, arm_stage_states,
@@ -153,20 +157,31 @@ def _record_coeffs(chain, q0, u_data, dt):
     return plane_frame_coeffs(chain, q_s, dq_s, u_s)
 
 
-def _shooting_dynamics(coeffs, dt, params=None):
-    """Substate dynamics ``dyn(y, u, p, d)`` of the shooting gaps, batched over nodes.
-
-    ``params``, if given, stands in for the decision parameters ``p``.
-    """
+def _shooting_dynamics(coeffs, dt):
+    """Substate dynamics ``dyn(y, u, p)`` of the shooting gaps, batched over nodes."""
     nodes_last = {name: np.moveaxis(v, 0, -1) for name, v in coeffs.items()}
 
-    def dyn(y, _u, p, d):
+    def dyn(y, _u, p):
         y = tuple(ad.comp(y, i) for i in range(4))
-        y_next = substate_rk4_step(y, p if params is None else params, nodes_last,
-                                   0.0 if d is None else ad.comp(d, 0), dt)
-        return ad.stack_last(y_next)
+        return ad.stack_last(substate_rk4_step(y, p, nodes_last, 0.0, dt))
 
     return dyn
+
+
+def disturbance_response(a, dt, horizon):
+    """Lifted map ``G`` from held disturbance samples to the sampled outputs.
+
+    The filter ``tau_hat' = -a tau_hat + a (tau + d + tau_e)`` is linear and
+    nothing else sees d, so one RK4 step carries ``d_j`` into ``tau_hat``
+    with weight ``beta`` and each later step scales it by ``phi``, the RK4
+    amplification of ``-a dt``. Output k precedes step k, so
+    ``G[k, j] = beta * phi**(k - 1 - j)`` for ``j < k``.
+    """
+    ah = a * dt
+    phi = 1.0 - ah + ah**2 / 2 - ah**3 / 6 + ah**4 / 24
+    beta = ah * (1.0 - ah / 2 + ah**2 / 6 - ah**3 / 24)
+    col = np.concatenate([[0.0], beta * phi ** np.arange(horizon - 1)])
+    return toeplitz(col, np.zeros(horizon))
 
 
 def fit_rmse(chain, q0, p, u_data, y_data, dt, d=None, theta0=None, tau_hat0=None, tau_e0=None):
@@ -198,8 +213,8 @@ def estimate_parameters(chain, y, u, p_prev, q0, cfg, opts=None):
     dt = cfg.dt
     coeffs = _record_coeffs(chain, q0, u_data, dt)
 
-    problem = nlp.transcribe_shooting(_shooting_dynamics(coeffs, dt), 4, horizon, n_p=7,
-                                      param_lb=cfg.p_lb, param_ub=cfg.p_ub)
+    problem = nlp.ShootingProblem(_shooting_dynamics(coeffs, dt), 4, horizon, n_p=7,
+                                  param_lb=cfg.p_lb, param_ub=cfg.p_ub)
     # state bounds: pendulum angle stays inside (-pi, pi)
     xblk = problem.block("x")
     xblk.lb[0::4] = -np.pi + 1e-3
@@ -286,9 +301,12 @@ def estimate_disturbance(chain, y, u, params, theta0, tau_hat0, tau_e0, d_prev, 
                          cfg, opts=None):
     """Estimate the equivalent output disturbance with the parameters fixed.
 
-    One scalar disturbance sample per grid step; the objective trades the
-    output fit against magnitude, iteration-change and smoothness penalties.
-    Falls back to ``d_prev`` when the solver fails.
+    One scalar disturbance sample per grid step, the only decision
+    variables: the model output is the rollout from the pinned initial
+    substate without disturbance plus :func:`disturbance_response` times
+    the samples. The objective trades the output fit against magnitude,
+    iteration-change and smoothness penalties. Falls back to ``d_prev``
+    when the solver fails.
     """
     _check_grids(y, u, cfg)
     horizon = cfg.horizon
@@ -297,32 +315,23 @@ def estimate_disturbance(chain, y, u, params, theta0, tau_hat0, tau_e0, d_prev, 
     d_prev_data = np.zeros(horizon) if d_prev is None else np.asarray(d_prev.data[:horizon, 0])
     dt = cfg.dt
     coeffs = _record_coeffs(chain, np.asarray(q0, dtype=float), u_data, dt)
+    y_free = np.array(_substate_rk4((theta0, 0.0, tau_hat0, tau_e0), params, coeffs,
+                                    np.zeros(horizon), dt))[:horizon, 2]
 
-    problem = nlp.transcribe_shooting(_shooting_dynamics(coeffs, dt, params), 4, horizon,
-                                      n_d=1)
-    y0 = (theta0, 0.0, tau_hat0, tau_e0)
-    problem.pin_state(0, range(4), y0)
-
-    problem.residual_groups.append(_output_fit_group(problem, y_data))
-    d_off = problem.block("d").offset
-    rows = np.arange(horizon)
-    eye_d = sp.csr_matrix((np.ones(horizon), (rows, d_off + rows)),
-                          shape=(horizon, problem.n))
+    problem = nlp.NlpProblem()
+    problem.add_block("d", horizon, x0=d_prev_data)
+    problem.residual_groups.append(
+        nlp.LinearGroup(disturbance_response(params.a, dt, horizon), y_data - y_free))
+    eye = sp.identity(horizon, format="csr")
     if cfg.w1 > 0:
-        problem.residual_groups.append(
-            nlp.LinearGroup(np.sqrt(cfg.w1) * eye_d, np.zeros(horizon)))
+        problem.residual_groups.append(nlp.LinearGroup(np.sqrt(cfg.w1) * eye, np.zeros(horizon)))
     if cfg.w2 > 0:
         problem.residual_groups.append(
-            nlp.LinearGroup(np.sqrt(cfg.w2) * eye_d, np.sqrt(cfg.w2) * d_prev_data))
+            nlp.LinearGroup(np.sqrt(cfg.w2) * eye, np.sqrt(cfg.w2) * d_prev_data))
     if cfg.w3 > 0 and horizon > 1:
-        rr = np.repeat(np.arange(horizon - 1), 2)
-        cc = d_off + np.ravel(np.column_stack([rows[:-1], rows[:-1] + 1]))
-        vv = np.tile([-1.0, 1.0], horizon - 1) * np.sqrt(cfg.w3)
-        diff = sp.csr_matrix((vv, (rr, cc)), shape=(horizon - 1, problem.n))
-        problem.residual_groups.append(nlp.LinearGroup(diff, np.zeros(horizon - 1)))
-
-    problem.set_state_guess(_substate_rk4(y0, params, coeffs, d_prev_data, dt))
-    problem.set_initial_guess("d", d_prev_data)
+        diff = sp.diags([-1.0, 1.0], [0, 1], shape=(horizon - 1, horizon))
+        problem.residual_groups.append(
+            nlp.LinearGroup(np.sqrt(cfg.w3) * diff, np.zeros(horizon - 1)))
 
     sol = nlp.solve(problem, nlp.SolverOptions(**{"max_iter": 60, **(opts or {})}))
     if not sol.converged and sol.status != "max-iter":

@@ -24,6 +24,12 @@ log = logging.getLogger("beamilc.nlp")
 # deterministic QP effort counts in every NlpSolution.diagnostics
 QP_EFFORT = ("qp_calls", "qp_as_at_budget", "qp_ipm_calls")
 
+ARMIJO = 1e-4          # sufficient-decrease fraction of the line search
+ALPHA_MIN = 1e-8       # smallest step length tried
+LAM_MAX = 1e8          # ceiling of the Levenberg damping
+QP_MAX_ITER = 15       # active-set budget before the interior point takes over
+SLACK_REG = 1e-10      # Hessian diagonal on the l1 slack pairs
+
 
 # ---------------------------------------------------------------------------
 # problem container
@@ -176,11 +182,6 @@ class SolverOptions:
     tol_feas: float = 1e-8
     tol_opt: float = 1e-6
     levenberg_init: float = 1e-6
-    armijo: float = 1e-4
-    alpha_min: float = 1e-8
-    lam_max: float = 1e8
-    qp_max_iter: int = 15
-    slack_reg: float = 1e-10
 
     def __post_init__(self):
         for nm in ("tol_feas", "tol_opt", "levenberg_init"):
@@ -334,7 +335,7 @@ def solve(problem, opts=None):
             # quadratic model: H on the decision part, tiny diagonal on slacks
             h_mat = jtj + lam * sp.identity(n, format="csc")
             if n_sl:
-                p_qp = sp.block_diag([h_mat, opts.slack_reg * sp.identity(n_sl)], format="csc")
+                p_qp = sp.block_diag([h_mat, SLACK_REG * sp.identity(n_sl)], format="csc")
             else:
                 p_qp = h_mat
             q_qp = np.concatenate([grad, l1_w, l1_w]) if n_sl else grad
@@ -348,7 +349,7 @@ def solve(problem, opts=None):
                     working_set[base + n_l1 + np.flatnonzero(e0 >= 0)] = True
 
             qp = solve_qp(p_qp, q_qp, a_eq, b_eq, g_qp, h_qp,
-                          working_set=working_set, max_iter=opts.qp_max_iter)
+                          working_set=working_set, max_iter=QP_MAX_ITER)
             diagnostics["qp_calls"] += 1
             diagnostics["qp_as_at_budget"] += qp.status == "max-iter"
             if qp.status != "converged":
@@ -362,7 +363,7 @@ def solve(problem, opts=None):
                 if qp_ip.status == "converged":
                     qp_pol = solve_qp(p_qp, q_qp, a_eq, b_eq, g_qp, h_qp,
                                       working_set=qp_ip.working_set,
-                                      max_iter=opts.qp_max_iter)
+                                      max_iter=QP_MAX_ITER)
                     diagnostics["qp_calls"] += 1
                     diagnostics["qp_as_at_budget"] += qp_pol.status == "max-iter"
                     qp = qp_pol if qp_pol.status == "converged" else qp_ip
@@ -383,7 +384,7 @@ def solve(problem, opts=None):
                 diagnostics.update(diag)
                 break
             else:
-                lam = min(lam * 10.0, opts.lam_max)
+                lam = min(lam * 10.0, LAM_MAX)
                 working_set = None
                 if viol_inf < opts.tol_feas and bump >= 1:
                     break  # feasible already; stop burning time on stalled QPs
@@ -414,20 +415,20 @@ def solve(problem, opts=None):
                                + l1_new - l1_old)
             pred = model_decrease + mu_merit * viol1
             if pred <= 1e-14 * (1.0 + abs(f_val)):
-                lam = min(lam * 10.0, opts.lam_max)
+                lam = min(lam * 10.0, LAM_MAX)
                 continue
 
             phi0 = f_val + mu_merit * viol1
             alpha = 1.0
-            while alpha >= opts.alpha_min:
+            while alpha >= ALPHA_MIN:
                 z_trial = np.clip(z + alpha * step, lb, ub)
                 phi_t, _, _ = _merit(problem, z_trial, mu_merit)
-                if phi_t <= phi0 - opts.armijo * alpha * pred:
+                if phi_t <= phi0 - ARMIJO * alpha * pred:
                     rho = (phi0 - phi_t) / (alpha * pred)
                     if alpha == 1.0 and rho > 0.75:
                         lam = max(lam / 3.0, 1e-12)
                     elif rho < 0.25:
-                        lam = min(lam * 4.0, opts.lam_max)
+                        lam = min(lam * 4.0, LAM_MAX)
                     z = z_trial
                     accepted = True
                     merit_hist.append(phi_t)
@@ -435,7 +436,7 @@ def solve(problem, opts=None):
                 alpha *= 0.5
             if accepted:
                 break
-            lam = min(lam * 10.0, opts.lam_max)
+            lam = min(lam * 10.0, LAM_MAX)
 
         log.info("iter=%d obj=%.6e feas=%.3e stat=%.3e lam=%.1e step=%.3e",
                  n_iter, f_val, viol_inf, stationarity,
@@ -467,33 +468,29 @@ def solve(problem, opts=None):
 
 
 class ShootingGapGroup:
-    """Gap-closing equality constraints ``F(x_k, u_k, p, d_k) - x_{k+1} = 0``.
+    """Gap-closing equality constraints ``F(x_k, u_k, p) - x_{k+1} = 0``.
 
     The dynamics callable must be batched over nodes and transparent to
     :mod:`beamilc.ad` duals. Controls may exist only on a subset of nodes
     (``control_map[k] < 0`` means the node input is pinned to zero).
     """
 
-    def __init__(self, problem, dynamics, n_x, horizon, n_u=0, control_map=None,
-                 n_p=0, n_d=0):
+    def __init__(self, problem, dynamics, n_x, horizon, n_u=0, control_map=None, n_p=0):
         self.problem = problem
         self.dynamics = dynamics
         self.n_x = n_x
         self.horizon = horizon
         self.n_u = n_u
         self.n_p = n_p
-        self.n_d = n_d
         self.control_map = (np.asarray(control_map, dtype=int)
                             if control_map is not None else np.full(horizon, -1))
         self.dim = horizon * n_x
         self._x_off = problem.block("x").offset
         self._u_off = problem.block("u").offset if n_u else 0
         self._p_off = problem.block("p").offset if n_p else 0
-        self._d_off = problem.block("d").offset if n_d else 0
-        self._cols_cache = None
 
     def _gather(self, z):
-        nx, nu, npar, nd, nn = self.n_x, self.n_u, self.n_p, self.n_d, self.horizon
+        nx, nu, npar, nn = self.n_x, self.n_u, self.n_p, self.horizon
         xs = z[self._x_off:self._x_off + (nn + 1) * nx].reshape(nn + 1, nx)
         u = np.zeros((nn, nu)) if nu else None
         if nu:
@@ -502,23 +499,21 @@ class ShootingGapGroup:
             mask = self.control_map >= 0
             u[mask] = uvar[self.control_map[mask]]
         p = z[self._p_off:self._p_off + npar] if npar else None
-        d = z[self._d_off:self._d_off + nd * nn].reshape(nn, nd) if nd else None
-        return xs, u, p, d
+        return xs, u, p
 
     def eval(self, z):
-        xs, u, p, d = self._gather(z)
-        f_next = self.dynamics(xs[:-1], u, p, d)
+        xs, u, p = self._gather(z)
+        f_next = self.dynamics(xs[:-1], u, p)
         return (ad.value(f_next) - xs[1:]).ravel()
 
     def eval_with_jac(self, z):
-        nx, nu, npar, nd, nn = self.n_x, self.n_u, self.n_p, self.n_d, self.horizon
-        xs, u, p, d = self._gather(z)
-        m = nx + nu + npar + nd
+        nx, nu, npar, nn = self.n_x, self.n_u, self.n_p, self.horizon
+        xs, u, p = self._gather(z)
+        m = nx + nu + npar
         x_dual = ad.seed(xs[:-1], m, 0)
         u_dual = ad.seed(u, m, nx) if nu else None
         p_dual = ad.seed(np.asarray(p), m, nx + nu) if npar else None
-        d_dual = ad.seed(d, m, nx + nu + npar) if nd else None
-        f_next = self.dynamics(x_dual, u_dual, p_dual, d_dual)
+        f_next = self.dynamics(x_dual, u_dual, p_dual)
         res = (f_next.val - xs[1:]).ravel()
         dot = f_next.dot  # (nn, nx, m)
 
@@ -555,15 +550,7 @@ class ShootingGapGroup:
         if npar:
             r = np.repeat(rows_blk[:, :, None], npar, axis=2)
             c = np.broadcast_to(self._p_off + np.arange(npar)[None, None, :], (nn, nx, npar))
-            data.append(dot[:, :, nx + nu:nx + nu + npar].ravel())
-            rows.append(r.ravel())
-            cols.append(c.ravel())
-
-        if nd:
-            r = np.repeat(rows_blk[:, :, None], nd, axis=2)
-            c = self._d_off + (np.arange(nn)[:, None, None] * nd + np.arange(nd)[None, None, :])
-            c = np.broadcast_to(c, (nn, nx, nd))
-            data.append(dot[:, :, nx + nu + npar:].ravel())
+            data.append(dot[:, :, nx + nu:].ravel())
             rows.append(r.ravel())
             cols.append(c.ravel())
 
@@ -577,7 +564,7 @@ class ShootingProblem(NlpProblem):
     """NLP with the multiple-shooting layout: per-node states, gap equalities."""
 
     def __init__(self, dynamics, n_x, horizon, *, n_u=0, control_map=None,
-                 n_p=0, n_d=0, state_lb=None, state_ub=None,
+                 n_p=0, state_lb=None, state_ub=None,
                  control_lb=None, control_ub=None, param_lb=None, param_ub=None):
         super().__init__()
         if horizon < 1:
@@ -585,7 +572,6 @@ class ShootingProblem(NlpProblem):
         self.n_x = n_x
         self.n_u = n_u
         self.n_p = n_p
-        self.n_d = n_d
         self.horizon = horizon
         if control_map is None and n_u:
             control_map = np.arange(horizon)
@@ -610,10 +596,8 @@ class ShootingProblem(NlpProblem):
                            tile(control_ub, np.inf, n_ctrl_nodes, n_u))
         if n_p:
             self.add_block("p", n_p, param_lb, param_ub)
-        if n_d:
-            self.add_block("d", horizon * n_d)
         self.gap_group = ShootingGapGroup(self, dynamics, n_x, horizon, n_u,
-                                          self.control_map, n_p, n_d)
+                                          self.control_map, n_p)
         self.eq_groups.append(self.gap_group)
 
     @property
@@ -635,11 +619,6 @@ class ShootingProblem(NlpProblem):
             i = node * self.n_x + e
             blk.lb[i] = blk.ub[i] = v
             blk.x0[i] = v
-
-
-def transcribe_shooting(dynamics, n_x, horizon, **kwargs):
-    """Build a multiple-shooting NLP skeleton (states, controls, gaps, bounds)."""
-    return ShootingProblem(dynamics, n_x, horizon, **kwargs)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import ad, nlp
-from .dynamics import (equilibrium_for_rotation, fast_rollout, rk4_step,
+from .dynamics import (equilibrium_for_rotation, fast_rollout, reaction_torque, rk4_step,
                        state_dim)
 from .kinematics import forward_kinematics, frame_state, orientation_error
 from .trajectory import Trajectory
@@ -195,7 +195,7 @@ def solve_ptp_ocp(chain, task, params, d=None, u_prev=None, weights=None, opts=N
     # the nodes from n_ctrl-1 on have no variable (input identically zero)
     control_map = np.concatenate([np.arange(n_c - 1), np.full(n_p - n_c + 1, -1)])
 
-    def dyn(x, u, _p, _d):
+    def dyn(x, u, _p):
         dd = d_arr if not ad.is_dual(x) else ad.constant(d_arr, x.nseeds)
         return rk4_step(chain, x, u, params, dd, dt, check=False)
 
@@ -208,7 +208,7 @@ def solve_ptp_ocp(chain, task, params, d=None, u_prev=None, weights=None, opts=N
     state_lb[n + 1:2 * n + 1] = -chain.dq_max
     state_ub[n + 1:2 * n + 1] = chain.dq_max
 
-    problem = nlp.transcribe_shooting(
+    problem = nlp.ShootingProblem(
         dyn, n_x, n_p, n_u=n, control_map=control_map,
         state_lb=state_lb, state_ub=state_ub,
         control_lb=-chain.ddq_max, control_ub=chain.ddq_max)
@@ -342,9 +342,7 @@ def solve_ptp_ocp(chain, task, params, d=None, u_prev=None, weights=None, opts=N
         u_full[:n_un] = u_var
         xs = sol.variables["x"].reshape(n_p + 1, n_x)
 
-    theta_tr = xs[:n_p, n]
-    dtheta_tr = xs[:n_p, 2 * n + 1]
-    tau = -params.k * theta_tr - params.c * dtheta_tr + d_arr
+    tau = reaction_torque(xs[:n_p, n], xs[:n_p, 2 * n + 1], params, d_arr)
     u_traj = Trajectory(dt, u_full, tuple(f"u{i+1}" for i in range(n)))
     return PlannedMotion(u_traj, xs, tau, xs[:n_p, -2].copy(), theta_f, tau_f,
                          sol.objective, sol, fell_back)

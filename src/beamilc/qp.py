@@ -19,7 +19,7 @@ The solution is refined against the unregularized system until the
 residual stops halving, at most ``REFINE_MAX`` times. It is kept only if
 it is finite and its normwise backward error is at most ``BACKWARD_TOL``.
 Otherwise the system is factored again with partial pivoting and refined
-``refine_steps`` times, and the rest of that ``solve_qp`` call uses partial
+``REFINE_STEPS`` times, and the rest of that ``solve_qp`` call uses partial
 pivoting: diagonal pivots break down on the OCP's active-set KKT, and one
 wasted factorization per call is cheaper than one per iteration.
 ``solve_qp_ipm`` always uses partial pivoting.
@@ -34,6 +34,12 @@ from scipy.sparse.linalg import splu
 
 REFINE_MAX = 10        # refinement steps after a diagonal-pivot factorization
 BACKWARD_TOL = 1e-14   # normwise backward error a diagonal-pivot solve must reach
+REFINE_STEPS = 2       # refinement steps after a partial-pivoting factorization
+TOL_PRIMAL = 1e-10     # inequality violation that adds a row to the working set
+TOL_DUAL = 1e-10       # negative multiplier that drops a row from the working set
+REG = 1e-11            # dual regularization of the KKT systems
+IPM_MAX_ITER = 150     # interior-point iteration budget
+IPM_TOL = 1e-9         # interior-point residual and gap tolerance, relative to the data
 
 
 @dataclass
@@ -82,8 +88,7 @@ def _static_pivot_solve(kkt, rhs, residual):
 
 
 def solve_qp(p_mat, q, a_eq=None, b_eq=None, g_ineq=None, h_ineq=None, *,
-             working_set=None, max_iter=200, tol_primal=1e-10, tol_dual=1e-10,
-             reg=1e-11, refine_steps=2):
+             working_set=None, max_iter=200):
     """Primal-dual active-set solve; see module docstring.
 
     ``working_set`` warm-starts the active inequality mask. The returned
@@ -124,13 +129,13 @@ def solve_qp(p_mat, q, a_eq=None, b_eq=None, g_ineq=None, h_ineq=None, *,
         ma = g_act.shape[0]
         kkt = sp.bmat([
             [p_mat, a_eq.T if me else None, g_act.T if ma else None],
-            [a_eq if me else None, -reg * sp.identity(me) if me else None, None],
-            [g_act if ma else None, None, -reg * sp.identity(ma) if ma else None],
+            [a_eq if me else None, -REG * sp.identity(me) if me else None, None],
+            [g_act if ma else None, None, -REG * sp.identity(ma) if ma else None],
         ], format="csc")
         rhs = np.concatenate([-q, b_eq, h_ineq[act]])
 
         def residual(sol):
-            # of the unregularized system, so refinement removes the -reg blocks
+            # of the unregularized system, so refinement removes the -REG blocks
             xx = sol[:n]
             vv = sol[n:n + me]
             ww = sol[n + me:]
@@ -149,7 +154,7 @@ def solve_qp(p_mat, q, a_eq=None, b_eq=None, g_ineq=None, h_ineq=None, *,
         except RuntimeError:
             return None
         sol = lu.solve(rhs)
-        for _ in range(refine_steps):
+        for _ in range(REFINE_STEPS):
             sol = sol + lu.solve(residual(sol))
         if not np.all(np.isfinite(sol)):
             return None
@@ -168,8 +173,8 @@ def solve_qp(p_mat, q, a_eq=None, b_eq=None, g_ineq=None, h_ineq=None, *,
         mu[active] = sol[n + me:]
 
         slack = g_ineq @ x - h_ineq if mi else np.zeros(0)
-        violated = (~active) & (slack > tol_primal)
-        negative = active & (mu < -tol_dual)
+        violated = (~active) & (slack > TOL_PRIMAL)
+        negative = active & (mu < -TOL_DUAL)
         if not violated.any() and not negative.any():
             status = "converged"
             break
@@ -191,8 +196,7 @@ def solve_qp(p_mat, q, a_eq=None, b_eq=None, g_ineq=None, h_ineq=None, *,
     return QpSolution(x, nu, mu, obj, gap, p_inf, status, it, active)
 
 
-def solve_qp_ipm(p_mat, q, a_eq=None, b_eq=None, g_ineq=None, h_ineq=None, *,
-                 max_iter=150, tol=1e-9, reg=1e-11):
+def solve_qp_ipm(p_mat, q, a_eq=None, b_eq=None, g_ineq=None, h_ineq=None):
     """Primal-dual interior-point QP solve (Mehrotra predictor-corrector).
 
     Robust on LP-like instances where the active-set method cannot settle
@@ -229,14 +233,14 @@ def solve_qp_ipm(p_mat, q, a_eq=None, b_eq=None, g_ineq=None, h_ineq=None, *,
 
     status = "max-iter"
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, IPM_MAX_ITER + 1):
         r_d = p_mat @ x + q + (a_eq.T @ nu if me else 0) + g_ineq.T @ mu
         r_p = (a_eq @ x - b_eq) if me else np.zeros(0)
         r_g = g_ineq @ x + s - h_ineq
         gap = float(s @ mu) / mi
 
         if (max(np.max(np.abs(r_d)), np.max(np.abs(r_g)),
-                np.max(np.abs(r_p)) if me else 0.0) < tol * scale and gap < tol * scale):
+                np.max(np.abs(r_p)) if me else 0.0) < IPM_TOL * scale and gap < IPM_TOL * scale):
             status = "converged"
             break
 
@@ -249,7 +253,7 @@ def solve_qp_ipm(p_mat, q, a_eq=None, b_eq=None, g_ineq=None, h_ineq=None, *,
         p_aug = (p_mat + g_ineq.T @ gw).tocsc() if mi else p_mat
         kkt = sp.bmat([
             [p_aug, a_eq.T if me else None],
-            [a_eq if me else None, -reg * sp.identity(me) if me else None],
+            [a_eq if me else None, -REG * sp.identity(me) if me else None],
         ], format="csc") if me else p_aug.tocsc()
         try:
             lu = splu(kkt)

@@ -21,7 +21,7 @@ from beamilc.estimation import (EstimationConfig, _model_init_state,
                                 estimate_disturbance, estimate_parameters)
 from beamilc.ilc import run_ilc, vibration_metric
 from beamilc.kinematics import forward_kinematics, orientation_error
-from beamilc.nlp import check_derivatives, transcribe_shooting
+from beamilc.nlp import ShootingProblem, check_derivatives
 from beamilc.ocp import TaskDefinition, _terminal_pose_group, solve_ptp_ocp
 from beamilc.trajectory import Trajectory
 from conftest import REFERENCE_Q0_7DOF
@@ -190,7 +190,7 @@ def test_criterion_5_numerical_hygiene(chain2, chain3, free_params):
                                          free_params.as_array(), eps=1e-6).max_rel_error)
 
     # terminal-pose constraint group of the planner
-    prob = transcribe_shooting(lambda x, u, pp, dd: x, n_x, 2, n_u=3)
+    prob = ShootingProblem(lambda x, u, pp: x, n_x, 2, n_u=3)
     group = _terminal_pose_group(prob, chain3, 1, np.array([0.5, 0.4, 0.0]),
                                  np.eye(3), 3, n_x)
     zz = np.zeros(prob.n)

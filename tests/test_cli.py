@@ -77,6 +77,10 @@ def test_config_rejects_unknown_keys():
     doc["plant"]["two_segment"]["m3"] = 0.1
     with pytest.raises(ConfigError, match="plant"):
         RunConfig.from_dict(doc)
+    doc = json.loads(json.dumps(TINY))
+    doc["solver"] = None
+    with pytest.raises(ConfigError, match="solver"):
+        RunConfig.from_dict(doc)
 
 
 def test_config_rejects_physical_nonsense():

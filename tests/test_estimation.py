@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from beamilc.dynamics import BeamParams, fast_rollout
-from beamilc.estimation import (EstimationConfig, estimate_disturbance,
+from beamilc.estimation import (EstimationConfig, disturbance_response, estimate_disturbance,
                                 estimate_parameters, fit_rmse, learn_iteration,
                                 _model_init_state)
 from beamilc.trajectory import Trajectory
@@ -109,9 +109,20 @@ def test_known_disturbance_recovery(chain3, free_params):
                            w3=0.0, horizon=N, dt=DT)
     res = estimate_disturbance(chain3, y, u, free_params, th0, x0[-2], x0[-1],
                                None, Q0, cfg)
-    assert res.solution.variables["x"].size == (N + 1) * 4
+    assert set(res.solution.variables) == {"d"}
     rmse = float(np.sqrt(np.mean((res.d.data[:, 0] - d_true) ** 2)))
     assert rmse < 0.05 * 0.1
+
+
+def test_disturbance_response_matches_rollout(chain3, free_params):
+    # the output is affine in d: the d = 0 rollout plus the lifted response
+    u = rich_input()
+    x0, _ = _model_init_state(chain3, Q0, free_params)
+    d = np.random.default_rng(3).standard_normal(N) * 0.1
+    _, y_free = fast_rollout(chain3, x0, u.data, free_params, None, DT)
+    _, y_d = fast_rollout(chain3, x0, u.data, free_params, d, DT)
+    got = y_free + disturbance_response(free_params.a, DT, N) @ d
+    assert np.max(np.abs(got - y_d)) <= 1e-12 * np.max(np.abs(y_d))
 
 
 def test_smoothness_dominance(chain3, free_params):

@@ -7,8 +7,8 @@ from scipy.sparse.linalg import splu
 
 from beamilc import ad, qp
 from beamilc.dynamics import pendulum_accel, setup_ode, state_dim
-from beamilc.nlp import (L1Term, LinearGroup, NlpProblem, SolverOptions,
-                         check_derivatives, solve, transcribe_shooting)
+from beamilc.nlp import (L1Term, LinearGroup, NlpProblem, ShootingProblem, SolverOptions,
+                         check_derivatives, solve)
 from beamilc.qp import solve_qp, solve_qp_ipm
 
 
@@ -237,10 +237,10 @@ def test_lqr_matches_riccati():
     qw, rw, qf = 1.0, 0.1, 5.0
     n_steps = 20
 
-    def dyn(x, u, p, d):
+    def dyn(x, u, p):
         return a_c * x + b_c * u
 
-    prob = transcribe_shooting(dyn, 1, n_steps, n_u=1)
+    prob = ShootingProblem(dyn, 1, n_steps, n_u=1)
     prob.pin_state(0, [0], [1.5])
     rows = []
     for k in range(n_steps):
@@ -281,7 +281,7 @@ def test_lqr_matches_riccati():
 
 
 def double_integrator(dt=0.1):
-    def dyn(x, u, p, d):
+    def dyn(x, u, p):
         pos = ad.comp(x, 0)
         vel = ad.comp(x, 1)
         uu = ad.comp(u, 0)
@@ -290,7 +290,7 @@ def double_integrator(dt=0.1):
 
 
 def test_transcription_structure_counts():
-    prob = transcribe_shooting(double_integrator(), 2, 1, n_u=1)
+    prob = ShootingProblem(double_integrator(), 2, 1, n_u=1)
     assert prob.n_state_nodes == 2
     assert prob.n_control_nodes == 1
     assert prob.gap_group.dim == 2
@@ -299,7 +299,7 @@ def test_transcription_structure_counts():
 
 def test_transcription_feasible_rollout_zero_gap():
     dt = 0.1
-    prob = transcribe_shooting(double_integrator(dt), 2, 5, n_u=1)
+    prob = ShootingProblem(double_integrator(dt), 2, 5, n_u=1)
     rng = np.random.default_rng(4)
     u = rng.standard_normal(5)
     xs = np.zeros((6, 2))
@@ -314,9 +314,9 @@ def test_transcription_feasible_rollout_zero_gap():
 
 
 def test_transcription_bounds_mapped():
-    prob = transcribe_shooting(double_integrator(), 2, 3, n_u=1,
-                               state_lb=[-1.0, -2.0], state_ub=[1.0, 2.0],
-                               control_lb=-5.0, control_ub=5.0)
+    prob = ShootingProblem(double_integrator(), 2, 3, n_u=1,
+                           state_lb=[-1.0, -2.0], state_ub=[1.0, 2.0],
+                           control_lb=-5.0, control_ub=5.0)
     lb, ub = prob.bounds()
     x_blk = prob.block("x")
     assert lb[x_blk.offset] == -1.0 and ub[x_blk.offset + 1] == 2.0
@@ -385,10 +385,10 @@ def test_gap_group_jacobian_matches_fd(chain2, free_params):
 
     n_x = state_dim(2)
 
-    def dyn(x, u, p, d):
+    def dyn(x, u, p):
         return rk4_step(chain2, x, u, p, 0.0, 0.01, check=False)
 
-    prob = transcribe_shooting(dyn, n_x, 3, n_u=2, n_p=7)
+    prob = ShootingProblem(dyn, n_x, 3, n_u=2, n_p=7)
     rng = np.random.default_rng(8)
     z = rng.standard_normal(prob.n) * 0.3
     p_off = prob.block("p").offset
@@ -399,12 +399,12 @@ def test_gap_group_jacobian_matches_fd(chain2, free_params):
                                z, eps=1e-6)
     assert report.max_rel_error < 1e-5
 
-    # the estimation substate dynamics, with parameters and a per-node
-    # disturbance as decision variables
+    # the parameter fit's substate dynamics, with the parameters as
+    # decision variables
     from beamilc.estimation import _record_coeffs, _shooting_dynamics
 
     coeffs = _record_coeffs(chain2, np.array([0.3, -0.4]), rng.standard_normal((3, 2)), 0.01)
-    sub = transcribe_shooting(_shooting_dynamics(coeffs, 0.01), 4, 3, n_p=7, n_d=1)
+    sub = ShootingProblem(_shooting_dynamics(coeffs, 0.01), 4, 3, n_p=7)
     z = rng.standard_normal(sub.n) * 0.3
     p_off = sub.block("p").offset
     z[p_off:p_off + 7] = free_params.as_array()

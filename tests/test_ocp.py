@@ -7,7 +7,6 @@ from beamilc import nlp
 from beamilc.dynamics import BeamParams, fast_rollout
 from beamilc.kinematics import (KinematicChain, forward_kinematics,
                                 orientation_error)
-from beamilc.nlp import SolverOptions
 from beamilc.ocp import (OcpWeights, TaskDefinition, resample_disturbance,
                          solve_ptp_ocp)
 from beamilc.trajectory import Trajectory
@@ -142,7 +141,7 @@ def test_qp_budget_keeps_the_answer(chain3, nominal_params, plan3, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(nlp, "solve_qp", recording_solve_qp)
         replan = solve_ptp_ocp(chain3, task, stiffer, u_prev=plan.u.data)
-    budget = SolverOptions().qp_max_iter
+    budget = nlp.QP_MAX_ITER
     assert replan.solution.converged
     assert all(it <= budget for status, it in calls if status == "converged")
     assert ("max-iter", budget) in calls
@@ -151,8 +150,9 @@ def test_qp_budget_keeps_the_answer(chain3, nominal_params, plan3, monkeypatch):
     assert effort["qp_ipm_calls"] >= 1
     assert effort["qp_calls"] == len(calls) + effort["qp_ipm_calls"]
 
-    ref = solve_ptp_ocp(chain3, task, stiffer, u_prev=plan.u.data,
-                        opts={"max_iter": 150, "qp_max_iter": 60})
+    with monkeypatch.context() as m:
+        m.setattr(nlp, "QP_MAX_ITER", 60)
+        ref = solve_ptp_ocp(chain3, task, stiffer, u_prev=plan.u.data)
     assert ref.solution.iterations == replan.solution.iterations
     for name, value in ref.solution.variables.items():
         np.testing.assert_array_equal(replan.solution.variables[name], value)
