@@ -27,7 +27,7 @@ QP_EFFORT = ("qp_calls", "qp_as_at_budget", "qp_ipm_calls")
 ARMIJO = 1e-4          # sufficient-decrease fraction of the line search
 ALPHA_MIN = 1e-8       # smallest step length tried
 LAM_MAX = 1e8          # ceiling of the Levenberg damping
-QP_MAX_ITER = 15       # active-set budget before the interior point takes over
+QP_MAX_ITER = 15       # active-set budget; past it the interior point takes the rest of a solve
 SLACK_REG = 1e-10      # Hessian diagonal on the l1 slack pairs
 
 
@@ -163,8 +163,8 @@ class NlpSolution:
     qp_gap_max: float = 0.0
     merit_history: list = field(default_factory=list)
     # the QP_EFFORT counts: qp_calls (active-set and interior-point solves),
-    # qp_as_at_budget (active-set solves that ended at max-iter) and
-    # qp_ipm_calls; plus the worst equality rows when a QP was infeasible
+    # qp_as_at_budget (active-set solves that ended at max-iter, at most 1)
+    # and qp_ipm_calls; plus the worst equality rows when a QP was infeasible
     diagnostics: dict = field(default_factory=dict)
 
     @property
@@ -184,6 +184,8 @@ class SolverOptions:
     levenberg_init: float = 1e-6
 
     def __post_init__(self):
+        if type(self.max_iter) is not int or self.max_iter < 1:  # bool is not int here
+            raise ValueError(f"max_iter must be a positive int, not {self.max_iter!r}")
         for nm in ("tol_feas", "tol_opt", "levenberg_init"):
             if getattr(self, nm) <= 0:
                 raise ValueError(f"{nm} must be positive")
@@ -246,6 +248,7 @@ def solve(problem, opts=None):
     lam = opts.levenberg_init
     mu_merit = 1.0
     working_set = None
+    ipm_only = False
     prev_duals = None
     qp_gap_max = 0.0
     merit_hist = []
@@ -348,29 +351,23 @@ def solve(problem, opts=None):
                     working_set[base + np.flatnonzero(e0 <= 0)] = True
                     working_set[base + n_l1 + np.flatnonzero(e0 >= 0)] = True
 
-            qp = solve_qp(p_qp, q_qp, a_eq, b_eq, g_qp, h_qp,
-                          working_set=working_set, max_iter=QP_MAX_ITER)
-            diagnostics["qp_calls"] += 1
-            diagnostics["qp_as_at_budget"] += qp.status == "max-iter"
-            if qp.status != "converged":
-                # on degenerate subproblems the active-set method may not
-                # settle within its budget, warm-started or not; the
-                # interior-point path settles them, then a warm active-set
-                # pass polishes to machine precision
-                qp_ip = solve_qp_ipm(p_qp, q_qp, a_eq, b_eq, g_qp, h_qp)
+            # on degenerate subproblems (both slacks of an l1 pair at zero)
+            # the active set may cycle; once it ends at its budget, the
+            # interior point takes this QP and every later one of the solve,
+            # and its step and multipliers are used as they are
+            if not ipm_only:
+                qp = solve_qp(p_qp, q_qp, a_eq, b_eq, g_qp, h_qp,
+                              working_set=working_set, max_iter=QP_MAX_ITER)
+                diagnostics["qp_calls"] += 1
+                ipm_only = qp.status == "max-iter"
+                diagnostics["qp_as_at_budget"] += ipm_only
+                if qp.status == "converged":
+                    working_set = qp.working_set
+            if ipm_only or qp.status == "factorization-failed":
+                qp = solve_qp_ipm(p_qp, q_qp, a_eq, b_eq, g_qp, h_qp)
                 diagnostics["qp_calls"] += 1
                 diagnostics["qp_ipm_calls"] += 1
-                if qp_ip.status == "converged":
-                    qp_pol = solve_qp(p_qp, q_qp, a_eq, b_eq, g_qp, h_qp,
-                                      working_set=qp_ip.working_set,
-                                      max_iter=QP_MAX_ITER)
-                    diagnostics["qp_calls"] += 1
-                    diagnostics["qp_as_at_budget"] += qp_pol.status == "max-iter"
-                    qp = qp_pol if qp_pol.status == "converged" else qp_ip
-                elif qp_ip.status == "infeasible":
-                    qp = qp_ip
             if qp.status == "converged":
-                working_set = qp.working_set
                 qp_gap_max = max(qp_gap_max, qp.duality_gap)
             elif qp.status == "infeasible":
                 # report the worst linearized equalities for diagnosis

@@ -7,9 +7,9 @@ violations and dual signs simultaneously (Hintermüller, Ito & Kunisch,
 SIAM J. Optim. 13(3), 2002). Iterative refinement removes the effect of the
 dual regularization. On degenerate QPs the method has no convergence
 guarantee and may cycle; ``max_iter`` ends such a call with status
-``max-iter``, and the caller settles the QP another way. Warm starting with
-a previous working set makes repeated solves (SQP, learning iterations)
-cheap.
+``max-iter``, and the caller hands the QP to ``solve_qp_ipm``. Warm starting
+with a previous working set makes repeated solves (SQP, learning
+iterations) cheap.
 
 The KKT factorization uses static pivoting with iterative refinement
 (Li & Demmel, ACM TOMS 29(2), 2003). It first factors with diagonal
@@ -22,7 +22,8 @@ Otherwise the system is factored again with partial pivoting and refined
 ``REFINE_STEPS`` times, and the rest of that ``solve_qp`` call uses partial
 pivoting: diagonal pivots break down on the OCP's active-set KKT, and one
 wasted factorization per call is cheaper than one per iteration.
-``solve_qp_ipm`` always uses partial pivoting.
+``solve_qp_ipm`` always uses partial pivoting, refined ``REFINE_STEPS``
+times against the unregularized reduced KKT.
 """
 from __future__ import annotations
 
@@ -39,7 +40,7 @@ TOL_PRIMAL = 1e-10     # inequality violation that adds a row to the working set
 TOL_DUAL = 1e-10       # negative multiplier that drops a row from the working set
 REG = 1e-11            # dual regularization of the KKT systems
 IPM_MAX_ITER = 150     # interior-point iteration budget
-IPM_TOL = 1e-9         # interior-point residual and gap tolerance, relative to the data
+IPM_TOL = 1e-11        # interior-point residual and gap tolerance, relative to the data
 
 
 @dataclass
@@ -87,6 +88,18 @@ def _static_pivot_solve(kkt, rhs, residual):
     return sol if r_norm <= BACKWARD_TOL * scale else None
 
 
+def _scaled(p_mat, q, a_eq, b_eq, g_ineq, h_ineq):
+    """Cost-scaled data (solution invariant, duals unscaled on return), absent blocks empty."""
+    n = q.shape[0]
+    cost_scale = max(1.0, float(np.max(np.abs(q))) / 10.0) if q.size else 1.0
+    a_eq, b_eq = ((sp.csr_matrix((0, n)), np.zeros(0)) if a_eq is None
+                  else (sp.csr_matrix(a_eq), np.asarray(b_eq, dtype=float)))
+    g_ineq, h_ineq = ((sp.csr_matrix((0, n)), np.zeros(0)) if g_ineq is None
+                      else (sp.csr_matrix(g_ineq), np.asarray(h_ineq, dtype=float)))
+    p_mat = sp.csc_matrix(p_mat) / cost_scale
+    return cost_scale, p_mat, q / cost_scale, a_eq, b_eq, g_ineq, h_ineq
+
+
 def solve_qp(p_mat, q, a_eq=None, b_eq=None, g_ineq=None, h_ineq=None, *,
              working_set=None, max_iter=200):
     """Primal-dual active-set solve; see module docstring.
@@ -95,22 +108,8 @@ def solve_qp(p_mat, q, a_eq=None, b_eq=None, g_ineq=None, h_ineq=None, *,
     duality gap is ``|mu'(Gx-h)| + |nu'(Ax-b)|`` (zero at an exact solution).
     """
     n = q.shape[0]
-    # uniform objective scaling; solution invariant, duals unscaled on return
-    cost_scale = max(1.0, float(np.max(np.abs(q))) / 10.0) if q.size else 1.0
-    q = q / cost_scale
-    p_mat = sp.csc_matrix(p_mat) / cost_scale
-    if a_eq is None:
-        a_eq = sp.csr_matrix((0, n))
-        b_eq = np.zeros(0)
-    else:
-        a_eq = sp.csr_matrix(a_eq)
-        b_eq = np.asarray(b_eq, dtype=float)
-    if g_ineq is None:
-        g_ineq = sp.csr_matrix((0, n))
-        h_ineq = np.zeros(0)
-    else:
-        g_ineq = sp.csr_matrix(g_ineq)
-        h_ineq = np.asarray(h_ineq, dtype=float)
+    cost_scale, p_mat, q, a_eq, b_eq, g_ineq, h_ineq = _scaled(p_mat, q, a_eq, b_eq,
+                                                              g_ineq, h_ineq)
     me, mi = a_eq.shape[0], g_ineq.shape[0]
 
     active = np.zeros(mi, dtype=bool)
@@ -196,29 +195,22 @@ def solve_qp(p_mat, q, a_eq=None, b_eq=None, g_ineq=None, h_ineq=None, *,
     return QpSolution(x, nu, mu, obj, gap, p_inf, status, it, active)
 
 
+@np.errstate(all="ignore")  # overflow on an infeasible QP is caught as non-finite values
 def solve_qp_ipm(p_mat, q, a_eq=None, b_eq=None, g_ineq=None, h_ineq=None):
     """Primal-dual interior-point QP solve (Mehrotra predictor-corrector).
 
-    Robust on LP-like instances where the active-set method cannot settle
-    (near-singular Hessian with heavy linear terms). Eliminates the
-    inequality block, so the factorized system stays at ``n + m_eq``.
+    Robust where the active-set method cannot settle: degenerate QPs such
+    as l1 slack pairs with both slacks at zero. Eliminates the inequality
+    block, so the factorized system stays at ``n + m_eq``; its barrier
+    weights ``mu / s`` are not clipped, and each Newton solve is refined.
+    Stops when the dual, equality and inequality residuals (max-norm) and
+    the mean complementarity ``s'mu / m_ineq`` are all below ``IPM_TOL``
+    times ``1 + max(|q|, |h|, |b|)`` of the cost-scaled data. On an
+    infeasible QP it stops at its last finite iterate and says so.
     """
     n = q.shape[0]
-    cost_scale = max(1.0, float(np.max(np.abs(q))) / 10.0) if q.size else 1.0
-    q = q / cost_scale
-    p_mat = sp.csc_matrix(p_mat) / cost_scale
-    if a_eq is None:
-        a_eq = sp.csr_matrix((0, n))
-        b_eq = np.zeros(0)
-    else:
-        a_eq = sp.csr_matrix(a_eq)
-        b_eq = np.asarray(b_eq, dtype=float)
-    if g_ineq is None:
-        g_ineq = sp.csr_matrix((0, n))
-        h_ineq = np.zeros(0)
-    else:
-        g_ineq = sp.csr_matrix(g_ineq)
-        h_ineq = np.asarray(h_ineq, dtype=float)
+    cost_scale, p_mat, q, a_eq, b_eq, g_ineq, h_ineq = _scaled(p_mat, q, a_eq, b_eq,
+                                                              g_ineq, h_ineq)
     me, mi = a_eq.shape[0], g_ineq.shape[0]
     if mi == 0:
         return solve_qp(p_mat * cost_scale, q * cost_scale,
@@ -244,13 +236,10 @@ def solve_qp_ipm(p_mat, q, a_eq=None, b_eq=None, g_ineq=None, h_ineq=None):
             status = "converged"
             break
 
-        if not (np.all(np.isfinite(s)) and np.all(np.isfinite(mu))
-                and np.all(np.isfinite(x))):
-            status = "max-iter"
-            break
-        w = np.clip(mu / np.maximum(s, 1e-300), 1e-12, 1e14)
-        gw = g_ineq.multiply(w[:, None]) if mi else None
-        p_aug = (p_mat + g_ineq.T @ gw).tocsc() if mi else p_mat
+        w = mu / s
+        if not np.all(np.isfinite(w)):
+            break  # s underflowed: the unclipped weights overflow on an infeasible QP
+        p_aug = (p_mat + g_ineq.T @ g_ineq.multiply(w[:, None])).tocsc()
         kkt = sp.bmat([
             [p_aug, a_eq.T if me else None],
             [a_eq if me else None, -REG * sp.identity(me) if me else None],
@@ -267,6 +256,10 @@ def solve_qp_ipm(p_mat, q, a_eq=None, b_eq=None, g_ineq=None, h_ineq=None):
             rhs_x = -r_d - g_ineq.T @ (rc / s + w * r_g)
             rhs = np.concatenate([rhs_x, -r_p]) if me else rhs_x
             sol = lu.solve(rhs)
+            for _ in range(REFINE_STEPS):
+                # against the unregularized system, as in solve_qp
+                r_x = rhs[:n] - p_aug @ sol[:n] - a_eq.T @ sol[n:]
+                sol = sol + lu.solve(np.concatenate([r_x, rhs[n:] - a_eq @ sol[:n]]))
             dx = sol[:n]
             dnu = sol[n:] if me else np.zeros(0)
             ds = -(r_g + g_ineq @ dx)
@@ -288,6 +281,8 @@ def solve_qp_ipm(p_mat, q, a_eq=None, b_eq=None, g_ineq=None, h_ineq=None):
 
         # corrector, separate primal and dual step lengths
         dx, dnu, ds, dmu = solve_dir(sigma * gap, ds * dmu)
+        if not all(np.all(np.isfinite(v)) for v in (dx, dnu, ds, dmu)):
+            break  # keep the last finite iterate
         alpha_p = min(0.995 * step_len(s, ds), 1.0)
         alpha_d = min(0.995 * step_len(mu, dmu), 1.0)
         x += alpha_p * dx

@@ -296,6 +296,14 @@ def test_loop_prediction_metric_consistency(default_ilc_run):
 
 
 @pytest.mark.slow
+def test_loop_every_ocp_solve_converges(default_ilc_run):
+    records, _, _ = default_ilc_run
+    for rec in records:
+        for key in ("ocp_entry", "ocp_next"):
+            assert rec.statuses[key]["status"] == "converged", (rec.iteration, key)
+
+
+@pytest.mark.slow
 def test_loop_records_not_flagged(default_ilc_run):
     records, _, _ = default_ilc_run
     assert not any(r.flagged for r in records)

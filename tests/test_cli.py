@@ -100,6 +100,11 @@ def test_config_rejects_physical_nonsense():
     doc["solver"] = {"levenberg_init": 0.0}
     with pytest.raises(ConfigError, match="solver"):
         RunConfig.from_dict(doc)
+    # the SQP budget is a positive int: no string, zero, negative, float or bool
+    for bad in ("a", 0, -3, 2.5, True, False):
+        doc["solver"] = {"max_iter": bad}
+        with pytest.raises(ConfigError, match="solver"):
+            RunConfig.from_dict(doc)
     with pytest.raises(ValueError):
         SolverOptions(tol_opt=0.0)
 

@@ -78,6 +78,75 @@ def test_qp_slack_pair_complementarity():
     assert min(sol.x[1], sol.x[2]) <= 1e-8  # at most one slack of the pair nonzero
 
 
+def ocp_tail_shaped_qp(n_nodes=40, n_ctrl=20, dt=0.05, omega=3.0, damping=0.1):
+    """QP shaped like the OCP's vibration tail.
+
+    A damped oscillator chain, driven for ``n_ctrl`` steps and autonomous
+    after, with an l1 pair on the position of every later node, weighted
+    ``10 * 1.05**k``, and a 1e-10 Hessian on the slacks. Once the chain is
+    at rest both slacks of each later pair sit at zero, and the gaps then
+    imply the next ones: the active constraint gradients are dependent.
+    """
+    n_s = 2 * (n_nodes + 1)
+    n = n_s + n_ctrl + 2 * n_nodes
+    step = np.array([[1.0, dt], [-dt * omega ** 2, 1.0 - dt * damping]])
+    a_eq = np.zeros((2 + 2 * n_nodes + n_nodes, n))
+    a_eq[:2, :2] = np.eye(2)
+    for k in range(n_nodes):
+        rows = slice(2 + 2 * k, 4 + 2 * k)
+        a_eq[rows, 2 * k:2 * k + 2] = step
+        a_eq[rows, 2 * k + 2:2 * k + 4] = -np.eye(2)
+        if k < n_ctrl:
+            a_eq[3 + 2 * k, n_s + k] = dt
+    link = np.arange(n_nodes)
+    a_eq[2 + 2 * n_nodes + link, 2 * (link + 1)] = 1.0
+    a_eq[2 + 2 * n_nodes + link, n_s + n_ctrl + link] = -1.0
+    a_eq[2 + 2 * n_nodes + link, n_s + n_ctrl + n_nodes + link] = 1.0
+    b_eq = np.zeros(a_eq.shape[0])
+    b_eq[0] = 1.0
+    w = 10.0 * 1.05 ** np.arange(1, n_nodes + 1)
+    q = np.concatenate([np.zeros(n_s + n_ctrl), w, w])
+    p_mat = np.diag(np.concatenate([np.full(n_s, 1e-6), np.ones(n_ctrl),
+                                    np.full(2 * n_nodes, 1e-10)]))
+    g = np.zeros((2 * n_nodes, n))
+    g[:, n_s + n_ctrl:] = -np.eye(2 * n_nodes)
+    return p_mat, q, a_eq, b_eq, g, np.zeros(2 * n_nodes)
+
+
+def test_qp_degenerate_slack_pairs_ipm_converges():
+    p_mat, q, a_eq, b_eq, g, h = ocp_tail_shaped_qp()
+    args = (sp.csc_matrix(p_mat), q, sp.csr_matrix(a_eq), b_eq, sp.csr_matrix(g), h)
+    assert solve_qp(*args, max_iter=200).status == "max-iter"  # the active set cycles
+    sol = solve_qp_ipm(*args)
+    assert sol.status == "converged"
+    # the stopping test at 1e-11, on the cost-scaled data the interior point works with
+    cost_scale = max(1.0, np.max(np.abs(q)) / 10.0)
+    tol = 1e-11 * (1.0 + max(np.max(np.abs(q)) / cost_scale, np.max(np.abs(h)),
+                             np.max(np.abs(b_eq))))
+    dual = p_mat @ sol.x + q + a_eq.T @ sol.eq_duals + g.T @ sol.ineq_duals
+    assert np.max(np.abs(dual)) / cost_scale < tol
+    assert np.max(np.abs(a_eq @ sol.x - b_eq)) < tol
+    assert np.max(g @ sol.x - h) < tol
+    assert np.all(sol.ineq_duals > 0)
+    assert sol.duality_gap / cost_scale / h.size < tol
+    t_plus, t_minus = np.split(sol.x[-h.size:], 2)
+    assert np.any(np.maximum(t_plus, t_minus) < 1e-8)  # pairs with both slacks at zero
+
+
+def test_qp_ipm_reports_infeasible():
+    # without a clip the barrier weights overflow as the slacks underflow;
+    # the solve must stop on its last finite iterate and say why
+    box = (sp.identity(2, format="csc"), np.ones(2), None, None,
+           sp.csr_matrix(np.array([[1.0, 0.0], [-1.0, 0.0]])), np.array([-1.0, -1.0]))
+    eq_vs_bounds = (1e-6 * sp.identity(2, format="csc"), np.array([1.0, 0.0]),
+                    sp.csr_matrix(np.ones((1, 2))), np.array([5.0]),
+                    sp.identity(2, format="csr"), np.ones(2))
+    for args in (box, eq_vs_bounds):
+        sol = solve_qp_ipm(*args)
+        assert sol.status == "infeasible"
+        assert np.all(np.isfinite(sol.x)) and np.all(np.isfinite(sol.ineq_duals))
+
+
 def estimation_shaped_qp(n_nodes=60, n_x=4, n_p=3, seed=0):
     """Gauss-Newton QP of a shooting fit: gap equalities, dense parameter columns."""
     rng = np.random.default_rng(seed)
