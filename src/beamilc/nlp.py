@@ -468,11 +468,13 @@ class ShootingGapGroup:
     """Gap-closing equality constraints ``F(x_k, u_k, p) - x_{k+1} = 0``.
 
     The dynamics callable must be batched over nodes and transparent to
-    :mod:`beamilc.ad` duals. Controls may exist only on a subset of nodes
-    (``control_map[k] < 0`` means the node input is pinned to zero).
+    :mod:`beamilc.ad` duals. The states are the ``horizon + 1`` nodes of
+    the variable block named ``block``. Controls may exist only on a subset
+    of nodes (``control_map[k] < 0`` means the node input is pinned to zero).
     """
 
-    def __init__(self, problem, dynamics, n_x, horizon, n_u=0, control_map=None, n_p=0):
+    def __init__(self, problem, dynamics, n_x, horizon, n_u=0, control_map=None, n_p=0,
+                 block="x"):
         self.problem = problem
         self.dynamics = dynamics
         self.n_x = n_x
@@ -482,7 +484,7 @@ class ShootingGapGroup:
         self.control_map = (np.asarray(control_map, dtype=int)
                             if control_map is not None else np.full(horizon, -1))
         self.dim = horizon * n_x
-        self._x_off = problem.block("x").offset
+        self._x_off = problem.block(block).offset
         self._u_off = problem.block("u").offset if n_u else 0
         self._p_off = problem.block("p").offset if n_p else 0
 

@@ -7,6 +7,12 @@ rest at the end of the control horizon, and the remaining prediction
 window carries exponentially weighted l1 penalties pushing the pendulum
 angle, its rate and the predicted reaction torque onto their equilibrium
 values as early as possible.
+
+The nodes up to the end of the control horizon carry the full state.
+Past it the arm rests at ``q(n_ctrl)``, so the tail nodes carry only the
+beam-and-sensing substate ``(theta, dtheta, tau_hat, tau_e)`` and the
+resting frame's in-plane gravity ``g2 = (R(q(n_ctrl))^T g)[:2]``, held
+constant along the tail and tied to ``q(n_ctrl)`` at its first node.
 """
 from __future__ import annotations
 
@@ -17,8 +23,8 @@ import scipy.sparse as sp
 
 from . import ad, nlp
 from .dynamics import (equilibrium_for_rotation, fast_rollout, reaction_torque, rk4_step,
-                       state_dim)
-from .kinematics import forward_kinematics, frame_state, orientation_error
+                       state_dim, substate_rk4_step)
+from .kinematics import GRAVITY, forward_kinematics, frame_state, orientation_error
 from .trajectory import Trajectory
 
 
@@ -37,8 +43,8 @@ class TaskDefinition:
         object.__setattr__(self, "q0", np.asarray(self.q0, dtype=float))
         object.__setattr__(self, "goal_position", np.asarray(self.goal_position, dtype=float))
         object.__setattr__(self, "goal_rotation", np.asarray(self.goal_rotation, dtype=float))
-        if not (0 < self.n_ctrl < self.n_pred):
-            raise ValueError("need 0 < n_ctrl < n_pred")
+        if not (2 <= self.n_ctrl < self.n_pred):  # the control block spans nodes 0..n_ctrl-2
+            raise ValueError("need 2 <= n_ctrl < n_pred")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
 
@@ -92,7 +98,7 @@ class PlannedMotion:
     """Feedforward plan plus its model prediction."""
 
     u: Trajectory                 # n_pred rows; zero from node n_ctrl-1 on
-    states: np.ndarray            # (n_pred+1, n_x) predicted trace
+    states: np.ndarray            # (n_pred+1, n_x) predicted trace; arm at rest past n_ctrl
     tau: np.ndarray               # (n_pred,) predicted reaction torque
     tau_hat: np.ndarray           # (n_pred,) predicted filtered output
     theta_goal: float
@@ -161,6 +167,34 @@ def _terminal_pose_group(problem, chain, node, goal_pos, goal_rot, n, n_x):
     return nlp.CallableGroup(6, eval_, eval_jac)
 
 
+def _rest_gravity(chain, q, m=None):
+    """In-plane gravity ``(R(q)^T g)[:2]`` of the frame resting at ``q``; dual in q if ``m``."""
+    rb = frame_state(chain, q if m is None else ad.seed(q, m, 0), None, None)["R"]
+    return ad.sub(ad.matvec(ad.mtranspose(rb), GRAVITY), slice(0, 2))
+
+
+def _junction_group(problem, chain, node, sub_entries, n, n_x):
+    """Six equality rows: the tail's first node is the substate of x at ``node``
+    plus the in-plane gravity of the frame resting at its q."""
+    x_node = problem.block("x").offset + node * n_x
+    q_cols = x_node + np.arange(n)
+    sub_cols = x_node + sub_entries
+    y_cols = problem.block("y").offset + np.arange(6)
+
+    def eval_(z):
+        return z[y_cols] - np.concatenate([z[sub_cols], _rest_gravity(chain, z[q_cols])])
+
+    def eval_jac(z):
+        g2 = _rest_gravity(chain, z[q_cols], m=n)
+        rows = np.concatenate([np.arange(6), np.arange(4), np.repeat([4, 5], n)])
+        cols = np.concatenate([y_cols, sub_cols, np.tile(q_cols, 2)])
+        vals = np.concatenate([np.ones(6), -np.ones(4), -g2.dot.ravel()])
+        jac = sp.csr_matrix((vals, (rows, cols)), shape=(6, problem.n))
+        return z[y_cols] - np.concatenate([z[sub_cols], g2.val]), jac
+
+    return nlp.CallableGroup(6, eval_, eval_jac)
+
+
 def solve_ptp_ocp(chain, task, params, d=None, u_prev=None, weights=None, opts=None):
     """Plan the feedforward joint accelerations for one task execution.
 
@@ -168,6 +202,11 @@ def solve_ptp_ocp(chain, task, params, d=None, u_prev=None, weights=None, opts=N
     (Trajectory or array of n_pred samples; None for zero). ``u_prev`` warm
     starts the solve and serves as the fallback on solver failure. ``opts``
     maps ``nlp.SolverOptions`` fields to overrides of this solve's defaults.
+
+    Variable blocks: ``"x"`` holds the full state at nodes 0..n_ctrl,
+    ``"u"`` the inputs of nodes 0..n_ctrl-2 (node 0's pinned to zero), and
+    ``"y"`` the tail nodes n_ctrl..n_pred as ``(theta, dtheta, tau_hat,
+    tau_e, g2)``, six entries each.
     """
     weights = weights or OcpWeights()
     n = chain.n_joints
@@ -192,12 +231,19 @@ def solve_ptp_ocp(chain, task, params, d=None, u_prev=None, weights=None, opts=N
     tau_f = -params.k * theta_f + float(np.mean(d_arr[n_c:]))
 
     # controls exist on nodes 0..n_ctrl-2; the first is pinned to zero and
-    # the nodes from n_ctrl-1 on have no variable (input identically zero)
-    control_map = np.concatenate([np.arange(n_c - 1), np.full(n_p - n_c + 1, -1)])
+    # node n_ctrl-1 has no variable (input identically zero)
+    control_map = np.append(np.arange(n_c - 1), -1)
+    sub = np.array([n, 2 * n + 1, 2 * n + 2, 2 * n + 3])   # substate entries of x
 
     def dyn(x, u, _p):
-        dd = d_arr if not ad.is_dual(x) else ad.constant(d_arr, x.nseeds)
-        return rk4_step(chain, x, u, params, dd, dt, check=False)
+        return rk4_step(chain, x, u, params, d_arr[:n_c], dt, check=False)
+
+    rest = np.zeros((4, 2, 2))   # m_dw = m_ww = 0 at every stage: the frame rests
+
+    def tail_dyn(y, _u, _p):
+        y = tuple(ad.comp(y, i) for i in range(6))
+        frame = {"g2": [y[4:]] * 4, "m_dw": rest, "m_ww": rest}
+        return ad.stack_last(substate_rk4_step(y[:4], params, frame, d_arr[n_c:], dt) + y[4:])
 
     state_lb = np.full(n_x, -np.inf)
     state_ub = np.full(n_x, np.inf)
@@ -209,9 +255,14 @@ def solve_ptp_ocp(chain, task, params, d=None, u_prev=None, weights=None, opts=N
     state_ub[n + 1:2 * n + 1] = chain.dq_max
 
     problem = nlp.ShootingProblem(
-        dyn, n_x, n_p, n_u=n, control_map=control_map,
+        dyn, n_x, n_c, n_u=n, control_map=control_map,
         state_lb=state_lb, state_ub=state_ub,
         control_lb=-chain.ddq_max, control_ub=chain.ddq_max)
+    n_tail = n_p - n_c + 1
+    tail_ub = np.r_[np.pi / 2, np.full(5, np.inf)]   # theta bounds only
+    problem.add_block("y", n_tail * 6, np.tile(-tail_ub, n_tail), np.tile(tail_ub, n_tail))
+    problem.eq_groups.append(nlp.ShootingGapGroup(problem, tail_dyn, 6, n_tail - 1, block="y"))
+    problem.eq_groups.append(_junction_group(problem, chain, n_c, sub, n, n_x))
 
     x0 = np.concatenate([task.q0, [theta_0], np.zeros(n + 1),
                          [-params.k * theta_0 + d_arr[0], 0.0]])
@@ -298,9 +349,8 @@ def solve_ptp_ocp(chain, task, params, d=None, u_prev=None, weights=None, opts=N
     # prediction-horizon l1 terms with exponentially increasing weights
     ks = np.arange(n_c, n_p)
     gam = weights.gamma ** ks
-    x_off = problem.block("x").offset
-    th_cols = x_off + ks * n_x + n
-    dth_cols = x_off + ks * n_x + 2 * n + 1
+    th_cols = problem.block("y").offset + (ks - n_c) * 6
+    dth_cols = th_cols + 1
     n_t = ks.size
     a1 = sp.csr_matrix((np.ones(n_t), (np.arange(n_t), th_cols)), shape=(n_t, problem.n))
     a2 = sp.csr_matrix((np.ones(n_t), (np.arange(n_t), dth_cols)), shape=(n_t, problem.n))
@@ -325,7 +375,9 @@ def solve_ptp_ocp(chain, task, params, d=None, u_prev=None, weights=None, opts=N
     u_guess[0] = 0.0
     u_guess[n_c - 1:] = 0.0
     xs_guess, _ = fast_rollout(chain, x0, u_guess, params, d_arr, dt)
-    problem.set_state_guess(xs_guess)
+    problem.set_state_guess(xs_guess[:n_c + 1])
+    g2_guess = np.tile(_rest_gravity(chain, xs_guess[n_c, :n]), (n_tail, 1))
+    problem.set_initial_guess("y", np.hstack([xs_guess[n_c:, sub], g2_guess]))
     problem.set_initial_guess("u", u_guess[:n_un].ravel())
 
     sol = nlp.solve(problem, nlp.SolverOptions(**{"max_iter": 150, **(opts or {})}))
@@ -340,7 +392,10 @@ def solve_ptp_ocp(chain, task, params, d=None, u_prev=None, weights=None, opts=N
         u_full = np.zeros((n_p, n))
         u_var = sol.variables["u"].reshape(n_un, n)
         u_full[:n_un] = u_var
-        xs = sol.variables["x"].reshape(n_p + 1, n_x)
+        xs = np.zeros((n_p + 1, n_x))
+        xs[:n_c + 1] = sol.variables["x"].reshape(n_c + 1, n_x)
+        xs[n_c + 1:, :n] = xs[n_c, :n]
+        xs[n_c + 1:, sub] = sol.variables["y"].reshape(n_tail, 6)[1:, :4]
 
     tau = reaction_torque(xs[:n_p, n], xs[:n_p, 2 * n + 1], params, d_arr)
     u_traj = Trajectory(dt, u_full, tuple(f"u{i+1}" for i in range(n)))

@@ -288,6 +288,16 @@ def test_ocp_zero_displacement_zero_u(tmp_path):
     assert summary["terminal_position_error"] < 1e-6
 
 
+def test_ocp_rejects_single_control_node(tmp_path, capsys):
+    doc = json.loads(json.dumps(TINY))
+    doc["task"]["n_ctrl"] = 1
+    with pytest.raises(ConfigError, match="task"):
+        RunConfig.from_dict(doc)
+    rc = main(["ocp", "--config", write_cfg(tmp_path, doc), "--out", str(tmp_path / "ocp")])
+    assert rc == 1
+    assert "task" in capsys.readouterr().err
+
+
 def test_ocp_infeasible_task_exit_code(tmp_path):
     doc = json.loads(json.dumps(TINY))
     doc["task"]["q0"] = [0.5, -0.9, 0.6]

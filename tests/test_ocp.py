@@ -2,9 +2,12 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+
+from conftest import REFERENCE_Q0_7DOF
 
 from beamilc import nlp
-from beamilc.dynamics import BeamParams, fast_rollout
+from beamilc.dynamics import BeamParams, fast_rollout, state_dim
 from beamilc.kinematics import (KinematicChain, forward_kinematics,
                                 orientation_error)
 from beamilc.ocp import (OcpWeights, TaskDefinition, resample_disturbance,
@@ -21,6 +24,21 @@ def plan3(chain3, nominal_params):
                                            n_ctrl=48, n_pred=144, dt=0.01)
     plan = solve_ptp_ocp(chain3, task, nominal_params)
     return task, plan
+
+
+class _Captured(Exception):
+    pass
+
+
+def _ocp_problem(chain, task, params, monkeypatch):
+    """The NLP that solve_ptp_ocp hands to the solver, captured unsolved."""
+    def capture(problem, opts=None):
+        raise _Captured(problem)
+
+    monkeypatch.setattr(nlp, "solve", capture)
+    with pytest.raises(_Captured) as exc:
+        solve_ptp_ocp(chain, task, params)
+    return exc.value.args[0]
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +136,60 @@ def test_infeasible_task_falls_back(chain3, nominal_params):
     np.testing.assert_array_equal(plan.u.data, np.zeros((100, 3)))
 
 
+def test_tail_transcription_is_exact(chain3, nominal_params, plan3, monkeypatch):
+    # the tail carries only the substate and g2, yet the plan's full-state
+    # trace is what the model does under the planned input
+    task, plan = plan3
+    xs, ys = fast_rollout(chain3, plan.states[0], plan.u.data, nominal_params, None, task.dt)
+    assert plan.states.shape == (task.n_pred + 1, state_dim(3))
+    np.testing.assert_allclose(plan.states, xs, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(plan.tau_hat, ys, rtol=0, atol=1e-9)
+
+    # no q or dq entries past node n_ctrl: six tail entries a node
+    problem = _ocp_problem(chain3, task, nominal_params, monkeypatch)
+    n_c, n_p = task.n_ctrl, task.n_pred
+    assert {b.name: b.dim for b in problem.blocks} == {
+        "x": (n_c + 1) * state_dim(3), "u": (n_c - 1) * 3, "y": (n_p - n_c + 1) * 6}
+
+
+@pytest.mark.parametrize("arm", ["planar3", "seven_dof"])
+def test_junction_and_tail_jacobians(arm, chain3, chain7, nominal_params, monkeypatch):
+    # away from rest: dq(n_ctrl) != 0, q(n_ctrl) off the goal, g2 off R(q)^T g.
+    # planar3 swings in the horizontal plane, where g2 = 0 for every q, so
+    # only the 7-DOF arm exercises the junction's q(n_ctrl) columns
+    if arm == "planar3":
+        chain = chain3
+        task = TaskDefinition.from_goal_joints(chain, Q0, Q_GOAL, n_ctrl=48, n_pred=144, dt=0.01)
+    else:
+        chain = chain7
+        task = TaskDefinition.from_displacement(chain, REFERENCE_Q0_7DOF, [0.20, 0.0, -0.20],
+                                                n_ctrl=48, n_pred=144, dt=0.01)
+    problem = _ocp_problem(chain, task, nominal_params, monkeypatch)
+    n, n_x, n_c = chain.n_joints, state_dim(chain.n_joints), task.n_ctrl
+    rng = np.random.default_rng(5)
+    z0 = problem.initial_guess() + 0.05 * rng.standard_normal(problem.n)
+    x_node = problem.block("x").offset + n_c * n_x
+    y_off = problem.block("y").offset
+    cols = np.concatenate([x_node + np.arange(n_x),            # q, theta, dq, ... at n_ctrl
+                           y_off + np.arange(18),              # tail nodes 0..2
+                           y_off + problem.block("y").dim - 6 + np.arange(6)])  # last node
+    assert np.max(np.abs(z0[x_node + n + 1:x_node + 2 * n + 1])) > 1e-3
+
+    def full(zs):
+        z = z0.copy()
+        z[cols] = zs
+        return z
+
+    def fn(zs):
+        return np.concatenate([g.eval(full(zs)) for g in problem.eq_groups])
+
+    def jac(zs):
+        return sp.vstack([g.eval_with_jac(full(zs))[1] for g in problem.eq_groups]).tocsc()[:, cols]
+
+    report = nlp.check_derivatives(fn, jac, z0[cols])
+    assert report.ok(1e-6), report
+
+
 def test_warm_start_converges_fast(chain3, nominal_params, plan3):
     task, plan = plan3
     warm = solve_ptp_ocp(chain3, task, nominal_params, u_prev=plan.u.data)
@@ -176,6 +248,10 @@ def test_task_validation(chain3):
         TaskDefinition(Q0, np.zeros(3), np.eye(3), n_ctrl=50, n_pred=50)
     with pytest.raises(ValueError):
         TaskDefinition(Q0, np.zeros(3), np.eye(3), dt=-0.01)
+    # the first control node is pinned to zero and node n_ctrl-1 has none
+    for n_ctrl in (0, 1):
+        with pytest.raises(ValueError):
+            TaskDefinition(Q0, np.zeros(3), np.eye(3), n_ctrl=n_ctrl, n_pred=50)
 
 
 # ---------------------------------------------------------------------------
