@@ -16,9 +16,9 @@ import numpy as np
 
 __all__ = [
     "Dual", "value", "seed", "constant", "is_dual",
-    "sin", "cos", "exp", "sqrt", "arctan2",
+    "sin", "cos", "sqrt", "arctan2",
     "comp", "stack_last", "concat_last", "matmat", "matvec", "inner",
-    "cross", "mtranspose", "tail",
+    "cross", "mtranspose", "moveaxis", "tail",
 ]
 
 
@@ -138,13 +138,6 @@ def cos(x):
     if isinstance(x, Dual):
         return Dual(np.cos(x.val), -np.sin(x.val)[..., None] * x.dot)
     return np.cos(x)
-
-
-def exp(x):
-    if isinstance(x, Dual):
-        v = np.exp(x.val)
-        return Dual(v, v[..., None] * x.dot)
-    return np.exp(x)
 
 
 def sqrt(x):
@@ -282,6 +275,15 @@ def mtranspose(a):
     if isinstance(a, Dual):
         return Dual(np.swapaxes(a.val, -2, -1), np.swapaxes(a.dot, -3, -2))
     return np.swapaxes(a, -2, -1)
+
+
+def moveaxis(x, source, destination):
+    """``np.moveaxis`` over the value axes; negative axes count from the last one."""
+    if isinstance(x, Dual):
+        nd = x.val.ndim
+        return Dual(np.moveaxis(x.val, source, destination),
+                    np.moveaxis(x.dot, source % nd, destination % nd))
+    return np.moveaxis(x, source, destination)
 
 
 def tail(x, k):

@@ -1,4 +1,4 @@
-"""Lumped pendulum-on-end-effector model, torque sensing, and the setup ODE.
+"""Lumped pendulum-on-end-effector model and torque sensing.
 
 The combined state is ``x = [q, theta, dq, dtheta, tau_hat, tau_e]`` with
 ``n_x = 2*(n_dof+1) + 2``. The arm is a double integrator (ideal joint
@@ -7,11 +7,13 @@ swinging about the Z axis of frame {b}, and the measured output is a
 first-order-filtered reaction torque with an exponentially decaying
 estimator error.
 
-When the joint input is known, so is the arm's motion
-(:func:`arm_stage_states`), and only the beam-and-sensing substate
+The arm's RK4 stages follow in closed form from its input
+(:func:`arm_rk4_stages`), so only the beam-and-sensing substate
 ``(theta, dtheta, tau_hat, tau_e)`` is integrated, by
-:func:`substate_rk4_step` over frame terms from :func:`plane_frame_coeffs`.
-The OCP, whose input is a decision variable, steps the full state.
+:func:`substate_rk4_step` over the frame terms of the four stages from
+:func:`plane_frame_coeffs`. :func:`pendulum_accel` is the one pendulum
+equation: the rollout, both fits, the OCP (on duals of its decision
+variables), the single-pendulum plant and the equilibrium solve all use it.
 """
 from __future__ import annotations
 
@@ -25,6 +27,10 @@ from .kinematics import GRAVITY, forward_kinematics, frame_state
 
 PARAM_NAMES = ("k", "c", "m", "l", "a", "b", "tau_e0")
 PARAM_UNITS = ("N*m/rad", "N*m*s/rad", "kg", "m", "1/s", "1/s", "N*m")
+
+
+# the m_dw and m_ww blocks of plane_frame_coeffs for a frame that does not rotate
+NO_ROTATION = np.zeros((2, 2))
 
 
 class IntegrationBlowupError(RuntimeError):
@@ -140,31 +146,6 @@ def _params_tuple(p):
     return tuple(ad.comp(p, i) for i in range(6))
 
 
-def pendulum_accel(chain, q, dq, ddq, theta, dtheta, p, frame=None):
-    """Pendulum angular acceleration (the dynamics of the lumped beam).
-
-    Evaluates the Lagrangian pendulum dynamics on the moving frame {b}:
-    spring/damper restoring, gravity-minus-frame-acceleration projection
-    and the angular velocity/acceleration coupling terms. Batched/dual
-    transparent. ``frame`` may pass a precomputed frame_state result.
-    """
-    k, c, m, l, _, _ = _params_tuple(p)
-    if frame is None:
-        frame = frame_state(chain, q, dq, ddq)
-    rb, acc, w, dw = frame["R"], frame["a"], frame["w"], frame["dw"]
-    st, ct = ad.sin(theta), ad.cos(theta)
-    zero = 0.0 * st
-    r_vec = ad.stack_last([ct, st, zero])
-    rp_vec = ad.stack_last([-st, ct, zero])
-    rr = ad.matvec(rb, r_vec)      # world direction of the rod
-    rrp = ad.matvec(rb, rp_vec)    # world direction of the swing tangent
-    grav = GRAVITY - acc if not ad.is_dual(acc) else ad.constant(GRAVITY, acc.nseeds) - acc
-    term_g = ad.inner(rrp, grav) / l
-    term_dw = ad.inner(rrp, ad.cross(dw, rr))
-    term_ww = ad.inner(ad.cross(w, rrp), ad.cross(w, rr))
-    return -(k * theta + c * dtheta) / (m * l * l) + term_g - term_dw + term_ww
-
-
 def reaction_torque(theta, dtheta, p, d=0.0):
     """Reaction torque about Z_b: spring/damper plus the learned disturbance."""
     k, c = (p.k, p.c) if isinstance(p, BeamParams) else (ad.comp(p, 0), ad.comp(p, 1))
@@ -178,76 +159,26 @@ def measurement_dynamics(tau_hat, tau, tau_e, p):
     return -a * tau_hat + a * (tau + tau_e), -b * tau_e
 
 
-def setup_ode(chain, x, u, p, d=0.0):
-    """Stacked state derivative of the combined setup model.
+def arm_rk4_stages(q, dq, u, h):
+    """The four RK4 stage values ``(q_s, dq_s)`` of one arm step, in closed form.
 
-    ``x`` is batched over leading axes; ``u`` is the joint acceleration
-    command and ``d`` the output disturbance (both held by the caller).
+    The arm is a double integrator with ``u`` held over the step, so RK4's
+    stages are known without integrating, and the fourth stage is the end
+    of the step. Plain ``+`` and ``*`` only: arrays batched over nodes and
+    :mod:`beamilc.ad` duals both run through it.
     """
-    n = chain.n_joints
-    nx = state_dim(n)
-    if ad.value(x).shape[-1] != nx:
-        raise ValueError(f"state must have {nx} entries")
-    if ad.value(u).shape[-1] != n:
-        raise ValueError(f"control must have {n} entries")
-    q = ad.sub(x, slice(0, n))
-    theta = ad.comp(x, n)
-    dq = ad.sub(x, slice(n + 1, 2 * n + 1))
-    dtheta = ad.comp(x, 2 * n + 1)
-    tau_hat = ad.comp(x, 2 * n + 2)
-    tau_e = ad.comp(x, 2 * n + 3)
-
-    ddtheta = pendulum_accel(chain, q, dq, u, theta, dtheta, p)
-    tau = reaction_torque(theta, dtheta, p, d)
-    dtau_hat, dtau_e = measurement_dynamics(tau_hat, tau, tau_e, p)
-    parts = [dq, ad.stack_last([dtheta]), u, ad.stack_last([ddtheta]),
-             ad.stack_last([dtau_hat]), ad.stack_last([dtau_e])]
-    return ad.concat_last(parts)
-
-
-def rk4_step(chain, x, u, p, d, dt, check=True):
-    """Classical RK4 step of the setup ODE with u and d zero-order-held."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    k1 = setup_ode(chain, x, u, p, d)
-    k2 = setup_ode(chain, x + (0.5 * dt) * k1, u, p, d)
-    k3 = setup_ode(chain, x + (0.5 * dt) * k2, u, p, d)
-    k4 = setup_ode(chain, x + dt * k3, u, p, d)
-    x_next = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if check and not np.all(np.isfinite(ad.value(x_next))):
-        raise IntegrationBlowupError("non-finite state after RK4 step")
-    return x_next
-
-
-def rollout(chain, x0, u_seq, p, d_seq=None, dt=None):
-    """Integrate N steps; returns states (N+1, nx) and outputs (N,).
-
-    ``u_seq`` is (N, n_dof); ``d_seq`` is (N,) or None for zero. The output
-    sample k is taken at state k (before the step), matching the estimation
-    horizon convention.
-    """
-    u_seq = np.atleast_2d(np.asarray(u_seq, dtype=float))
-    n_steps = u_seq.shape[0]
-    if d_seq is None:
-        d_seq = np.zeros(n_steps)
-    d_seq = np.asarray(d_seq, dtype=float)
-    xs = np.zeros((n_steps + 1, len(x0)))
-    xs[0] = x0
-    for k in range(n_steps):
-        xs[k + 1] = rk4_step(chain, xs[k], u_seq[k], p, float(d_seq[k]), dt)
-    ys = xs[:n_steps, -2].copy()
-    return xs, ys
+    q_s = [q, q + 0.5 * h * dq, q + 0.5 * h * dq + 0.25 * h * h * u,
+           q + h * dq + 0.5 * h * h * u]
+    dq_s = [dq, dq + 0.5 * h * u, dq + 0.5 * h * u, dq + h * u]
+    return q_s, dq_s
 
 
 def arm_stage_states(q0, u_seq, dt):
-    """Closed-form arm trajectory and RK4 stage configurations.
+    """Closed-form arm trajectory and RK4 stage configurations of a record.
 
-    The arm substate is a double integrator with zero-order-held input, so
-    RK4 reproduces it exactly and the four internal stage values of every
-    step are known in closed form. Returns ``(q, dq)`` at every step start
-    and at the end, shapes (N+1, n), and stage arrays ``(q_s, dq_s, u_s)``
-    of shape (N, 4, n) matching the canonical :func:`rk4_step` stage
-    arithmetic bit for bit.
+    Returns ``(q, dq)`` at every step start and at the end, shapes (N+1, n),
+    and the :func:`arm_rk4_stages` of every step as stage arrays
+    ``(q_s, dq_s, u_s)`` of shape (N, 4, n).
     """
     u_seq = np.atleast_2d(np.asarray(u_seq, dtype=float))
     n_steps, n = u_seq.shape
@@ -259,54 +190,45 @@ def arm_stage_states(q0, u_seq, dt):
     for k in range(n_steps):
         dq[k + 1] = dq[k] + dt * u_seq[k]
         q[k + 1] = q[k] + dt * dq[k] + 0.5 * dt * dt * u_seq[k]
-    qk, dqk = q[:-1], dq[:-1]
-    h = dt
-    q_s = np.stack([
-        qk,
-        qk + 0.5 * h * dqk,
-        qk + 0.5 * h * dqk + 0.25 * h * h * u_seq,
-        qk + h * dqk + 0.5 * h * h * u_seq,
-    ], axis=1)
-    dq_s = np.stack([
-        dqk,
-        dqk + 0.5 * h * u_seq,
-        dqk + 0.5 * h * u_seq,
-        dqk + h * u_seq,
-    ], axis=1)
+    q_s, dq_s = arm_rk4_stages(q[:-1], dq[:-1], u_seq, dt)
     u_s = np.repeat(u_seq[:, None, :], 4, axis=1)
-    return q, dq, q_s, dq_s, u_s
+    return q, dq, np.stack(q_s, axis=1), np.stack(dq_s, axis=1), u_s
 
 
 def plane_frame_coeffs(chain, q, dq, ddq):
-    """Swing-plane projections of the frame {b} motion, batched.
+    """Swing-plane projections of the frame {b} motion, batched and dual-transparent.
 
-    Returns arrays with trailing dims: ``g2`` (.., 2) the in-plane part of
+    Returns trailing dims: ``g2`` (.., 2) the in-plane part of
     R^T (g - p_ddot); ``m_dw``, ``m_ww``, ``m_w`` (.., 2, 2) the in-plane
     blocks of R^T S(w_dot) R, R^T S(w) S(w) R and R^T S(w) R. Everything a
-    pendulum (or chain of pendulums) on frame {b} needs.
+    pendulum (or chain of pendulums) on frame {b} needs. With
+    ``v_b = R^T v``, ``R^T S(v) R = S(v_b)`` and ``S(w)^2 = w w^T - |w|^2 I``.
     """
     fr = frame_state(chain, q, dq, ddq)
-    rb, acc, w, dw = fr["R"], fr["a"], fr["w"], fr["dw"]
+    rt = ad.mtranspose(fr["R"])
+    g2 = ad.sub(ad.matvec(rt, GRAVITY - fr["a"]), slice(0, 2))
+    wx, wy, wz = (ad.comp(ad.matvec(rt, fr["w"]), i) for i in range(3))
+    dwz = ad.comp(ad.matvec(rt, fr["dw"]), 2)
+    zero = 0.0 * wz
 
-    def skew(v):
-        z = np.zeros_like(v[..., 0])
-        return np.stack([
-            np.stack([z, -v[..., 2], v[..., 1]], axis=-1),
-            np.stack([v[..., 2], z, -v[..., 0]], axis=-1),
-            np.stack([-v[..., 1], v[..., 0], z], axis=-1),
-        ], axis=-2)
+    def mat(a, b, c, d):    # [[a, b], [c, d]]
+        return ad.stack_last([ad.stack_last([a, c]), ad.stack_last([b, d])])
 
-    rt = np.swapaxes(rb, -2, -1)
-    g2 = np.einsum("...ij,...j->...i", rt, GRAVITY - acc)[..., :2]
-    sw = skew(w)
-    sdw = skew(dw)
-    m_dw = np.einsum("...ij,...jk,...kl->...il", rt, sdw, rb)[..., :2, :2]
-    m_ww = np.einsum("...ij,...jk,...km,...ml->...il", rt, sw, sw, rb)[..., :2, :2]
-    m_w = np.einsum("...ij,...jk,...kl->...il", rt, sw, rb)[..., :2, :2]
-    return {"g2": g2, "m_dw": m_dw, "m_ww": m_ww, "m_w": m_w}
+    return {"g2": g2, "m_dw": mat(zero, -dwz, dwz, zero),
+            "m_ww": mat(-(wy * wy + wz * wz), wx * wy, wx * wy, -(wx * wx + wz * wz)),
+            "m_w": mat(zero, -wz, wz, zero)}
 
 
-def _pend_accel_from_coeffs(theta, dtheta, k, c, m, l, g2, m_dw, m_ww):
+def pendulum_accel(theta, dtheta, k, c, m, l, g2, m_dw, m_ww):
+    """Angular acceleration of the pendulum on frame {b}: the model's equation.
+
+    Spring and damper, the in-plane gravity-minus-frame-acceleration
+    ``g2`` and the rotation blocks ``m_dw``, ``m_ww`` of
+    :func:`plane_frame_coeffs`, component axes first. At rest
+    (``dtheta = 0``, ``m_dw = m_ww =`` :data:`NO_ROTATION`,
+    ``g2 = (R^T g)[:2]``) it is zero at the equilibrium angle. Floats,
+    arrays and duals run through it.
+    """
     # scalar loops keep libm's sine, whose last bits numpy's need not match
     if isinstance(theta, float):
         st, ct = math.sin(theta), math.cos(theta)
@@ -333,7 +255,7 @@ def substate_rk4_step(y, p, coeffs, d, h):
 
     def f(s, y):
         theta, dtheta, tau_hat, tau_e = y
-        ddtheta = _pend_accel_from_coeffs(theta, dtheta, k, c, m, l, g2[s], m_dw[s], m_ww[s])
+        ddtheta = pendulum_accel(theta, dtheta, k, c, m, l, g2[s], m_dw[s], m_ww[s])
         dtau_hat, dtau_e = measurement_dynamics(
             tau_hat, reaction_torque(theta, dtheta, p, d), tau_e, p)
         return (dtheta, ddtheta, dtau_hat, dtau_e)
@@ -359,11 +281,13 @@ def _substate_rk4(y0, p, coeffs, d_seq, h):
 
 
 def fast_rollout(chain, x0, u_seq, p, d_seq=None, dt=None):
-    """Rollout numerically identical to :func:`rollout`, much faster.
+    """Integrate N RK4 steps; returns states (N+1, nx) and outputs (N,).
 
-    Precomputes the frame projections at the closed-form RK4 stage arm
-    configurations in one batched pass, then integrates only the pendulum
-    and sensing substate in a scalar loop.
+    ``u_seq`` is (N, n_dof); ``d_seq`` is (N,) or None for zero. The output
+    sample k is taken at state k (before the step), matching the estimation
+    horizon convention. The frame terms at the closed-form RK4 stage arm
+    configurations come in one batched pass; only the pendulum and sensing
+    substate is integrated, in a scalar loop.
     """
     n = chain.n_joints
     u_seq = np.atleast_2d(np.asarray(u_seq, dtype=float))
@@ -381,15 +305,6 @@ def fast_rollout(chain, x0, u_seq, p, d_seq=None, dt=None):
     return xs, xs[:n_steps, -2].copy()
 
 
-def equilibrium_residual(rb, theta, p):
-    """Stationary-arm pendulum acceleration as a function of theta only."""
-    k, _, m, l, _, _ = _params_tuple(p)
-    st, ct = ad.sin(theta), ad.cos(theta)
-    g_b = ad.matvec(ad.mtranspose(rb), GRAVITY if not ad.is_dual(rb) else ad.constant(GRAVITY, rb.nseeds))
-    gx, gy = ad.comp(g_b, 0), ad.comp(g_b, 1)
-    return -(k * theta) / (m * l * l) + (-st * gx + ct * gy) / l
-
-
 def equilibrium_for_rotation(rb, p, tol=1e-12):
     """Pendulum equilibrium angle for a fixed frame orientation.
 
@@ -402,7 +317,7 @@ def equilibrium_for_rotation(rb, p, tol=1e-12):
     k, m, l = p.k, p.m, p.l
 
     def f(th):
-        return -(k * th) / (m * l * l) + (-math.sin(th) * g_b[0] + math.cos(th) * g_b[1]) / l
+        return pendulum_accel(th, 0.0, k, p.c, m, l, g_b, NO_ROTATION, NO_ROTATION)
 
     def fprime(th):
         return -k / (m * l * l) + (-math.cos(th) * g_b[0] - math.sin(th) * g_b[1]) / l

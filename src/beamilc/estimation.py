@@ -23,10 +23,10 @@ import scipy.sparse as sp
 from scipy.linalg import toeplitz
 
 from . import ad, nlp
-from .dynamics import (BeamParams, _substate_rk4, arm_stage_states,
-                       equilibrium_for_rotation, equilibrium_residual, fast_rollout,
+from .dynamics import (NO_ROTATION, BeamParams, _params_tuple, _substate_rk4, arm_stage_states,
+                       equilibrium_for_rotation, fast_rollout, pendulum_accel,
                        plane_frame_coeffs, rest_state, substate_rk4_step)
-from .kinematics import forward_kinematics
+from .kinematics import GRAVITY, forward_kinematics
 from .trajectory import Trajectory
 
 DEFAULT_PARAM_BOX = {
@@ -56,6 +56,10 @@ class EstimationConfig:
             raise ValueError("regularizer weights must be nonnegative")
         if np.any(self.p_lb >= self.p_ub):
             raise ValueError("empty parameter box")
+        if type(self.horizon) is not int or self.horizon < 1:  # bool is not int here
+            raise ValueError(f"horizon must be a positive int, not {self.horizon!r}")
+        if not self.dt > 0:
+            raise ValueError("dt must be positive")
 
     @staticmethod
     def default(p0, **kw):
@@ -133,6 +137,13 @@ def _rest_substate(rb0, p, d0=0.0):
     """
     th = equilibrium_for_rotation(rb0, p)
     return th, 0.0, -p.k * th + d0 + p.tau_e0, p.tau_e0
+
+
+def _rest_residual(rb0, theta, p):
+    """The pendulum equation at rest in the frame orientation ``rb0``; zero at equilibrium."""
+    k, c, m, l, _, _ = _params_tuple(p)
+    g2 = ad.matvec(ad.mtranspose(rb0), GRAVITY)[:2]
+    return pendulum_accel(theta, 0.0, k, c, m, l, g2, NO_ROTATION, NO_ROTATION)
 
 
 def _model_init_state(chain, q0, p, d0=0.0):
@@ -245,13 +256,12 @@ def estimate_parameters(chain, y, u, p_prev, q0, cfg, opts=None):
     th_idx = problem.x_index(0, 0)
 
     def eq_eval(z):
-        return np.atleast_1d(ad.value(
-            equilibrium_residual(rb0, z[th_idx], z[p_off:p_off + 7])))
+        return _rest_residual(rb0, z[th_idx:th_idx + 1], z[p_off:p_off + 7])
 
     def eq_jac(z):
         th_d = ad.Dual(np.asarray(z[th_idx]), np.eye(8)[0])
         p_d = ad.seed(z[p_off:p_off + 7], 8, 1)
-        r = equilibrium_residual(ad.constant(rb0, 8), th_d, p_d)
+        r = _rest_residual(rb0, th_d, p_d)
         jac = sp.csr_matrix((r.dot, (np.zeros(8, dtype=int),
                                      np.concatenate([[th_idx], p_off + np.arange(7)]))),
                             shape=(1, problem.n))
@@ -285,8 +295,7 @@ def _param_condition(rb0, p, coeffs, dt):
     """
     p_arr = p.as_array()
     th, _, tau_hat, tau_e = _rest_substate(rb0, p)
-    r = equilibrium_residual(ad.constant(rb0, 8), ad.Dual(np.asarray(th), np.eye(8)[0]),
-                             ad.seed(p_arr, 8, 1))
+    r = _rest_residual(rb0, ad.Dual(np.asarray(th), np.eye(8)[0]), ad.seed(p_arr, 8, 1))
     dth = -r.dot[1:] / r.dot[0]
     e_k, e_taue = np.eye(7)[0], np.eye(7)[6]
     # (theta, dtheta, tau_hat = -k theta + tau_e0, tau_e = tau_e0) at rest

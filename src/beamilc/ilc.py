@@ -32,8 +32,9 @@ class IlcConfig:
     ablation_no_disturbance: bool = False
 
     def __post_init__(self):
-        if self.i_max < 1:
-            raise ValueError("i_max must be at least 1")
+        for nm, v in (("i_max", self.i_max), ("n_meas", self.n_meas)):
+            if type(v) is not int or v < 1:  # bool is not int here
+                raise ValueError(f"{nm} must be a positive int, not {v!r}")
         if self.metric_window <= 0:
             raise ValueError("metric window must be positive")
 

@@ -13,6 +13,12 @@ Past it the arm rests at ``q(n_ctrl)``, so the tail nodes carry only the
 beam-and-sensing substate ``(theta, dtheta, tau_hat, tau_e)`` and the
 resting frame's in-plane gravity ``g2 = (R(q(n_ctrl))^T g)[:2]``, held
 constant along the tail and tied to ``q(n_ctrl)`` at its first node.
+
+Both gap groups step the model as the rollout and the fits do: one
+:func:`~beamilc.dynamics.substate_rk4_step` of the substate over the frame
+terms of four RK4 stages. On the control horizon those terms come from the
+arm's closed-form stages (it is a double integrator), on duals of the
+node's ``q``, ``dq`` and ``u``; in the tail the frame rests.
 """
 from __future__ import annotations
 
@@ -22,8 +28,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import ad, nlp
-from .dynamics import (equilibrium_for_rotation, fast_rollout, reaction_torque, rk4_step,
-                       state_dim, substate_rk4_step)
+from .dynamics import (NO_ROTATION, arm_rk4_stages, equilibrium_for_rotation, fast_rollout,
+                       plane_frame_coeffs, reaction_torque, state_dim, substate_rk4_step)
 from .kinematics import GRAVITY, forward_kinematics, frame_state, orientation_error
 from .trajectory import Trajectory
 
@@ -43,6 +49,9 @@ class TaskDefinition:
         object.__setattr__(self, "q0", np.asarray(self.q0, dtype=float))
         object.__setattr__(self, "goal_position", np.asarray(self.goal_position, dtype=float))
         object.__setattr__(self, "goal_rotation", np.asarray(self.goal_rotation, dtype=float))
+        for nm, v in (("n_ctrl", self.n_ctrl), ("n_pred", self.n_pred)):
+            if type(v) is not int:  # bool is not int here
+                raise ValueError(f"{nm} must be an int, not {v!r}")
         if not (2 <= self.n_ctrl < self.n_pred):  # the control block spans nodes 0..n_ctrl-2
             raise ValueError("need 2 <= n_ctrl < n_pred")
         if self.dt <= 0:
@@ -236,13 +245,16 @@ def solve_ptp_ocp(chain, task, params, d=None, u_prev=None, weights=None, opts=N
     sub = np.array([n, 2 * n + 1, 2 * n + 2, 2 * n + 3])   # substate entries of x
 
     def dyn(x, u, _p):
-        return rk4_step(chain, x, u, params, d_arr[:n_c], dt, check=False)
-
-    rest = np.zeros((4, 2, 2))   # m_dw = m_ww = 0 at every stage: the frame rests
+        q_s, dq_s = arm_rk4_stages(ad.sub(x, slice(0, n)), ad.sub(x, slice(n + 1, 2 * n + 1)),
+                                   u, dt)
+        stages = [plane_frame_coeffs(chain, q, dq, u) for q, dq in zip(q_s, dq_s)]
+        frame = {nm: [ad.moveaxis(c[nm], 0, -1) for c in stages] for nm in ("g2", "m_dw", "m_ww")}
+        y = substate_rk4_step(tuple(ad.comp(x, i) for i in sub), params, frame, d_arr[:n_c], dt)
+        return ad.concat_last([q_s[3], ad.stack_last(y[:1]), dq_s[3], ad.stack_last(y[1:])])
 
     def tail_dyn(y, _u, _p):
         y = tuple(ad.comp(y, i) for i in range(6))
-        frame = {"g2": [y[4:]] * 4, "m_dw": rest, "m_ww": rest}
+        frame = {"g2": [y[4:]] * 4, "m_dw": [NO_ROTATION] * 4, "m_ww": [NO_ROTATION] * 4}
         return ad.stack_last(substate_rk4_step(y[:4], params, frame, d_arr[n_c:], dt) + y[4:])
 
     state_lb = np.full(n_x, -np.inf)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .dynamics import (BeamParams, IntegrationBlowupError, _substate_rk4, arm_stage_states,
                        equilibrium_for_rotation, plane_frame_coeffs, reaction_torque)
-from .kinematics import forward_kinematics
+from .kinematics import GRAVITY, forward_kinematics
 from .trajectory import Trajectory
 
 TRUTH_KINDS = ("perturbed_single", "two_segment")
@@ -149,7 +149,7 @@ def truth_equilibrium(cfg, chain, q0, nominal):
         pt = _true_single_params(cfg, nominal)
         return (equilibrium_for_rotation(rb, pt),)
     ts = cfg.two_segment
-    g2 = (rb.T @ np.array([0.0, 0.0, -9.81]))[:2]
+    g2 = (rb.T @ GRAVITY)[:2]
     th = np.zeros(2)
     zmat = np.zeros((2, 2))
     for _ in range(100):

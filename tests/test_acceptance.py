@@ -15,8 +15,8 @@ import pytest
 from beamilc import ad
 from beamilc.cli import main
 from beamilc.config import RunConfig
-from beamilc.dynamics import (BeamParams, fast_rollout, pendulum_accel,
-                              pendulum_equilibrium, rest_state, rk4_step, state_dim)
+from beamilc.dynamics import (BeamParams, fast_rollout, pendulum_equilibrium, rest_state,
+                              state_dim)
 from beamilc.estimation import (EstimationConfig, _model_init_state,
                                 estimate_disturbance, estimate_parameters)
 from beamilc.ilc import run_ilc, vibration_metric
@@ -25,7 +25,8 @@ from beamilc.nlp import ShootingProblem, check_derivatives
 from beamilc.ocp import TaskDefinition, _terminal_pose_group, solve_ptp_ocp
 from beamilc.trajectory import Trajectory
 from conftest import REFERENCE_Q0_7DOF
-from test_dynamics import vertical_plane_chain
+from test_dynamics import accel_on_chain, vertical_plane_chain
+from test_ocp import _ocp_problem
 
 
 def verdict(num, name, ok, detail):
@@ -142,7 +143,7 @@ def test_criterion_4_recovery_oracles(chain3):
             f"d RMSE={d_rmse:.2e} (<5% of 0.1)")
 
 
-def test_criterion_5_numerical_hygiene(chain2, chain3, free_params):
+def test_criterion_5_numerical_hygiene(chain2, chain3, free_params, monkeypatch):
     # RK4 observed order on the damped pendulum
     p = BeamParams(k=4.0, c=0.02, m=0.1, l=0.4, a=50.0, b=2.0)
     x0 = rest_state(chain2, np.zeros(2), p)
@@ -162,29 +163,23 @@ def test_criterion_5_numerical_hygiene(chain2, chain3, free_params):
     rng = np.random.default_rng(15)
     worst = 0.0
 
-    def ode_fn(z):
-        return ad.value(rk4_step(chain3, z[:n_x], z[n_x:n_x + 3], free_params,
-                                 float(z[-1]), 6e-3, check=False))
+    # the gaps of the planner's control horizon, which the SQP differentiates
+    task = TaskDefinition.from_goal_joints(chain3, [0.5, -0.9, 0.6], [0.8, -1.05, 0.5],
+                                           n_ctrl=4, n_pred=6, dt=6e-3)
+    gaps = _ocp_problem(chain3, task, free_params, monkeypatch).gap_group
+    z = rng.standard_normal(gaps.problem.n) * 0.4
+    worst = max(worst, check_derivatives(gaps.eval, lambda v: gaps.eval_with_jac(v)[1],
+                                         z, eps=1e-6).max_rel_error)
 
-    def ode_jac(z):
-        m = n_x + 4
-        xd = ad.seed(z[:n_x], m, 0)
-        ud = ad.seed(z[n_x:n_x + 3], m, n_x)
-        dd = ad.Dual(z[-1], np.eye(m)[n_x + 3])
-        return rk4_step(chain3, xd, ud, free_params, dd, 6e-3, check=False).dot
-
-    z = np.concatenate([rng.standard_normal(n_x) * 0.4,
-                        rng.standard_normal(3), [0.05]])
-    worst = max(worst, check_derivatives(ode_fn, ode_jac, z, eps=1e-6).max_rel_error)
+    # the pendulum equation against its parameters
+    q, dq, ddq = rng.standard_normal((3, 3))
 
     def pend_fn(p_arr):
-        return np.atleast_1d(pendulum_accel(chain3, z[:3], z[4:7], z[n_x:n_x + 3],
-                                            0.2, -0.3, p_arr))
+        return np.atleast_1d(accel_on_chain(chain3, q, dq, ddq, 0.2, -0.3, p_arr))
 
     def pend_jac(p_arr):
         pd = ad.seed(p_arr, 7, 0)
-        return np.atleast_2d(pendulum_accel(chain3, z[:3], z[4:7], z[n_x:n_x + 3],
-                                            0.2, -0.3, pd).dot)
+        return np.atleast_2d(accel_on_chain(chain3, q, dq, ddq, 0.2, -0.3, pd).dot)
 
     worst = max(worst, check_derivatives(pend_fn, pend_jac,
                                          free_params.as_array(), eps=1e-6).max_rel_error)

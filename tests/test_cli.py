@@ -109,6 +109,24 @@ def test_config_rejects_physical_nonsense():
         SolverOptions(tol_opt=0.0)
 
 
+@pytest.mark.parametrize("section, key, bad", [
+    ("task", "n_ctrl", 48.5), ("task", "n_pred", 144.5), ("task", "n_pred", True),
+    ("estimation", "horizon", 2.5), ("estimation", "horizon", 0),
+    ("estimation", "horizon", True), ("estimation", "dt", 0.0), ("estimation", "dt", -0.006),
+    ("ilc", "i_max", 2.5), ("ilc", "i_max", True), ("ilc", "n_meas", 0),
+    ("ilc", "n_meas", 450.5), ("ilc", "n_meas", True)])
+def test_config_rejects_bad_counts_and_grid(tmp_path, capsys, section, key, bad):
+    # counts are positive ints (no float, no bool) and the estimation grid is
+    # positive; each fails validation, before any solve, with exit code 1
+    doc = json.loads(json.dumps(TINY))
+    doc[section][key] = bad
+    with pytest.raises(ConfigError, match=section):
+        RunConfig.from_dict(doc)
+    rc = main(["ilc", "--config", write_cfg(tmp_path, doc), "--out", str(tmp_path / "run")])
+    assert rc == 1
+    assert section in capsys.readouterr().err
+
+
 def test_config_defaults_parse():
     cfg = RunConfig.default()
     assert cfg.chain().n_joints == 3

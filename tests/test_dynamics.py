@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from beamilc import ad
-from beamilc.dynamics import (BeamGeometry, BeamParams, EquilibriumError, SetupState,
-                              analytic_init_params, arm_stage_states, fast_rollout,
-                              pendulum_accel, pendulum_equilibrium, plane_frame_coeffs,
-                              reaction_torque, measurement_dynamics, rest_state, rk4_step,
-                              rollout, setup_ode, state_dim, substate_rk4_step)
+from beamilc.dynamics import (NO_ROTATION, BeamGeometry, BeamParams, EquilibriumError,
+                              SetupState, _params_tuple, analytic_init_params, arm_rk4_stages,
+                              arm_stage_states, fast_rollout, pendulum_accel,
+                              pendulum_equilibrium, plane_frame_coeffs, reaction_torque,
+                              measurement_dynamics, rest_state, state_dim, substate_rk4_step)
 from beamilc.kinematics import GRAVITY, KinematicChain, forward_kinematics
 from beamilc.trajectory import Trajectory
+from reference_model import rk4_step, rollout
 
 
 def vertical_plane_chain():
@@ -19,6 +20,13 @@ def vertical_plane_chain():
                           np.array([[0.0, 1.0, 0.0]]),
                           np.array([0.0, 0.0, 0.4]), rot,
                           -3 * ones, 3 * ones, 2.5 * ones, 15 * ones, 4000 * ones)
+
+
+def accel_on_chain(chain, q, dq, ddq, theta, dtheta, p):
+    """The program's pendulum equation over the frame terms of one arm state."""
+    fr = plane_frame_coeffs(chain, q, dq, ddq)
+    k, c, m, l, _, _ = _params_tuple(p)
+    return pendulum_accel(theta, dtheta, k, c, m, l, fr["g2"], fr["m_dw"], fr["m_ww"])
 
 
 def mass_position(chain, q, theta, length):
@@ -33,7 +41,7 @@ def mass_position(chain, q, theta, length):
 
 def test_pendulum_accel_gravity_decoupled(chain2):
     p = BeamParams(k=1.0, c=0.0, m=1.0, l=1.0, a=50.0, b=2.0)
-    acc = pendulum_accel(chain2, np.zeros(2), np.zeros(2), np.zeros(2), 0.1, 0.0, p)
+    acc = accel_on_chain(chain2, np.zeros(2), np.zeros(2), np.zeros(2), 0.1, 0.0, p)
     assert acc == pytest.approx(-0.1, abs=1e-14)
 
 
@@ -41,7 +49,7 @@ def test_pendulum_accel_zero_at_equilibrium(free_params):
     ch = vertical_plane_chain()
     q = np.array([0.3])
     th_eq = pendulum_equilibrium(ch, q, free_params)
-    acc = pendulum_accel(ch, q, np.zeros(1), np.zeros(1), th_eq, 0.0, free_params)
+    acc = accel_on_chain(ch, q, np.zeros(1), np.zeros(1), th_eq, 0.0, free_params)
     assert abs(acc) < 1e-11
 
 
@@ -84,17 +92,27 @@ def lagrange_oracle(chain, q, dq, ddq, theta, dtheta, p):
     return (dt_dth - mixed_th * dtheta - mixed_t - du_dth - p.c * dtheta) / dt_dth_dot2
 
 
-def test_pendulum_accel_matches_lagrange_oracle(chain3, free_params):
-    rng = np.random.default_rng(21)
+def _check_against_lagrange_oracle(chain, p, rng):
+    n = chain.n_joints
     for _ in range(3):
-        q = rng.uniform(-1, 1, 3)
-        dq = rng.uniform(-1, 1, 3)
-        ddq = rng.uniform(-2, 2, 3)
+        q = rng.uniform(-1, 1, n)
+        dq = rng.uniform(-1, 1, n)
+        ddq = rng.uniform(-2, 2, n)
         th = rng.uniform(-0.4, 0.4)
         dth = rng.uniform(-1, 1)
-        acc = pendulum_accel(chain3, q, dq, ddq, th, dth, free_params)
-        ref = lagrange_oracle(chain3, q, dq, ddq, th, dth, free_params)
+        acc = accel_on_chain(chain, q, dq, ddq, th, dth, p)
+        ref = lagrange_oracle(chain, q, dq, ddq, th, dth, p)
         assert abs(acc - ref) / max(abs(ref), 1.0) < 1e-6
+
+
+def test_pendulum_accel_matches_lagrange_oracle(chain3, free_params):
+    _check_against_lagrange_oracle(chain3, free_params, np.random.default_rng(21))
+
+
+def test_pendulum_accel_matches_lagrange_oracle_spatial(chain7, free_params):
+    # the 7-DOF arm tilts Z_b, so the in-plane angular velocity and the
+    # off-diagonal terms of m_ww are not zero, as they are on planar arms
+    _check_against_lagrange_oracle(chain7, free_params, np.random.default_rng(23))
 
 
 def test_pendulum_accel_matches_lagrange_oracle_vertical(free_params):
@@ -104,7 +122,7 @@ def test_pendulum_accel_matches_lagrange_oracle_vertical(free_params):
     dq = rng.uniform(-1, 1, 1)
     ddq = rng.uniform(-2, 2, 1)
     th, dth = 0.3, -0.5
-    acc = pendulum_accel(ch, q, dq, ddq, th, dth, free_params)
+    acc = accel_on_chain(ch, q, dq, ddq, th, dth, free_params)
     ref = lagrange_oracle(ch, q, dq, ddq, th, dth, free_params)
     assert abs(acc - ref) / max(abs(ref), 1.0) < 1e-6
 
@@ -146,7 +164,7 @@ def test_bias_decay_closed_form(chain2):
     x0 = rest_state(chain2, np.zeros(2), p)
     x0[-1] = p.tau_e0
     dt = 1e-3
-    xs, _ = rollout(chain2, x0, np.zeros((1000, 2)), p, None, dt)
+    xs, _ = fast_rollout(chain2, x0, np.zeros((1000, 2)), p, None, dt)
     t = np.arange(1001) * dt
     np.testing.assert_allclose(xs[:, -1], p.tau_e0 * np.exp(-p.b * t), rtol=1e-8)
 
@@ -165,34 +183,56 @@ def test_fast_filter_tracks_input(chain2):
 
 
 # ---------------------------------------------------------------------------
-# setup ODE and integration
+# integration
 
 
 def test_setup_ode_rest_fixed_point(chain3, free_params):
     q0 = np.array([0.5, -0.9, 0.6])
     x0 = rest_state(chain3, q0, free_params)
-    dx = setup_ode(chain3, x0, np.zeros(3), free_params, 0.0)
-    np.testing.assert_allclose(dx, 0.0, atol=1e-12)
+    xs, _ = fast_rollout(chain3, x0, np.zeros((1, 3)), free_params, None, 6e-3)
+    np.testing.assert_allclose(xs[1] - x0, 0.0, atol=1e-12)
 
 
-def test_setup_ode_double_integrator_channel(chain3, free_params):
+def test_setup_ode_double_integrator_channel():
+    # the arm's closed-form stages are RK4's on q' = dq, dq' = u, for arrays
+    # and duals
     rng = np.random.default_rng(2)
-    x = rng.standard_normal(state_dim(3))
-    u = rng.standard_normal(3)
-    dx = setup_ode(chain3, x, u, free_params, 0.0)
-    np.testing.assert_allclose(dx[4:7], u, atol=1e-14)       # qdd = u exactly
-    np.testing.assert_allclose(dx[:3], x[4:7], atol=1e-14)   # integrator chain
+    q, dq, u = rng.standard_normal((3, 5, 3))
+    h = 0.1
+    q_s, dq_s = arm_rk4_stages(q, dq, u, h)
+    want_q, want_dq = [q], [dq]
+    for a in (0.5 * h, 0.5 * h, h):
+        want_q.append(q + a * want_dq[-1])
+        want_dq.append(dq + a * u)
+    np.testing.assert_allclose(q_s, want_q, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(dq_s, want_dq, rtol=0, atol=1e-14)
+    # RK4's weighted sum of the stages lands on the last stage: it is the step's end
+    np.testing.assert_allclose(q + h / 6 * (dq_s[0] + 2 * dq_s[1] + 2 * dq_s[2] + dq_s[3]),
+                               q_s[3], rtol=0, atol=1e-14)
+    duals = arm_rk4_stages(ad.seed(q, 3, 0), ad.seed(dq, 3, 0), ad.constant(u, 3), h)
+    for got, want in zip(duals, (q_s, dq_s)):
+        np.testing.assert_array_equal([s.val for s in got], want)
 
 
 def test_setup_ode_affine_in_u_and_d(chain3, free_params):
+    # the frame terms are affine in the joint acceleration; a substate step
+    # is affine in the held disturbance (only the linear filter sees it)
     rng = np.random.default_rng(3)
-    x = rng.standard_normal(state_dim(3))
+    q, dq = rng.standard_normal((2, 3))
     u1, u2 = rng.standard_normal((2, 3))
     d1, d2 = rng.standard_normal(2)
+    y = tuple(rng.standard_normal(4) * [0.3, 1.0, 0.1, 0.05])
+    frame = {nm: np.repeat(v[None], 4, axis=0)
+             for nm, v in plane_frame_coeffs(chain3, q, dq, u1).items()}
     for a in (0.3, 0.8):
-        lhs = setup_ode(chain3, x, a * u1 + (1 - a) * u2, free_params, a * d1 + (1 - a) * d2)
-        rhs = (a * setup_ode(chain3, x, u1, free_params, d1)
-               + (1 - a) * setup_ode(chain3, x, u2, free_params, d2))
+        lhs = plane_frame_coeffs(chain3, q, dq, a * u1 + (1 - a) * u2)
+        c1 = plane_frame_coeffs(chain3, q, dq, u1)
+        c2 = plane_frame_coeffs(chain3, q, dq, u2)
+        for nm in lhs:
+            np.testing.assert_allclose(lhs[nm], a * c1[nm] + (1 - a) * c2[nm], atol=1e-10)
+        lhs = substate_rk4_step(y, free_params, frame, a * d1 + (1 - a) * d2, 0.01)
+        rhs = (a * np.array(substate_rk4_step(y, free_params, frame, d1, 0.01))
+               + (1 - a) * np.array(substate_rk4_step(y, free_params, frame, d2, 0.01)))
         np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
 
@@ -201,9 +241,9 @@ def test_rk4_scalar_linear_channel(chain2):
     p = BeamParams(k=1.0, c=0.0, m=1.0, l=1.0, a=50.0, b=1.0, tau_e0=1.0)
     x0 = rest_state(chain2, np.zeros(2), p)
     x0[-1] = 1.0
-    x1 = rk4_step(chain2, x0, np.zeros(2), p, 0.0, 0.1)
-    assert x1[-1] == pytest.approx(0.9048375, abs=1e-9)
-    assert abs(x1[-1] - np.exp(-0.1)) < 1e-7
+    xs, _ = fast_rollout(chain2, x0, np.zeros((1, 2)), p, None, 0.1)
+    assert xs[1, -1] == pytest.approx(0.9048375, abs=1e-9)
+    assert abs(xs[1, -1] - np.exp(-0.1)) < 1e-7
 
 
 def test_rk4_convergence_order(chain2):
@@ -231,14 +271,14 @@ def test_rk4_blowup_detection(chain2):
     x0[3] = np.inf
     from beamilc.dynamics import IntegrationBlowupError
     with pytest.raises(IntegrationBlowupError):
-        rk4_step(chain2, x0, np.zeros(2), p, 0.0, 0.01)
+        fast_rollout(chain2, x0, np.zeros((1, 2)), p, None, 0.01)
 
 
 def test_rest_rollout_constant_output_reference_grid(chain3, free_params):
     # reference estimation grid: dt = 6e-3, N = 240, system at rest
     q0 = np.array([0.5, -0.9, 0.6])
     x0 = rest_state(chain3, q0, free_params)
-    _, ys = rollout(chain3, x0, np.zeros((240, 3)), free_params, None, 6e-3)
+    _, ys = fast_rollout(chain3, x0, np.zeros((240, 3)), free_params, None, 6e-3)
     np.testing.assert_allclose(ys, ys[0], atol=1e-12)
 
 
@@ -280,7 +320,7 @@ def test_substate_step_matches_full_state_step(chain7, free_params):
     x[:, :n], x[:, n + 1:2 * n + 1], x[:, idx] = q[:-1], dq[:-1], sub
     x_dot = np.zeros(x.shape + (m,))
     x_dot[:, idx, :4] = np.eye(4)
-    x_next = rk4_step(chain7, ad.Dual(x, x_dot), ad.constant(u, m), p, d, h, check=False)
+    x_next = rk4_step(chain7, ad.Dual(x, x_dot), ad.constant(u, m), p, d, h)
     np.testing.assert_allclose(y_next.val, x_next.val[:, idx], rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(y_next.dot, x_next.dot[:, idx], rtol=1e-12, atol=1e-12)
 
@@ -368,9 +408,9 @@ def test_equilibrium_matches_potential_grid():
     fa, fb, fc = pot(grid[i0 - 1]), pot(grid[i0]), pot(grid[i0 + 1])
     th_grid = grid[i0] + 0.5 * h * (fa - fc) / (fa - 2 * fb + fc)
     assert abs(th_eq - th_grid) < 1e-6
-    # residual invariant
-    from beamilc.dynamics import equilibrium_residual
-    assert abs(equilibrium_residual(rb, th_eq, p)) < 1e-12
+    # the pendulum equation at rest vanishes there
+    assert abs(pendulum_accel(th_eq, 0.0, p.k, p.c, p.m, p.l, g_b[:2],
+                              NO_ROTATION, NO_ROTATION)) < 1e-12
 
 
 def rod_up_chain():

@@ -192,3 +192,11 @@ def test_fit_rmse_zero_for_exact_model(chain3, free_params):
     y, u = synth_record(chain3, free_params)
     rmse = fit_rmse(chain3, Q0, free_params, u.data, y.data[:, 0], DT)
     assert rmse < 1e-12
+
+
+def test_estimation_config_validation():
+    # the horizon is a positive int and the grid step positive
+    for bad in ({"horizon": 2.5}, {"horizon": 0}, {"horizon": True}, {"dt": 0.0},
+                {"dt": -0.006}):
+        with pytest.raises(ValueError):
+            EstimationConfig(v1=np.zeros(7), v2=np.zeros(7), **bad)

@@ -120,7 +120,9 @@ def test_ablation_disables_disturbance(chain3, nominal_params, mismatch_two_segm
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        IlcConfig(i_max=0)
+    for bad in ({"i_max": 0}, {"i_max": 2.5}, {"i_max": True}, {"n_meas": 0},
+                {"n_meas": 450.5}, {"n_meas": True}):
+        with pytest.raises(ValueError):
+            IlcConfig(**bad)
     with pytest.raises(ValueError):
         IlcConfig(metric_window=-1.0)

@@ -6,7 +6,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from beamilc import ad, qp
-from beamilc.dynamics import pendulum_accel, setup_ode, state_dim
+from beamilc.dynamics import state_dim
 from beamilc.nlp import (L1Term, LinearGroup, NlpProblem, ShootingProblem, SolverOptions,
                          check_derivatives, solve)
 from beamilc.qp import solve_qp, solve_qp_ipm
@@ -413,25 +413,25 @@ def test_check_derivatives_linear_map():
 
 
 def test_check_derivatives_setup_ode(chain3, free_params):
+    # the model's right-hand side, frame terms and pendulum equation, on duals
+    # of the arm's q, dq and acceleration and of the pendulum's angle and rate
+    from test_dynamics import accel_on_chain
+
     rng = np.random.default_rng(6)
-    n_x = state_dim(3)
-    x = rng.standard_normal(n_x) * 0.5
-    u = rng.standard_normal(3)
+    point = np.concatenate([rng.standard_normal(9) * 0.5, [0.2, -0.3]])
 
-    def fn(z):
-        return setup_ode(chain3, z[:n_x], z[n_x:], free_params, 0.0)
+    def accel(z):
+        return accel_on_chain(chain3, z[:3], z[3:6], z[6:9], z[9], z[10], free_params)
 
-    def jac(z):
-        m = n_x + 3
-        xd = ad.seed(z[:n_x], m, 0)
-        ud = ad.seed(z[n_x:], m, n_x)
-        return setup_ode(chain3, xd, ud, free_params, 0.0).dot
-
-    report = check_derivatives(fn, jac, np.concatenate([x, u]), eps=1e-6)
+    report = check_derivatives(lambda z: np.atleast_1d(accel(z)),
+                               lambda z: np.atleast_2d(accel(ad.seed(z, 11, 0)).dot),
+                               point, eps=1e-6)
     assert report.max_rel_error < 1e-5
 
 
 def test_check_derivatives_pendulum_wrt_params(chain3, free_params):
+    from test_dynamics import accel_on_chain
+
     rng = np.random.default_rng(7)
     q = rng.uniform(-1, 1, 3)
     dq = rng.uniform(-1, 1, 3)
@@ -439,47 +439,29 @@ def test_check_derivatives_pendulum_wrt_params(chain3, free_params):
     th, dth = 0.2, -0.3
 
     def fn(p_arr):
-        return np.atleast_1d(pendulum_accel(chain3, q, dq, ddq, th, dth, p_arr))
+        return np.atleast_1d(accel_on_chain(chain3, q, dq, ddq, th, dth, p_arr))
 
     def jac(p_arr):
         pd = ad.seed(p_arr, 7, 0)
-        return np.atleast_2d(pendulum_accel(chain3, q, dq, ddq, th, dth, pd).dot)
+        return np.atleast_2d(accel_on_chain(chain3, q, dq, ddq, th, dth, pd).dot)
 
     report = check_derivatives(fn, jac, free_params.as_array(), eps=1e-6)
     assert report.max_rel_error < 1e-5
 
 
 def test_gap_group_jacobian_matches_fd(chain2, free_params):
-    from beamilc.dynamics import rk4_step
+    # the parameter fit's gaps: substate and parameter columns
+    from beamilc.estimation import _record_coeffs, _shooting_dynamics
 
-    n_x = state_dim(2)
-
-    def dyn(x, u, p):
-        return rk4_step(chain2, x, u, p, 0.0, 0.01, check=False)
-
-    prob = ShootingProblem(dyn, n_x, 3, n_u=2, n_p=7)
     rng = np.random.default_rng(8)
+    coeffs = _record_coeffs(chain2, rng.uniform(-1, 1, 2), rng.standard_normal((3, 2)), 0.01)
+    prob = ShootingProblem(_shooting_dynamics(coeffs, 0.01), 4, 3, n_p=7)
     z = rng.standard_normal(prob.n) * 0.3
     p_off = prob.block("p").offset
     z[p_off:p_off + 7] = free_params.as_array()
 
     report = check_derivatives(prob.gap_group.eval,
                                lambda zz: prob.gap_group.eval_with_jac(zz)[1],
-                               z, eps=1e-6)
-    assert report.max_rel_error < 1e-5
-
-    # the parameter fit's substate dynamics, with the parameters as
-    # decision variables
-    from beamilc.estimation import _record_coeffs, _shooting_dynamics
-
-    coeffs = _record_coeffs(chain2, np.array([0.3, -0.4]), rng.standard_normal((3, 2)), 0.01)
-    sub = ShootingProblem(_shooting_dynamics(coeffs, 0.01), 4, 3, n_p=7)
-    z = rng.standard_normal(sub.n) * 0.3
-    p_off = sub.block("p").offset
-    z[p_off:p_off + 7] = free_params.as_array()
-
-    report = check_derivatives(sub.gap_group.eval,
-                               lambda zz: sub.gap_group.eval_with_jac(zz)[1],
                                z, eps=1e-6)
     assert report.max_rel_error < 1e-5
 

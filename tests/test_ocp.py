@@ -190,6 +190,32 @@ def test_junction_and_tail_jacobians(arm, chain3, chain7, nominal_params, monkey
     assert report.ok(1e-6), report
 
 
+def test_control_gap_jacobian_seven_dof(chain7, nominal_params, monkeypatch):
+    # the control horizon's gaps away from rest, over the q, dq, u and
+    # substate columns of a few nodes: the derivatives the optimizer uses
+    task = TaskDefinition.from_displacement(chain7, REFERENCE_Q0_7DOF, [0.20, 0.0, -0.20],
+                                            n_ctrl=48, n_pred=144, dt=0.01)
+    problem = _ocp_problem(chain7, task, nominal_params, monkeypatch)
+    gaps = problem.gap_group
+    n, n_x = 7, state_dim(7)
+    rng = np.random.default_rng(6)
+    z0 = problem.initial_guess() + 0.05 * rng.standard_normal(problem.n)
+    nodes = np.array([1, 20, 40])
+    cols = np.concatenate([problem.x_index(k) + np.arange(n_x) for k in nodes]
+                          + [problem.block("u").offset + k * n + np.arange(n) for k in nodes])
+    assert np.min(np.abs(z0[problem.x_index(20) + n + 1:problem.x_index(20) + 2 * n + 1])) > 0
+
+    def full(zs):
+        z = z0.copy()
+        z[cols] = zs
+        return z
+
+    report = nlp.check_derivatives(lambda zs: gaps.eval(full(zs)),
+                                   lambda zs: gaps.eval_with_jac(full(zs))[1].tocsc()[:, cols],
+                                   z0[cols])
+    assert report.ok(1e-6), report
+
+
 def test_warm_start_converges_fast(chain3, nominal_params, plan3):
     task, plan = plan3
     warm = solve_ptp_ocp(chain3, task, nominal_params, u_prev=plan.u.data)
@@ -252,6 +278,10 @@ def test_task_validation(chain3):
     for n_ctrl in (0, 1):
         with pytest.raises(ValueError):
             TaskDefinition(Q0, np.zeros(3), np.eye(3), n_ctrl=n_ctrl, n_pred=50)
+    # the horizons are node counts: ints, not floats or bools
+    for bad in ({"n_ctrl": 48.5}, {"n_pred": 144.5}, {"n_ctrl": True}):
+        with pytest.raises(ValueError):
+            TaskDefinition(Q0, np.zeros(3), np.eye(3), **bad)
 
 
 # ---------------------------------------------------------------------------
