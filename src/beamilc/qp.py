@@ -27,6 +27,8 @@ times against the unregularized reduced KKT.
 """
 from __future__ import annotations
 
+import ctypes
+import platform
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +43,18 @@ TOL_DUAL = 1e-10       # negative multiplier that drops a row from the working s
 REG = 1e-11            # dual regularization of the KKT systems
 IPM_MAX_ITER = 150     # interior-point iteration budget
 IPM_TOL = 1e-11        # interior-point residual and gap tolerance, relative to the data
+
+# SuperLU sizes its L and U workspace from a fill estimate: tens of MB, of
+# which one factorization touches a few. glibc raises its mmap threshold to
+# the size of each mapped block it frees, so later workspaces come from the
+# heap, and the pages they touch land wherever earlier allocations left room:
+# the 7-DOF plan's peak resident memory ranged from 75 to 90 MB from one
+# process to the next. Fixed thresholds give each block of 2 MiB or more a
+# mapping of its own, returned when freed, and keep at most 8 MiB free at the
+# top of the heap (mallopt's M_TRIM_THRESHOLD is -1, M_MMAP_THRESHOLD -3).
+if platform.libc_ver()[0] == "glibc":
+    for _param, _nbytes in ((-1, 8 << 20), (-3, 2 << 20)):
+        ctypes.CDLL(None).mallopt(_param, _nbytes)
 
 
 @dataclass
