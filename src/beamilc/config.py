@@ -9,8 +9,9 @@ checks: ``beam`` builds ``BeamGeometry``, ``sensing`` fills the keywords of
 ``OcpWeights``, ``plant`` ``PlantConfig`` (``two_segment``:
 ``TwoSegmentParams``), ``ilc`` ``IlcConfig``, and ``solver`` names up to all
 four ``SolverOptions`` fields, which override each solve's own defaults.
-``validate`` builds every section once, so a bad file fails with a
-``ConfigError`` naming the section before any computation starts.
+``validate`` builds every section once and checks the grids that span
+sections, so a bad file fails with a ``ConfigError`` naming the section
+before any computation starts.
 """
 from __future__ import annotations
 
@@ -23,11 +24,11 @@ import numpy as np
 
 from .dynamics import BeamGeometry, BeamParams, analytic_init_params
 from .estimation import EstimationConfig, prior_scaled_weights
-from .ilc import IlcConfig
+from .ilc import IlcConfig, metric_window_samples
 from .kinematics import _rpy_matrix, builtin_chain, forward_kinematics, load_chain
 from .nlp import SolverOptions
 from .ocp import OcpWeights, TaskDefinition
-from .plant import PlantConfig, TwoSegmentParams
+from .plant import PlantConfig, TwoSegmentParams, steps_per_sample
 
 SECTIONS = ("seed", "out_dir", "chain", "beam", "prior", "sensing", "task",
             "estimation", "ocp", "plant", "ilc", "solver")
@@ -97,6 +98,15 @@ class RunConfig:
         d = self.raw
         _reject_unknown_keys("config", d, SECTIONS)
         built = {}
+
+        def check(name, build):
+            try:
+                return build()
+            except KeyError as exc:
+                raise ConfigError(f"{name}: missing key {exc}") from exc
+            except (TypeError, ValueError, IndexError) as exc:
+                raise ConfigError(f"{name}: {exc}") from exc
+
         for name, build in (
                 ("solver", self.solver_options), ("chain", self.chain),
                 ("task", lambda: self.task(built["chain"])),
@@ -108,12 +118,12 @@ class RunConfig:
                 ("estimation", lambda: self.estimation_config(built["prior"])),
                 ("ocp", self.ocp_weights), ("plant", self.plant_config),
                 ("ilc", self.ilc_config)):
-            try:
-                built[name] = build()
-            except KeyError as exc:
-                raise ConfigError(f"{name}: missing key {exc}") from exc
-            except (TypeError, ValueError, IndexError) as exc:
-                raise ConfigError(f"{name}: {exc}") from exc
+            built[name] = check(name, build)
+        # grids that span sections: the plant samples the estimation grid, and
+        # each record holds the estimation horizon and the metric window
+        check("estimation", lambda: steps_per_sample(built["plant"], built["estimation"].dt))
+        check("ilc", lambda: metric_window_samples(built["task"], built["estimation"],
+                                                   built["ilc"]))
 
     # -- accessors --------------------------------------------------------
 

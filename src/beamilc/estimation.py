@@ -13,6 +13,11 @@ never sees the disturbance and the sensing filter is linear, so the output
 is affine in it: the rollout without it plus the filter's lifted impulse
 response times the samples. That step is linear least squares over the
 samples alone.
+
+The parameter fit reports the condition number of the output sensitivity
+dy/dp at its parameters. The gap Jacobian of one batched dual call is block
+bidiagonal, so ``dx/dp = -J_x^-1 J_p`` is a forward recurrence over its
+blocks (:func:`_output_sensitivity`), with no rollout on duals.
 """
 from __future__ import annotations
 
@@ -285,24 +290,38 @@ def estimate_parameters(chain, y, u, p_prev, q0, cfg, opts=None):
                             _param_condition(rb0, params, coeffs, dt))
 
 
-def _param_condition(rb0, p, coeffs, dt):
-    """Condition number of the output sensitivity dy/dp at ``p``.
+def _output_sensitivity(rb0, p, coeffs, dt):
+    """Sensitivity dy/dp (N, 7) of the model output to the parameters at ``p``.
 
-    One forward-mode rollout of the model from its rest state in the frame
-    orientation ``rb0``, with the 7 parameters as seeds. The rest pendulum
-    angle moves with the parameters through the equilibrium, by the
-    implicit-function theorem.
+    The model starts from its rest substate in the frame orientation
+    ``rb0``, whose angle moves with the parameters through the equilibrium
+    (implicit-function theorem): that gives ``S_0 = dy_0/dp``. One float
+    rollout gives the nodes, one batched dual call of the shooting dynamics
+    gives every node's ``A_k = dF/dy`` and ``B_k = dF/dp``, and
+    ``S_{k+1} = A_k S_k + B_k`` is forward substitution on the gap
+    Jacobian. Output k is the ``tau_hat`` row of ``S_k``.
     """
     p_arr = p.as_array()
-    th, _, tau_hat, tau_e = _rest_substate(rb0, p)
+    y0 = _rest_substate(rb0, p)
+    th = y0[0]
     r = _rest_residual(rb0, ad.Dual(np.asarray(th), np.eye(8)[0]), ad.seed(p_arr, 8, 1))
     dth = -r.dot[1:] / r.dot[0]
     e_k, e_taue = np.eye(7)[0], np.eye(7)[6]
     # (theta, dtheta, tau_hat = -k theta + tau_e0, tau_e = tau_e0) at rest
-    y0 = (ad.Dual(th, dth), ad.constant(0.0, 7),
-          ad.Dual(tau_hat, -p_arr[0] * dth - th * e_k + e_taue), ad.Dual(tau_e, e_taue))
-    ys = _substate_rk4(y0, ad.seed(p_arr, 7, 0), coeffs, np.zeros(coeffs["g2"].shape[0]), dt)
-    dy_dp = np.array([y[2].dot for y in ys[:-1]])
+    s_k = np.stack([dth, np.zeros(7), -p_arr[0] * dth - th * e_k + e_taue, e_taue])
+    n_nodes = coeffs["g2"].shape[0]
+    ys = np.array(_substate_rk4(y0, p, coeffs, np.zeros(n_nodes), dt))[:-1]
+    jac = _shooting_dynamics(coeffs, dt)(ad.seed(ys, 11, 0), None, ad.seed(p_arr, 11, 4)).dot
+    dy_dp = np.empty((n_nodes, 7))
+    for k in range(n_nodes):
+        dy_dp[k] = s_k[2]
+        s_k = jac[k, :, :4] @ s_k + jac[k, :, 4:]
+    return dy_dp
+
+
+def _param_condition(rb0, p, coeffs, dt):
+    """Condition number of the output sensitivity dy/dp at ``p``; NaN if not finite."""
+    dy_dp = _output_sensitivity(rb0, p, coeffs, dt)
     return float(np.linalg.cond(dy_dp)) if np.all(np.isfinite(dy_dp)) else np.nan
 
 
@@ -350,6 +369,11 @@ def estimate_disturbance(chain, y, u, params, theta0, tau_hat0, tau_e0, d_prev, 
     return DisturbanceResult(d_traj, sol, False)
 
 
+def _effort(sol):
+    """A fit's SQP iterations and QP effort counts, for the artifacts."""
+    return {"iterations": sol.iterations, **sol.qp_effort}
+
+
 def learn_iteration(chain, y, u, p_prev, d_prev, q0, cfg, include_disturbance=True,
                     opts=None):
     """Run both estimation problems and collect fit diagnostics.
@@ -367,8 +391,11 @@ def learn_iteration(chain, y, u, p_prev, d_prev, q0, cfg, include_disturbance=Tr
     est = estimate_parameters(chain, y, u, p_prev, q0, cfg, opts=opts)
     rmse_params = fit_rmse(chain, q0, est.params, u_data, y_data, cfg.dt, None,
                            est.theta0, est.tau_hat0, est.tau_e0)
+    cond = est.hessian_condition
     statuses = {"parameters": est.solution.status,
-                "parameters_fell_back": est.fell_back}
+                "parameters_fell_back": est.fell_back,
+                "parameters_effort": _effort(est.solution),
+                "parameters_condition": float(cond) if np.isfinite(cond) else None}
 
     if include_disturbance:
         dist = estimate_disturbance(chain, y, u, est.params, est.theta0,
@@ -376,11 +403,13 @@ def learn_iteration(chain, y, u, p_prev, d_prev, q0, cfg, include_disturbance=Tr
                                     opts=opts)
         statuses["disturbance"] = dist.solution.status
         statuses["disturbance_fell_back"] = dist.fell_back
+        statuses["disturbance_effort"] = _effort(dist.solution)
         d_traj = dist.d
     else:
         d_traj = Trajectory(cfg.dt, np.zeros((horizon, 1)), ("d",))
         statuses["disturbance"] = "skipped"
         statuses["disturbance_fell_back"] = False
+        statuses["disturbance_effort"] = dict.fromkeys(("iterations",) + nlp.QP_EFFORT, 0)
 
     rmse_after = fit_rmse(chain, q0, est.params, u_data, y_data, cfg.dt,
                           d_traj.data[:, 0], est.theta0, est.tau_hat0, est.tau_e0)

@@ -75,6 +75,26 @@ def vibration_metric(y, motion_end, window_samples):
     return float(np.sum(np.abs(seg - np.mean(seg))) / window_samples)
 
 
+def metric_window_samples(task, est_cfg, ilc_cfg):
+    """Motion end and metric window of a record, in samples of the estimation grid.
+
+    Raises ``ValueError`` unless each record holds the estimation horizon and
+    a window of at least one sample after the motion.
+    """
+    if ilc_cfg.n_meas < est_cfg.horizon:
+        raise ValueError(f"n_meas {ilc_cfg.n_meas} is shorter than the estimation "
+                         f"horizon {est_cfg.horizon}")
+    motion_end = int(round(task.n_ctrl * task.dt / est_cfg.dt))
+    n_window = int(np.floor(ilc_cfg.metric_window / est_cfg.dt))
+    if n_window < 1:
+        raise ValueError(f"metric_window {ilc_cfg.metric_window:g} s is shorter than one "
+                         f"sample of {est_cfg.dt:g} s")
+    if motion_end + n_window + 1 > ilc_cfg.n_meas:
+        raise ValueError(f"n_meas {ilc_cfg.n_meas} is too short for the motion and the "
+                         f"metric window ({motion_end} + {n_window} + 1 samples)")
+    return motion_end, n_window
+
+
 def _rollout_prediction(chain, q0, params, d_est, u_traj, horizon, dt):
     """Model-predicted measurement for the next experiment, on the est grid."""
     d_arr = d_est.data[:, 0] if d_est is not None else np.zeros(horizon)
@@ -105,12 +125,7 @@ def run_ilc(chain, task, p0, est_cfg, ocp_weights, plant_cfg, ilc_cfg, d0=None,
     """
     n_est = est_cfg.horizon
     dt_est = est_cfg.dt
-    if ilc_cfg.n_meas < n_est:
-        raise ValueError("measurement horizon shorter than the estimation horizon")
-    motion_end = int(round(task.n_ctrl * task.dt / dt_est))
-    n_window = int(np.floor(ilc_cfg.metric_window / dt_est))
-    if motion_end + n_window + 1 > ilc_cfg.n_meas:
-        raise ValueError("n_meas too short for the metric window")
+    motion_end, n_window = metric_window_samples(task, est_cfg, ilc_cfg)
 
     if d0 is None:
         d0 = Trajectory(dt_est, np.zeros((n_est, 1)), ("d",))

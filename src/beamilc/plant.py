@@ -9,7 +9,12 @@ measurement sample, and is decimated to the estimation grid.
 
 The arm tracks its reference exactly (ideal joint tracking), so the frame
 {b} motion along the whole experiment is precomputed in one batched pass
-and only the beam + sensing substate is integrated in the loop.
+and only the beam + sensing substate is integrated in the loop. The
+two-segment equation (:func:`two_segment_ode`, the only one) and its RK4
+loop run on plain Python floats, with explicit 2x2 products and the 2x2
+solve: thousands of steps on 2-vectors cost far less that way than as
+numpy calls. Each step reads its frame terms with one ``.tolist()`` per
+coefficient array, so the record is never copied whole.
 """
 from __future__ import annotations
 
@@ -87,52 +92,53 @@ class ExperimentResult:
     joints: Trajectory       # achieved joint positions/velocities, decimated
 
 
-def two_segment_ode(theta, dtheta, params, g2, m_dw, m_ww, m_w):
+def two_segment_ode(th1, th2, dth1, dth2, params, g2, m_dw, m_ww, m_w):
     """Double-pendulum dynamics on the moving frame, from plane projections.
 
-    ``theta``/``dtheta`` are (theta1, theta2) with theta2 the relative angle
-    of the second segment. Assembled numerically from the virtual-work form:
-    mass matrix from the angle Jacobians of both masses, bias from the
-    frame motion, springs and dampers on both joints.
+    ``th2`` is the relative angle of the second segment. Assembled from the
+    virtual-work form: mass matrix from the angle Jacobians of both masses,
+    bias from the frame motion, springs and dampers on both joints. Plain
+    floats throughout: ``g2`` is a pair and the frame blocks nested pairs
+    ``((m00, m01), (m10, m11))``, one stage of :func:`plane_frame_coeffs`
+    after ``.tolist()``. Returns ``(theta1_ddot, theta2_ddot)``.
     """
-    th1, th2 = theta
-    dth1, dth2 = dtheta
-    th12 = th1 + th2
-    dth12 = dth1 + dth2
     p = params
+    (dw00, dw01), (dw10, dw11) = m_dw
+    (ww00, ww01), (ww10, ww11) = m_ww
+    (w00, w01), (w10, w11) = m_w
+    g0, g1 = g2
 
-    def rot(th):
-        return np.array([math.cos(th), math.sin(th)])
+    # bias acceleration of a unit segment along r = (c, s), r' = (-s, c), with
+    # theta_ddot removed: M_dw r + M_ww r + 2 dth M_w r' - dth^2 r
+    def seg_bias(c, s, dth):
+        two_d, d2 = 2.0 * dth, dth * dth
+        bx = dw00 * c + dw01 * s + (ww00 * c + ww01 * s) + two_d * (w00 * -s + w01 * c) - d2 * c
+        by = dw10 * c + dw11 * s + (ww10 * c + ww11 * s) + two_d * (w10 * -s + w11 * c) - d2 * s
+        return bx, by
 
-    def rotp(th):
-        return np.array([-math.sin(th), math.cos(th)])
+    s1, c1 = math.sin(th1), math.cos(th1)
+    s12, c12 = math.sin(th1 + th2), math.cos(th1 + th2)
+    # angle Jacobians of the two mass positions (in-plane, frame {b}):
+    # a11 = d p1 / d th1, a21 = d p2 / d th1, a22 = d p2 / d th2
+    a11x, a11y = p.l1 * -s1, p.l1 * c1
+    a22x, a22y = p.l2 * -s12, p.l2 * c12
+    a21x, a21y = a11x + a22x, a11y + a22y
 
-    r1, rp1 = rot(th1), rotp(th1)
-    r12, rp12 = rot(th12), rotp(th12)
-
-    # angle Jacobians of the two mass positions (in-plane, frame {b})
-    a11 = p.l1 * rp1               # d p1 / d th1
-    a21 = p.l1 * rp1 + p.l2 * rp12  # d p2 / d th1
-    a22 = p.l2 * rp12              # d p2 / d th2
-
-    # bias accelerations (theta_ddot removed), in-plane components of
-    # R^T p_ddot_i with the frame terms supplied through the projections
-    def seg_bias(r, rp, dth):
-        return (m_dw @ r) + (m_ww @ r) + 2.0 * dth * (m_w @ rp) - dth * dth * r
-
-    b1 = p.l1 * seg_bias(r1, rp1, dth1)
-    b2 = b1 + p.l2 * seg_bias(r12, rp12, dth12)
     # g2 already holds R^T (g - p_ddot_b); bias enters as (p_ddot_i - g)
-    rhs1 = -(p.m1 * (a11 @ (b1 - g2)) + p.m2 * (a21 @ (b2 - g2))) - p.k1 * th1 - p.c1 * dth1
-    rhs2 = -(p.m2 * (a22 @ (b2 - g2))) - p.k2 * th2 - p.c2 * dth2
+    bx, by = seg_bias(c1, s1, dth1)
+    b1x, b1y = p.l1 * bx, p.l1 * by
+    bx, by = seg_bias(c12, s12, dth1 + dth2)
+    b2x, b2y = b1x + p.l2 * bx, b1y + p.l2 * by
+    e1x, e1y, e2x, e2y = b1x - g0, b1y - g1, b2x - g0, b2y - g1
+    rhs1 = (-(p.m1 * (a11x * e1x + a11y * e1y) + p.m2 * (a21x * e2x + a21y * e2y))
+            - p.k1 * th1 - p.c1 * dth1)
+    rhs2 = -(p.m2 * (a22x * e2x + a22y * e2y)) - p.k2 * th2 - p.c2 * dth2
 
-    m11 = p.m1 * (a11 @ a11) + p.m2 * (a21 @ a21)
-    m12 = p.m2 * (a21 @ a22)
-    m22 = p.m2 * (a22 @ a22)
+    m11 = p.m1 * (a11x * a11x + a11y * a11y) + p.m2 * (a21x * a21x + a21y * a21y)
+    m12 = p.m2 * (a21x * a22x + a21y * a22y)
+    m22 = p.m2 * (a22x * a22x + a22y * a22y)
     det = m11 * m22 - m12 * m12
-    dd1 = (m22 * rhs1 - m12 * rhs2) / det
-    dd2 = (m11 * rhs2 - m12 * rhs1) / det
-    return dd1, dd2
+    return (m22 * rhs1 - m12 * rhs2) / det, (m11 * rhs2 - m12 * rhs1) / det
 
 
 def _true_single_params(cfg, nominal):
@@ -149,12 +155,15 @@ def truth_equilibrium(cfg, chain, q0, nominal):
         pt = _true_single_params(cfg, nominal)
         return (equilibrium_for_rotation(rb, pt),)
     ts = cfg.two_segment
-    g2 = (rb.T @ GRAVITY)[:2]
+    g2 = (rb.T @ GRAVITY)[:2].tolist()
+    zmat = ((0.0, 0.0), (0.0, 0.0))
+
+    def accel(th):
+        return np.array(two_segment_ode(th[0], th[1], 0.0, 0.0, ts, g2, zmat, zmat, zmat))
+
     th = np.zeros(2)
-    zmat = np.zeros((2, 2))
     for _ in range(100):
-        dd1, dd2 = two_segment_ode(th, (0.0, 0.0), ts, g2, zmat, zmat, zmat)
-        res = np.array([dd1, dd2])
+        res = accel(th)
         if np.max(np.abs(res)) < 1e-12:
             break
         jac = np.zeros((2, 2))
@@ -162,43 +171,60 @@ def truth_equilibrium(cfg, chain, q0, nominal):
         for j in range(2):
             tp = th.copy()
             tp[j] += eps
-            d1p, d2p = two_segment_ode(tp, (0.0, 0.0), ts, g2, zmat, zmat, zmat)
-            jac[:, j] = (np.array([d1p, d2p]) - res) / eps
+            jac[:, j] = (accel(tp) - res) / eps
         th = th - np.linalg.solve(jac, res)
     return tuple(th)
 
 
 def _two_segment_trace(cfg, th_eq, coeffs, n_steps, h):
-    """RK4 trace of the two-segment beam and the sensing path, settled filter."""
+    """RK4 trace of the two-segment beam and the sensing path, settled filter.
+
+    Steps Python floats; each step reads its four stages' frame terms with
+    one ``.tolist()`` per coefficient array, so the record is never copied
+    whole.
+    """
     ts = cfg.two_segment
     a_t, b_t = cfg.a_true, cfg.b_true
-    g2_all, mdw_all = coeffs["g2"], coeffs["m_dw"]
-    mww_all, mw_all = coeffs["m_ww"], coeffs["m_w"]
+    frame = [coeffs[nm] for nm in ("g2", "m_dw", "m_ww", "m_w")]
 
-    def torque(y):
-        return -ts.c1 * y[2] - ts.k1 * y[0]
+    def torque(th1, dth1):
+        return -ts.c1 * dth1 - ts.k1 * th1
 
-    def deriv(s, kk, y):
-        dd1, dd2 = two_segment_ode((y[0], y[1]), (y[2], y[3]), ts,
-                                   g2_all[kk, s], mdw_all[kk, s],
-                                   mww_all[kk, s], mw_all[kk, s])
-        tau = torque(y)
-        return np.array([y[2], y[3], dd1, dd2, -a_t * y[4] + a_t * (tau + y[5]), -b_t * y[5]])
+    def deriv(y, g2, m_dw, m_ww, m_w):
+        th1, th2, dth1, dth2, tau_hat, tau_e = y
+        dd1, dd2 = two_segment_ode(th1, th2, dth1, dth2, ts, g2, m_dw, m_ww, m_w)
+        return (dth1, dth2, dd1, dd2,
+                -a_t * tau_hat + a_t * (torque(th1, dth1) + tau_e), -b_t * tau_e)
 
     # settled filter tracking the biased signal, bias decay starts at t=0
-    state = np.array([th_eq[0], th_eq[1], 0.0, 0.0, 0.0, 0.0])
-    state[-1] = cfg.tau_e0_true
-    state[-2] = torque(state) + cfg.tau_e0_true
-    trace = np.zeros((n_steps, state.shape[0]))
-    trace[0] = state
-    for kk in range(n_steps - 1):
-        y = trace[kk]
-        f1 = deriv(0, kk, y)
-        f2 = deriv(1, kk, y + 0.5 * h * f1)
-        f3 = deriv(2, kk, y + 0.5 * h * f2)
-        f4 = deriv(3, kk, y + h * f3)
-        trace[kk + 1] = y + (h / 6.0) * (f1 + 2 * f2 + 2 * f3 + f4)
+    th1, th2 = float(th_eq[0]), float(th_eq[1])
+    tau_e0 = cfg.tau_e0_true
+    y = (th1, th2, 0.0, 0.0, torque(th1, 0.0) + tau_e0, tau_e0)
+    trace = np.empty((n_steps, 6))
+    trace[0] = y
+    hh, h6 = 0.5 * h, h / 6.0
+    try:
+        for kk in range(n_steps - 1):
+            stages = list(zip(*(c[kk].tolist() for c in frame)))
+            f1 = deriv(y, *stages[0])
+            f2 = deriv([a + hh * b for a, b in zip(y, f1)], *stages[1])
+            f3 = deriv([a + hh * b for a, b in zip(y, f2)], *stages[2])
+            f4 = deriv([a + h * b for a, b in zip(y, f3)], *stages[3])
+            y = [a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                 for a, b1, b2, b3, b4 in zip(y, f1, f2, f3, f4)]
+            trace[kk + 1] = y
+    except ValueError as exc:  # math.sin of an infinite angle
+        raise IntegrationBlowupError("truth plant integration blew up") from exc
     return trace
+
+
+def steps_per_sample(cfg, dt_est):
+    """Plant steps per measurement sample; ``dt_est`` must be a whole number of them."""
+    ratio = dt_est / (1.0 / cfg.rate)
+    if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
+        raise ValueError(f"dt {dt_est:g} is not a whole multiple of the plant step "
+                         f"{1.0 / cfg.rate:g}")
+    return int(round(ratio))
 
 
 def run_experiment(cfg, chain, q0, u, n_samples, dt_est, nominal_params, seed=None):
@@ -213,10 +239,7 @@ def run_experiment(cfg, chain, q0, u, n_samples, dt_est, nominal_params, seed=No
     if not isinstance(u, Trajectory):
         raise TypeError("u must be a Trajectory")
     h = 1.0 / cfg.rate
-    ratio = dt_est / h
-    if abs(ratio - round(ratio)) > 1e-9:
-        raise ValueError("dt_est must be an integer multiple of the plant step")
-    ratio = int(round(ratio))
+    ratio = steps_per_sample(cfg, dt_est)
     n_steps = (n_samples - 1) * ratio + 1
     t_grid = np.arange(n_steps) * h
     u_hold = u.sample_hold(t_grid)  # (n_steps, n_dof), zero past the horizon

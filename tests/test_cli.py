@@ -127,6 +127,23 @@ def test_config_rejects_bad_counts_and_grid(tmp_path, capsys, section, key, bad)
     assert section in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section, key, bad", [
+    ("estimation", "dt", 0.0065),     # not a whole number of 1 kHz plant steps
+    ("ilc", "n_meas", 149),           # shorter than the estimation horizon of 150
+    ("ilc", "metric_window", 2.5),    # 67 motion + 416 window samples exceed n_meas 450
+    ("ilc", "metric_window", 0.005)])  # shorter than one estimation sample
+def test_config_rejects_inconsistent_grids(tmp_path, capsys, section, key, bad):
+    # grids that span sections fail validation, before any solve, naming the section
+    doc = json.loads(json.dumps(TINY))
+    doc[section][key] = bad
+    with pytest.raises(ConfigError, match=f"^{section}: "):
+        RunConfig.from_dict(doc)
+    rc = main(["ilc", "--config", write_cfg(tmp_path, doc), "--out", str(tmp_path / "run")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"error: {section}: ")
+    assert not (tmp_path / "run").exists()
+
+
 def test_config_defaults_parse():
     cfg = RunConfig.default()
     assert cfg.chain().n_joints == 3
@@ -352,6 +369,25 @@ def test_ilc_run_artifacts(ilc_run_dir):
     assert len(summary["iterations"]) == 2
     for fn in ("u.csv", "y_meas.csv", "y_pred.csv", "d.csv", "model.json"):
         assert os.path.exists(ilc_run_dir / "iter_001" / fn)
+
+
+def test_ilc_summary_reports_fit_effort(ilc_run_dir):
+    # next to the bare status strings, each record carries both fits' SQP
+    # iterations and QP effort, and the conditioning of the parameter fit
+    with open(ilc_run_dir / "summary.json") as fh:
+        its = json.load(fh)["iterations"]
+    for it in its:
+        st = it["statuses"]
+        assert st["parameters"] in ("converged", "max-iter")
+        assert st["disturbance"] == "converged"
+        for fit in ("parameters", "disturbance"):
+            effort = st[f"{fit}_effort"]
+            assert set(effort) == {"iterations", *nlp.QP_EFFORT}
+            assert all(type(v) is int for v in effort.values())
+            assert effort["iterations"] >= 1
+            assert effort["qp_calls"] >= effort["qp_ipm_calls"] >= 0
+        cond = st["parameters_condition"]
+        assert cond is None or cond >= 1.0
 
 
 def test_plot_outputs_parse(ilc_run_dir, tmp_path):

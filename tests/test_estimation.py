@@ -4,8 +4,11 @@ import pytest
 from beamilc.dynamics import BeamParams, fast_rollout
 from beamilc.estimation import (EstimationConfig, disturbance_response, estimate_disturbance,
                                 estimate_parameters, fit_rmse, learn_iteration,
-                                _model_init_state)
+                                _model_init_state, _output_sensitivity, _record_coeffs)
+from beamilc.kinematics import forward_kinematics
 from beamilc.trajectory import Trajectory
+from conftest import REFERENCE_Q0_7DOF
+from reference_model import dual_output_sensitivity
 
 Q0 = np.array([0.5, -0.9, 0.6])
 N, DT = 240, 0.006
@@ -76,6 +79,27 @@ def test_unexcited_experiment_degeneracy(chain3, free_params):
     y, u = synth_record(chain3, p_true)
     est = estimate_parameters(chain3, y, u, p_true, Q0, cfg)
     assert est.hessian_condition < 1e6
+
+
+@pytest.mark.parametrize("record", ["rich", "rest", "spatial"])
+def test_output_sensitivity_matches_dual_rollout(chain3, chain7, free_params, record):
+    # dy/dp by forward substitution on the gap Jacobian equals the rollout
+    # on parameter duals, with and without a bias to excite b; the planar
+    # arm rests at theta = 0, the spatial one, its wrist tilted so that
+    # gravity loads the swing plane, off it
+    tilted = REFERENCE_Q0_7DOF - np.pi / 4 * np.eye(7)[5]
+    chain, q0 = (chain7, tilted) if record == "spatial" else (chain3, Q0)
+    t = np.arange(N)[:, None] * DT
+    u = {"rich": rich_input().data, "rest": np.zeros((N, 3)),
+         "spatial": np.sin(4.0 * t + np.arange(7)) * np.exp(-t)}[record]
+    coeffs = _record_coeffs(chain, q0, u, DT)
+    rb0 = forward_kinematics(chain, q0).rotation
+    biased = BeamParams(k=5.2, c=0.006, m=0.10, l=0.38, a=55.0, b=2.2, tau_e0=0.03)
+    for p in (free_params, biased):
+        got = _output_sensitivity(rb0, p, coeffs, DT)
+        ref = dual_output_sensitivity(rb0, p, coeffs, DT)
+        assert got.shape == ref.shape == (N, 7)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_grid_mismatch_rejected(chain3, free_params):
@@ -186,6 +210,11 @@ def test_learned_model_serializable(chain3, free_params):
     # data came from the prior model itself, so the fit stays excellent
     assert doc["rmse_after"] < 1e-4
     assert doc["statuses"]["parameters"] == "converged"
+    for fit in ("parameters", "disturbance"):
+        effort = doc["statuses"][f"{fit}_effort"]
+        assert set(effort) == {"iterations", "qp_calls", "qp_as_at_budget", "qp_ipm_calls"}
+        assert effort["iterations"] >= 1 and effort["qp_calls"] >= 1
+    assert doc["statuses"]["parameters_condition"] > 1.0
 
 
 def test_fit_rmse_zero_for_exact_model(chain3, free_params):

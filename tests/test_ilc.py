@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from beamilc.config import RunConfig
 from beamilc.estimation import EstimationConfig
-from beamilc.ilc import IlcConfig, run_ilc, vibration_metric
+from beamilc.ilc import IlcConfig, metric_window_samples, run_ilc, vibration_metric
 from beamilc.ocp import OcpWeights, TaskDefinition
 from beamilc.plant import PlantConfig
 from beamilc.trajectory import Trajectory
@@ -39,7 +40,11 @@ def test_metric_sinusoid_mean_absolute():
 
 
 def test_metric_window_samples_default():
-    assert int(np.floor(5.0 / 0.006)) == 833
+    # the default loop's motion ends at sample 80 and its 5 s window spans
+    # 833 samples; 80 + 833 + 1 fit in the 920 measured
+    cfg = RunConfig.default()
+    est = cfg.estimation_config(cfg.prior_params())
+    assert metric_window_samples(cfg.task(), est, cfg.ilc_config()) == (80, 833)
 
 
 def test_metric_window_validation():

@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
 
-from beamilc.dynamics import BeamParams, fast_rollout, rest_state
+from beamilc.config import RunConfig
+from beamilc.dynamics import (BeamParams, arm_stage_states, fast_rollout, plane_frame_coeffs,
+                              rest_state)
+from beamilc.kinematics import GRAVITY, forward_kinematics
+from beamilc.ocp import solve_ptp_ocp
 from beamilc.plant import (PlantConfig, TwoSegmentParams, run_experiment,
                            truth_equilibrium, two_segment_ode)
 from beamilc.trajectory import Trajectory
+from conftest import REFERENCE_Q0_7DOF
+from reference_model import two_segment_equilibrium, two_segment_trace
 from test_dynamics import vertical_plane_chain
 
 
@@ -74,7 +80,6 @@ def test_two_segment_residual_spectrum(chain3, free_params, mismatch_two_segment
 # two-segment dynamics oracles
 
 
-@pytest.mark.slow
 def test_two_segment_stiff_coupling_limit(chain3, free_params):
     # k2 -> inf locks the segments into one rigid rod; the response matches
     # the percussion-equivalent single pendulum (same inertia and lever)
@@ -103,8 +108,8 @@ def test_two_segment_energy_conservation(mismatch_two_segment):
                           k1=mismatch_two_segment.k1, c1=0.0,
                           m2=mismatch_two_segment.m2, l2=mismatch_two_segment.l2,
                           k2=mismatch_two_segment.k2, c2=0.0)
-    g2 = np.zeros(2)
-    zm = np.zeros((2, 2))
+    g2 = (0.0, 0.0)
+    zm = ((0.0, 0.0), (0.0, 0.0))
     state = np.array([0.25, -0.15, 0.0, 0.0])
 
     def energy(s):
@@ -123,7 +128,7 @@ def test_two_segment_energy_conservation(mismatch_two_segment):
     e0 = energy(state)
     for _ in range(100_000):  # 10 s
         def f(s):
-            dd1, dd2 = two_segment_ode(s[:2], s[2:], ts, g2, zm, zm, zm)
+            dd1, dd2 = two_segment_ode(*s, ts, g2, zm, zm, zm)
             return np.array([s[2], s[3], dd1, dd2])
         k1 = f(state)
         k2 = f(state + 0.5 * h * k1)
@@ -135,15 +140,15 @@ def test_two_segment_energy_conservation(mismatch_two_segment):
 
 def test_two_segment_linearized_modes(mismatch_two_segment):
     ts = mismatch_two_segment
-    g2 = np.zeros(2)
-    zm = np.zeros((2, 2))
+    g2 = (0.0, 0.0)
+    zm = ((0.0, 0.0), (0.0, 0.0))
     eps = 1e-6
     k_lin = np.zeros((2, 2))
     for j in range(2):
         e = np.zeros(2)
         e[j] = eps
-        up = np.array(two_segment_ode(e, np.zeros(2), ts, g2, zm, zm, zm))
-        dn = np.array(two_segment_ode(-e, np.zeros(2), ts, g2, zm, zm, zm))
+        up = np.array(two_segment_ode(e[0], e[1], 0.0, 0.0, ts, g2, zm, zm, zm))
+        dn = np.array(two_segment_ode(-e[0], -e[1], 0.0, 0.0, ts, g2, zm, zm, zm))
         k_lin[:, j] = (up - dn) / (2 * eps)
     num_modes = np.sort(np.sqrt(np.linalg.eigvals(-k_lin).real))
     m_mat = ts.mass_matrix_small_angle()
@@ -152,6 +157,56 @@ def test_two_segment_linearized_modes(mismatch_two_segment):
     np.testing.assert_allclose(num_modes, ana_modes, rtol=0.01)
     # default mismatch plant: second mode near three times the first
     assert ana_modes[1] / ana_modes[0] == pytest.approx(3.4, abs=0.5)
+
+
+def reference_truth(cfg, chain, q0, u, n_samples, dt_est):
+    """``run_experiment``'s decimated two-segment trace, by the reference model."""
+    q0 = np.asarray(q0, dtype=float)
+    h = 1.0 / cfg.rate
+    ratio = int(round(dt_est / h))
+    n_steps = (n_samples - 1) * ratio + 1
+    u_hold = u.sample_hold(np.arange(n_steps) * h)
+    _, _, q_s, dq_s, u_s = arm_stage_states(np.concatenate([q0, 0.0 * q0]), u_hold, h)
+    coeffs = plane_frame_coeffs(chain, q_s, dq_s, u_s)
+    rb = forward_kinematics(chain, q0).rotation
+    th_eq = two_segment_equilibrium(cfg.two_segment, (rb.T @ GRAVITY)[:2])
+    return two_segment_trace(cfg, th_eq, coeffs, n_steps, h)[::ratio], coeffs
+
+
+def assert_matches_reference(got, ref):
+    # each state's max-norm error within 1e-12 of its max-norm; the float
+    # code rounds each product where the reference's BLAS dots fuse them
+    err = np.max(np.abs(got - ref), axis=0)
+    assert np.all(err <= 1e-12 * np.max(np.abs(ref), axis=0)), err
+
+
+def test_two_segment_truth_matches_reference_default_plan():
+    cfg = RunConfig.default()
+    chain = cfg.chain()
+    task = cfg.task(chain)
+    p0 = cfg.prior_params()
+    plan = solve_ptp_ocp(chain, task, p0, None, None, cfg.ocp_weights())
+    plant = cfg.plant_config()
+    est = cfg.estimation_config(p0)
+    n_meas = cfg.ilc_config().n_meas
+    res = run_experiment(plant, chain, task.q0, plan.u, n_meas, est.dt, p0)
+    ref, _ = reference_truth(plant, chain, task.q0, plan.u, n_meas, est.dt)
+    assert_matches_reference(res.truth_states, ref)
+
+
+def test_two_segment_truth_matches_reference_spatial(chain7, free_params,
+                                                     mismatch_two_segment):
+    # the wrist is tilted so that gravity loads the swing plane at rest
+    q0 = REFERENCE_Q0_7DOF - np.pi / 4 * np.eye(7)[5]
+    cfg = PlantConfig(two_segment=mismatch_two_segment)
+    u = make_u(chain7, lambda t, j: 1.5 * np.sin(4 * t + j), 60)
+    res = run_experiment(cfg, chain7, q0, u, 250, 0.006, free_params)
+    ref, coeffs = reference_truth(cfg, chain7, q0, u, 250, 0.006)
+    # the spatial arm loads the blocks a planar chain leaves at zero
+    assert np.max(np.abs(coeffs["m_ww"][..., 0, 1])) > 1e-2
+    assert np.max(np.abs(coeffs["m_w"])) > 1e-1
+    assert np.min(np.abs(ref[0, :2])) > 1e-2
+    assert_matches_reference(res.truth_states, ref)
 
 
 # ---------------------------------------------------------------------------
