@@ -1,18 +1,18 @@
 """Learning step of the ILC: parameter and equivalent-disturbance estimation.
 
-The parameter step fits the lumped model to one experiment's input/output
-record with the disturbance ignored, as multiple-shooting nonlinear least
-squares. The joint input is data, so the arm's motion is known in closed
-form: the frame terms of every RK4 stage are computed once per record, and
-the fit carries only the beam-and-sensing substate ``(theta, dtheta,
-tau_hat, tau_e)`` per node, stepped by :func:`substate_rk4_step`.
+An experiment's joint input is data, so the arm's motion is known in closed
+form: a learning step builds the frame terms of every RK4 stage once, in its
+:class:`Record`. Both fits, the step's RMSEs and the loop's prediction carry
+only the beam-and-sensing substate ``(theta, dtheta, tau_hat, tau_e)``. The
+parameter step fits the lumped model to the record with the disturbance
+ignored, as multiple-shooting nonlinear least squares over that substate.
 
 The disturbance step then freezes the parameters and absorbs what is left
 of the output error into a per-sample torque disturbance. The pendulum
 never sees the disturbance and the sensing filter is linear, so the output
-is affine in it: the rollout without it plus the filter's lifted impulse
-response times the samples. That step is linear least squares over the
-samples alone.
+is affine in it: the fitted model's rollout without it (the one
+``rmse_params_only`` reads) plus the filter's lifted impulse response times
+the samples. That step is linear least squares over the samples alone.
 
 The parameter fit reports the condition number of the output sensitivity
 dy/dp at its parameters. The gap Jacobian of one batched dual call is block
@@ -28,9 +28,10 @@ import scipy.sparse as sp
 from scipy.linalg import toeplitz
 
 from . import ad, nlp
-from .dynamics import (NO_ROTATION, BeamParams, _params_tuple, _substate_rk4, arm_stage_states,
-                       equilibrium_for_rotation, fast_rollout, pendulum_accel,
-                       plane_frame_coeffs, rest_state, substate_rk4_step)
+from .dynamics import (NO_ROTATION, BeamParams, IntegrationBlowupError, _params_tuple,
+                       _substate_rk4, arm_stage_states, equilibrium_for_rotation,
+                       pendulum_accel, plane_frame_coeffs, substate_rk4_step)
+from .dynamics import fast_rollout  # noqa: F401  (perfbench's _layer_table wraps this name)
 from .kinematics import GRAVITY, forward_kinematics
 from .trajectory import Trajectory
 
@@ -89,7 +90,7 @@ class EstimationResult:
     tau_e0: float
     solution: nlp.NlpSolution
     fell_back: bool
-    hessian_condition: float = np.nan   # cond(dy/dp) at the returned parameters
+    sensitivity_condition: float = np.nan   # cond(dy/dp) at the returned parameters
 
 
 @dataclass
@@ -126,13 +127,34 @@ class LearnedModel:
         }
 
 
-def _check_grids(y, u, cfg):
-    if not isinstance(y, Trajectory) or not isinstance(u, Trajectory):
-        raise TypeError("y and u must be Trajectory instances")
-    if abs(y.dt - u.dt) > 1e-12 or abs(y.dt - cfg.dt) > 1e-12:
-        raise ValueError("y, u and the estimation config must share one grid")
-    if len(y) < cfg.horizon or len(u) < cfg.horizon:
-        raise ValueError("records shorter than the estimation horizon")
+def _on_grid(name, traj, cfg):
+    """The first ``cfg.horizon`` rows of ``traj``, which must lie on the estimation grid."""
+    if not isinstance(traj, Trajectory):
+        raise TypeError(f"{name} must be a Trajectory")
+    if abs(traj.dt - cfg.dt) > 1e-12:
+        raise ValueError(f"{name} is sampled every {traj.dt:g} s, not every {cfg.dt:g} s")
+    if len(traj) < cfg.horizon:
+        raise ValueError(f"{name} has {len(traj)} samples, fewer than the horizon {cfg.horizon}")
+    return traj.data[:cfg.horizon]
+
+
+@dataclass(frozen=True, eq=False)
+class Record:
+    """Measured outputs, resting frame {b} orientation and RK4-stage frame terms."""
+
+    y: np.ndarray
+    rb0: np.ndarray
+    coeffs: dict
+    dt: float
+
+    @staticmethod
+    def from_experiment(chain, y, u, q0, cfg):
+        """Check ``y`` and ``u`` against the grid of ``cfg``; build the frame terms once."""
+        y_data = _on_grid("y", y, cfg)[:, 0]
+        u_data = _on_grid("u", u, cfg)[:, :chain.n_joints]
+        q0 = np.asarray(q0, dtype=float)
+        return Record(y_data, forward_kinematics(chain, q0).rotation,
+                      _record_coeffs(chain, q0, u_data, cfg.dt), cfg.dt)
 
 
 def _rest_substate(rb0, p, d0=0.0):
@@ -149,14 +171,6 @@ def _rest_residual(rb0, theta, p):
     k, c, m, l, _, _ = _params_tuple(p)
     g2 = ad.matvec(ad.mtranspose(rb0), GRAVITY)[:2]
     return pendulum_accel(theta, 0.0, k, c, m, l, g2, NO_ROTATION, NO_ROTATION)
-
-
-def _model_init_state(chain, q0, p, d0=0.0):
-    th, _, tau_hat, tau_e = _rest_substate(forward_kinematics(chain, q0).rotation, p, d0)
-    x0 = rest_state(chain, q0, p, theta=th)
-    x0[-2] = tau_hat
-    x0[-1] = tau_e
-    return x0, th
 
 
 def _output_fit_group(problem, y_data):
@@ -200,34 +214,29 @@ def disturbance_response(a, dt, horizon):
     return toeplitz(col, np.zeros(horizon))
 
 
-def fit_rmse(chain, q0, p, u_data, y_data, dt, d=None, theta0=None, tau_hat0=None, tau_e0=None):
-    """Output RMSE of the nominal model rollout against a measured record."""
-    x0, _ = _model_init_state(chain, q0, p, d0=float(d[0]) if d is not None else 0.0)
-    if theta0 is not None:
-        n = chain.n_joints
-        x0[n] = theta0
-        x0[-2] = tau_hat0
-        x0[-1] = tau_e0
-    _, ys = fast_rollout(chain, x0, u_data, p, d, dt)
-    return float(np.sqrt(np.mean((ys - y_data) ** 2)))
+def _model_output(rb0, coeffs, dt, p, d, y0=None):
+    """Output ``tau_hat`` (N,) of the substate rollout with ``d`` held; k precedes step k.
+
+    It starts from ``y0``, or at rest in ``rb0`` with the filter settled on ``d[0]``.
+    """
+    if y0 is None:
+        y0 = _rest_substate(rb0, p, float(d[0]))
+    ys = np.array(_substate_rk4(y0, p, coeffs, d, dt))
+    if not np.all(np.isfinite(ys)):
+        raise IntegrationBlowupError("non-finite state in the model rollout")
+    return ys[:-1, 2]
 
 
-def estimate_parameters(chain, y, u, p_prev, q0, cfg, opts=None):
-    """Fit the lumped model parameters to one experiment (disturbance ignored).
+def estimate_parameters(rec, p_prev, cfg, opts=None):
+    """Fit the lumped model parameters to the :class:`Record` ``rec`` (disturbance ignored).
 
     Solves the shooting NLS over the substate trajectory and the decision
     parameters, with the initial pendulum angle tied to the parameters
     through the equilibrium equality and the initial filter/bias states
     free. Falls back to ``p_prev`` when the solver fails.
     """
-    _check_grids(y, u, cfg)
     horizon = cfg.horizon
-    y_data = y.data[:horizon, 0]
-    u_data = u.data[:horizon, :chain.n_joints]
-    q0 = np.asarray(q0, dtype=float)
-    rb0 = forward_kinematics(chain, q0).rotation
-    dt = cfg.dt
-    coeffs = _record_coeffs(chain, q0, u_data, dt)
+    rb0, coeffs, dt = rec.rb0, rec.coeffs, rec.dt
 
     problem = nlp.ShootingProblem(_shooting_dynamics(coeffs, dt), 4, horizon, n_p=7,
                                   param_lb=cfg.p_lb, param_ub=cfg.p_ub)
@@ -240,7 +249,7 @@ def estimate_parameters(chain, y, u, p_prev, q0, cfg, opts=None):
     problem.pin_state(0, [1], [0.0])
 
     # data fit + regularizers exactly as summed over the horizon
-    problem.residual_groups.append(_output_fit_group(problem, y_data))
+    problem.residual_groups.append(_output_fit_group(problem, rec.y))
     p_off = problem.block("p").offset
     scale1 = np.sqrt(horizon * cfg.v1)
     scale2 = np.sqrt(horizon * cfg.v2)
@@ -280,13 +289,13 @@ def estimate_parameters(chain, y, u, p_prev, q0, cfg, opts=None):
     problem.set_initial_guess("p", p_prev.as_array())
 
     sol = nlp.solve(problem, nlp.SolverOptions(**{"max_iter": 80, **(opts or {})}))
-    if not sol.converged and sol.status != "max-iter":
-        return EstimationResult(p_prev, y0[0], y0[2], y0[3], sol, True,
-                                _param_condition(rb0, p_prev, coeffs, dt))
-    p_arr = np.clip(sol.variables["p"], cfg.p_lb, cfg.p_ub)
-    params = BeamParams.from_array(p_arr)
-    theta0, _, tau_hat0, tau_e0 = sol.variables["x"][:4]
-    return EstimationResult(params, float(theta0), float(tau_hat0), float(tau_e0), sol, False,
+    fell_back = not sol.converged and sol.status != "max-iter"
+    if fell_back:
+        params, (theta0, _, tau_hat0, tau_e0) = p_prev, y0
+    else:
+        params = BeamParams.from_array(np.clip(sol.variables["p"], cfg.p_lb, cfg.p_ub))
+        theta0, _, tau_hat0, tau_e0 = (float(v) for v in sol.variables["x"][:4])
+    return EstimationResult(params, theta0, tau_hat0, tau_e0, sol, fell_back,
                             _param_condition(rb0, params, coeffs, dt))
 
 
@@ -325,31 +334,28 @@ def _param_condition(rb0, p, coeffs, dt):
     return float(np.linalg.cond(dy_dp)) if np.all(np.isfinite(dy_dp)) else np.nan
 
 
-def estimate_disturbance(chain, y, u, params, theta0, tau_hat0, tau_e0, d_prev, q0,
-                         cfg, opts=None):
-    """Estimate the equivalent output disturbance with the parameters fixed.
+def _disturbance_samples(d_prev, cfg):
+    """The previous disturbance's samples on the estimation horizon; zeros for ``None``."""
+    return np.zeros(cfg.horizon) if d_prev is None else _on_grid("d_prev", d_prev, cfg)[:, 0]
+
+
+def estimate_disturbance(rec, params, y_free, d_prev, cfg, opts=None):
+    """Estimate the equivalent output disturbance on ``rec`` with the parameters fixed.
 
     One scalar disturbance sample per grid step, the only decision
-    variables: the model output is the rollout from the pinned initial
-    substate without disturbance plus :func:`disturbance_response` times
-    the samples. The objective trades the output fit against magnitude,
-    iteration-change and smoothness penalties. Falls back to ``d_prev``
-    when the solver fails.
+    variables: the model output is ``y_free``, the rollout from the fitted
+    initial substate without disturbance, plus :func:`disturbance_response`
+    times the samples. The objective trades the output fit against
+    magnitude, iteration-change and smoothness penalties. Falls back to
+    ``d_prev`` when the solver fails.
     """
-    _check_grids(y, u, cfg)
     horizon = cfg.horizon
-    y_data = y.data[:horizon, 0]
-    u_data = u.data[:horizon, :chain.n_joints]
-    d_prev_data = np.zeros(horizon) if d_prev is None else np.asarray(d_prev.data[:horizon, 0])
-    dt = cfg.dt
-    coeffs = _record_coeffs(chain, np.asarray(q0, dtype=float), u_data, dt)
-    y_free = np.array(_substate_rk4((theta0, 0.0, tau_hat0, tau_e0), params, coeffs,
-                                    np.zeros(horizon), dt))[:horizon, 2]
+    d_prev_data = _disturbance_samples(d_prev, cfg)
 
     problem = nlp.NlpProblem()
     problem.add_block("d", horizon, x0=d_prev_data)
     problem.residual_groups.append(
-        nlp.LinearGroup(disturbance_response(params.a, dt, horizon), y_data - y_free))
+        nlp.LinearGroup(disturbance_response(params.a, rec.dt, horizon), rec.y - y_free))
     eye = sp.identity(horizon, format="csr")
     if cfg.w1 > 0:
         problem.residual_groups.append(nlp.LinearGroup(np.sqrt(cfg.w1) * eye, np.zeros(horizon)))
@@ -362,11 +368,9 @@ def estimate_disturbance(chain, y, u, params, theta0, tau_hat0, tau_e0, d_prev, 
             nlp.LinearGroup(np.sqrt(cfg.w3) * diff, np.zeros(horizon - 1)))
 
     sol = nlp.solve(problem, nlp.SolverOptions(**{"max_iter": 60, **(opts or {})}))
-    if not sol.converged and sol.status != "max-iter":
-        d_traj = Trajectory(dt, d_prev_data[:, None], ("d",))
-        return DisturbanceResult(d_traj, sol, True)
-    d_traj = Trajectory(dt, sol.variables["d"][:, None], ("d",))
-    return DisturbanceResult(d_traj, sol, False)
+    fell_back = not sol.converged and sol.status != "max-iter"
+    d = d_prev_data if fell_back else sol.variables["d"]
+    return DisturbanceResult(Trajectory(rec.dt, d[:, None], ("d",)), sol, fell_back)
 
 
 def _effort(sol):
@@ -376,42 +380,42 @@ def _effort(sol):
 
 def learn_iteration(chain, y, u, p_prev, d_prev, q0, cfg, include_disturbance=True,
                     opts=None):
-    """Run both estimation problems and collect fit diagnostics.
+    """Run both estimation problems on one :class:`Record` and collect fit diagnostics.
 
     ``opts`` maps ``nlp.SolverOptions`` fields to overrides of each fit's
     defaults.
     """
-    n = chain.n_joints
-    horizon = cfg.horizon
-    y_data = y.data[:horizon, 0]
-    u_data = u.data[:horizon, :n]
-    d_prev_data = None if d_prev is None else d_prev.data[:horizon, 0]
-    rmse_before = fit_rmse(chain, q0, p_prev, u_data, y_data, cfg.dt, d_prev_data)
+    rec = Record.from_experiment(chain, y, u, q0, cfg)
+    d_prev_data = _disturbance_samples(d_prev, cfg)
 
-    est = estimate_parameters(chain, y, u, p_prev, q0, cfg, opts=opts)
-    rmse_params = fit_rmse(chain, q0, est.params, u_data, y_data, cfg.dt, None,
-                           est.theta0, est.tau_hat0, est.tau_e0)
-    cond = est.hessian_condition
+    def rmse(ys):
+        return float(np.sqrt(np.mean((ys - rec.y) ** 2)))
+
+    rmse_before = rmse(_model_output(rec.rb0, rec.coeffs, rec.dt, p_prev, d_prev_data))
+
+    est = estimate_parameters(rec, p_prev, cfg, opts=opts)
+    y0 = (est.theta0, 0.0, est.tau_hat0, est.tau_e0)
+    y_free = _model_output(rec.rb0, rec.coeffs, rec.dt, est.params, np.zeros(cfg.horizon), y0)
+    rmse_params = rmse(y_free)
+    cond = est.sensitivity_condition
     statuses = {"parameters": est.solution.status,
                 "parameters_fell_back": est.fell_back,
                 "parameters_effort": _effort(est.solution),
                 "parameters_condition": float(cond) if np.isfinite(cond) else None}
 
     if include_disturbance:
-        dist = estimate_disturbance(chain, y, u, est.params, est.theta0,
-                                    est.tau_hat0, est.tau_e0, d_prev, q0, cfg,
-                                    opts=opts)
+        dist = estimate_disturbance(rec, est.params, y_free, d_prev, cfg, opts=opts)
         statuses["disturbance"] = dist.solution.status
         statuses["disturbance_fell_back"] = dist.fell_back
         statuses["disturbance_effort"] = _effort(dist.solution)
         d_traj = dist.d
     else:
-        d_traj = Trajectory(cfg.dt, np.zeros((horizon, 1)), ("d",))
+        d_traj = Trajectory(cfg.dt, np.zeros((cfg.horizon, 1)), ("d",))
         statuses["disturbance"] = "skipped"
         statuses["disturbance_fell_back"] = False
         statuses["disturbance_effort"] = dict.fromkeys(("iterations",) + nlp.QP_EFFORT, 0)
 
-    rmse_after = fit_rmse(chain, q0, est.params, u_data, y_data, cfg.dt,
-                          d_traj.data[:, 0], est.theta0, est.tau_hat0, est.tau_e0)
+    rmse_after = rmse(_model_output(rec.rb0, rec.coeffs, rec.dt, est.params,
+                                    d_traj.data[:, 0], y0))
     return LearnedModel(est.params, est.theta0, est.tau_hat0, est.tau_e0, d_traj,
                         rmse_before, rmse_params, rmse_after, statuses)

@@ -13,8 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import fast_rollout
-from .estimation import _model_init_state, learn_iteration
+from .dynamics import fast_rollout  # noqa: F401  (perfbench's _layer_table wraps this name)
+from .estimation import _model_output, _record_coeffs, learn_iteration
+from .kinematics import forward_kinematics
 from .ocp import resample_disturbance, solve_ptp_ocp
 from .plant import run_experiment
 from .trajectory import Trajectory
@@ -96,17 +97,15 @@ def metric_window_samples(task, est_cfg, ilc_cfg):
 
 
 def _rollout_prediction(chain, q0, params, d_est, u_traj, horizon, dt):
-    """Model-predicted measurement for the next experiment, on the est grid."""
-    d_arr = d_est.data[:, 0] if d_est is not None else np.zeros(horizon)
-    x0, _ = _model_init_state(chain, q0, params, d0=float(d_arr[0]) if d_arr.size else 0.0)
-    t_grid = np.arange(horizon) * dt
-    u_hold = u_traj.sample_hold(t_grid)
-    d_full = np.zeros(horizon)
-    d_full[:min(horizon, d_arr.shape[0])] = d_arr[:horizon]
-    if d_arr.shape[0] and horizon > d_arr.shape[0]:
-        n_tail = max(1, d_arr.shape[0] // 10)
-        d_full[d_arr.shape[0]:] = float(np.mean(d_arr[-n_tail:]))
-    _, ys = fast_rollout(chain, x0, u_hold, params, d_full, dt)
+    """Model-predicted measurement for the next experiment, on the est grid.
+
+    Past its last sample, ``d_est`` is held at the mean of its last tenth.
+    """
+    d = d_est.data[:horizon, 0] if d_est is not None else np.zeros(horizon)
+    tail = np.mean(d[-max(1, d.shape[0] // 10):])
+    d = np.concatenate([d, np.full(horizon - d.shape[0], tail)])
+    coeffs = _record_coeffs(chain, q0, u_traj.sample_hold(np.arange(horizon) * dt), dt)
+    ys = _model_output(forward_kinematics(chain, q0).rotation, coeffs, dt, params, d)
     return Trajectory(dt, ys[:, None], ("tau_hat",))
 
 

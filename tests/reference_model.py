@@ -5,7 +5,9 @@ step of the full state ``x = [q, theta, dq, dtheta, tau_hat, tau_e]``,
 written independently of the swing-plane frame terms and the closed-form
 arm stages the program steps with; batched and dual-transparent. The
 two-segment truth plant on 2-vectors and 2x2 blocks, and the parameter
-fit's output sensitivity by a rollout on duals.
+fit's output sensitivity by a rollout on duals. The model's full initial
+state at rest, for the full-state ``fast_rollout`` that the substate output
+path is checked against.
 """
 import math
 
@@ -13,9 +15,9 @@ import numpy as np
 
 from beamilc import ad
 from beamilc.dynamics import (_params_tuple, _substate_rk4, measurement_dynamics,
-                              reaction_torque, state_dim)
+                              reaction_torque, rest_state, state_dim)
 from beamilc.estimation import _rest_residual, _rest_substate
-from beamilc.kinematics import GRAVITY, frame_state
+from beamilc.kinematics import GRAVITY, forward_kinematics, frame_state
 
 
 def vector_pendulum_accel(chain, q, dq, ddq, theta, dtheta, p):
@@ -67,6 +69,15 @@ def rollout(chain, x0, u_seq, p, d_seq, dt):
     for k in range(n_steps):
         xs[k + 1] = rk4_step(chain, xs[k], u_seq[k], p, float(d_seq[k]), dt)
     return xs, xs[:n_steps, -2].copy()
+
+
+def _model_init_state(chain, q0, p, d0=0.0):
+    """Full state at rest at ``q0`` with the filter settled on ``d0``, and the rest angle."""
+    th, _, tau_hat, tau_e = _rest_substate(forward_kinematics(chain, q0).rotation, p, d0)
+    x0 = rest_state(chain, q0, p, theta=th)
+    x0[-2] = tau_hat
+    x0[-1] = tau_e
+    return x0, th
 
 
 def array_two_segment_ode(theta, dtheta, params, g2, m_dw, m_ww, m_w):

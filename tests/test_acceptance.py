@@ -17,7 +17,7 @@ from beamilc.cli import main
 from beamilc.config import RunConfig
 from beamilc.dynamics import (BeamParams, fast_rollout, pendulum_equilibrium, rest_state,
                               state_dim)
-from beamilc.estimation import (EstimationConfig, _model_init_state,
+from beamilc.estimation import (EstimationConfig, Record, _model_output,
                                 estimate_disturbance, estimate_parameters)
 from beamilc.ilc import run_ilc, vibration_metric
 from beamilc.kinematics import forward_kinematics, orientation_error
@@ -25,6 +25,7 @@ from beamilc.nlp import ShootingProblem, check_derivatives
 from beamilc.ocp import TaskDefinition, _terminal_pose_group, solve_ptp_ocp
 from beamilc.trajectory import Trajectory
 from conftest import REFERENCE_Q0_7DOF
+from reference_model import _model_init_state
 from test_dynamics import accel_on_chain, vertical_plane_chain
 from test_ocp import _ocp_problem
 
@@ -118,7 +119,7 @@ def test_criterion_4_recovery_oracles(chain3):
     y = Trajectory(dt, ys[:, None], ("tau_hat",))
     cfg = EstimationConfig(v1=np.zeros(7), v2=np.zeros(7), horizon=n, dt=dt)
     p_prev = BeamParams(k=4.35, c=0.0049, m=0.085, l=0.4, a=50.0, b=2.0)
-    est = estimate_parameters(chain3, y, u, p_prev, q0, cfg)
+    est = estimate_parameters(Record.from_experiment(chain3, y, u, q0, cfg), p_prev, cfg)
     rel = {
         "k": abs(est.params.k - p_true.k) / p_true.k,
         "c": abs(est.params.c - p_true.c) / p_true.c,
@@ -134,8 +135,10 @@ def test_criterion_4_recovery_oracles(chain3):
     yd = Trajectory(dt, ysd[:, None], ("tau_hat",))
     cfg_d = EstimationConfig(v1=np.zeros(7), v2=np.zeros(7), w1=1e-6, w2=0.0,
                              w3=0.0, horizon=n, dt=dt)
-    dist = estimate_disturbance(chain3, yd, u, p_true, th0, x0d[-2], x0d[-1],
-                                None, q0, cfg_d)
+    rec = Record.from_experiment(chain3, yd, u, q0, cfg_d)
+    y_free = _model_output(rec.rb0, rec.coeffs, dt, p_true, np.zeros(n),
+                           (th0, 0.0, x0d[-2], x0d[-1]))
+    dist = estimate_disturbance(rec, p_true, y_free, None, cfg_d)
     d_rmse = float(np.sqrt(np.mean((dist.d.data[:, 0] - d_true) ** 2)))
     dist_ok = d_rmse < 0.05 * 0.1
     verdict(4, "recovery-oracles", param_ok and dist_ok,

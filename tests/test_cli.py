@@ -278,7 +278,7 @@ def test_simulate_round_trip_precision(tmp_path):
 
 def test_estimate_recovers_parameters_from_csv(tmp_path, chain3, free_params):
     from beamilc.dynamics import fast_rollout
-    from beamilc.estimation import _model_init_state
+    from reference_model import _model_init_state
 
     doc = json.loads(json.dumps(TINY))
     doc["estimation"] = {"horizon": 240, "dt": 0.006, "v1_scale": 0.0, "v2_scale": 0.0}
@@ -305,6 +305,20 @@ def test_estimate_recovers_parameters_from_csv(tmp_path, chain3, free_params):
     assert model["params"]["k"] == pytest.approx(free_params.k, rel=1e-3)
     assert model["params"]["a"] == pytest.approx(free_params.a, rel=1e-3)
     assert os.path.exists(out / "d.csv")
+
+
+@pytest.mark.parametrize("dt, n", [(0.01, 150), (0.006, 100)])
+def test_estimate_rejects_d_prev_off_the_grid(tmp_path, capsys, dt, n):
+    # a previous disturbance on another grid, or shorter than the estimation
+    # horizon of 150 samples, is a hard error that names it
+    Trajectory(0.006, np.zeros((150, 3)), ("u1", "u2", "u3")).to_csv(tmp_path / "u.csv")
+    Trajectory(0.006, np.zeros((150, 1)), ("tau_hat",)).to_csv(tmp_path / "y.csv")
+    Trajectory(dt, np.zeros((n, 1)), ("d",)).to_csv(tmp_path / "d.csv")
+    rc = main(["estimate", "--config", write_cfg(tmp_path), "--y", str(tmp_path / "y.csv"),
+               "--u", str(tmp_path / "u.csv"), "--d-prev", str(tmp_path / "d.csv"),
+               "--out", str(tmp_path / "est")])
+    assert rc == 1
+    assert "d_prev" in capsys.readouterr().err
 
 
 def test_ocp_zero_displacement_zero_u(tmp_path):

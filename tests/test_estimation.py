@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from beamilc.dynamics import BeamParams, fast_rollout
-from beamilc.estimation import (EstimationConfig, disturbance_response, estimate_disturbance,
-                                estimate_parameters, fit_rmse, learn_iteration,
-                                _model_init_state, _output_sensitivity, _record_coeffs)
+from beamilc.dynamics import BeamParams, IntegrationBlowupError, fast_rollout
+from beamilc.estimation import (EstimationConfig, Record, disturbance_response,
+                                estimate_disturbance, estimate_parameters, learn_iteration,
+                                _model_output, _output_sensitivity, _record_coeffs)
 from beamilc.kinematics import forward_kinematics
 from beamilc.trajectory import Trajectory
 from conftest import REFERENCE_Q0_7DOF
-from reference_model import dual_output_sensitivity
+from reference_model import _model_init_state, dual_output_sensitivity
 
 Q0 = np.array([0.5, -0.9, 0.6])
 N, DT = 240, 0.006
@@ -35,6 +35,18 @@ def zero_reg_config():
     return EstimationConfig(v1=np.zeros(7), v2=np.zeros(7), horizon=N, dt=DT)
 
 
+def fit_parameters(chain, y, u, p_prev, cfg):
+    return estimate_parameters(Record.from_experiment(chain, y, u, Q0, cfg), p_prev, cfg)
+
+
+def fit_disturbance(chain, y, u, p, x0, cfg):
+    """The disturbance fit from the full initial state ``x0``, as the learning step makes it."""
+    rec = Record.from_experiment(chain, y, u, Q0, cfg)
+    n = chain.n_joints
+    y_free = _model_output(rec.rb0, rec.coeffs, DT, p, np.zeros(N), (x0[n], 0.0, x0[-2], x0[-1]))
+    return estimate_disturbance(rec, p, y_free, None, cfg)
+
+
 # ---------------------------------------------------------------------------
 # parameter estimation
 
@@ -43,7 +55,7 @@ def test_parameter_recovery_from_nominal_data(chain3):
     p_true = BeamParams(k=5.2, c=0.006, m=0.10, l=0.38, a=55.0, b=2.2, tau_e0=0.03)
     y, u = synth_record(chain3, p_true)
     p_prev = BeamParams(k=4.35, c=0.0049, m=0.085, l=0.4, a=50.0, b=2.0, tau_e0=0.0)
-    est = estimate_parameters(chain3, y, u, p_prev, Q0, zero_reg_config())
+    est = fit_parameters(chain3, y, u, p_prev, zero_reg_config())
     assert est.solution.converged
     assert est.solution.variables["x"].size == (N + 1) * 4
     got, want = est.params.as_array(), p_true.as_array()
@@ -59,7 +71,7 @@ def test_iteration_regularizer_dominance(chain3):
     y, u = synth_record(chain3, p_true)
     p_prev = BeamParams(k=4.35, c=0.0049, m=0.085, l=0.4, a=50.0, b=2.0)
     cfg = EstimationConfig(v1=np.zeros(7), v2=np.full(7, 1e9), horizon=N, dt=DT)
-    est = estimate_parameters(chain3, y, u, p_prev, Q0, cfg)
+    est = fit_parameters(chain3, y, u, p_prev, cfg)
     np.testing.assert_allclose(est.params.as_array(), p_prev.as_array(),
                                rtol=1e-6, atol=1e-9)
 
@@ -69,16 +81,16 @@ def test_unexcited_experiment_degeneracy(chain3, free_params):
     u = Trajectory(DT, np.zeros((N, 3)), ("u1", "u2", "u3"))
     y, _ = synth_record(chain3, free_params, u=u)
     cfg = zero_reg_config()
-    est = estimate_parameters(chain3, y, u, free_params, Q0, cfg)
+    est = fit_parameters(chain3, y, u, free_params, cfg)
     assert np.all(est.params.as_array() >= cfg.p_lb - 1e-12)
     assert np.all(est.params.as_array() <= cfg.p_ub + 1e-12)
-    assert est.hessian_condition > 1e8
+    assert est.sensitivity_condition > 1e8
 
     # contrast: a rich input with a decaying bias excites every parameter
     p_true = BeamParams(k=5.2, c=0.006, m=0.10, l=0.38, a=55.0, b=2.2, tau_e0=0.03)
     y, u = synth_record(chain3, p_true)
-    est = estimate_parameters(chain3, y, u, p_true, Q0, cfg)
-    assert est.hessian_condition < 1e6
+    est = fit_parameters(chain3, y, u, p_true, cfg)
+    assert est.sensitivity_condition < 1e6
 
 
 @pytest.mark.parametrize("record", ["rich", "rest", "spatial"])
@@ -102,11 +114,39 @@ def test_output_sensitivity_matches_dual_rollout(chain3, chain7, free_params, re
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("record", ["planar", "spatial"])
+def test_model_output_matches_full_state_rollout(chain3, chain7, record):
+    # the substate output path equals the full-state reference rollout to
+    # the last bit, from rest settled on d[0] and from a fitted substate,
+    # on the planar arm and on the tilted spatial one
+    tilted = REFERENCE_Q0_7DOF - np.pi / 4 * np.eye(7)[5]
+    chain, q0 = (chain7, tilted) if record == "spatial" else (chain3, Q0)
+    t = np.arange(N)[:, None] * DT
+    u = rich_input().data if record == "planar" else np.sin(4.0 * t + np.arange(7)) * np.exp(-t)
+    d = 0.1 * np.sin(2 * np.pi * t[:, 0]) + 0.02
+    p = BeamParams(k=5.2, c=0.006, m=0.10, l=0.38, a=55.0, b=2.2, tau_e0=0.03)
+    rb0 = forward_kinematics(chain, q0).rotation
+    coeffs = _record_coeffs(chain, q0, u, DT)
+    x0, _ = _model_init_state(chain, q0, p, d0=d[0])
+    _, ref = fast_rollout(chain, x0, u, p, d, DT)
+    np.testing.assert_array_equal(_model_output(rb0, coeffs, DT, p, d), ref)
+
+    n = chain.n_joints
+    x0[n], x0[-2], x0[-1] = 0.05, -0.2, 0.01
+    _, ref = fast_rollout(chain, x0, u, p, d, DT)
+    np.testing.assert_array_equal(
+        _model_output(rb0, coeffs, DT, p, d, (0.05, 0.0, -0.2, 0.01)), ref)
+
+    d[N // 2] = np.nan
+    with pytest.raises(IntegrationBlowupError):
+        _model_output(rb0, coeffs, DT, p, d)
+
+
 def test_grid_mismatch_rejected(chain3, free_params):
     y, u = synth_record(chain3, free_params)
     bad = Trajectory(0.01, u.data, u.labels)
     with pytest.raises(ValueError):
-        estimate_parameters(chain3, y, bad, free_params, Q0, zero_reg_config())
+        Record.from_experiment(chain3, y, bad, Q0, zero_reg_config())
 
 
 # ---------------------------------------------------------------------------
@@ -115,11 +155,10 @@ def test_grid_mismatch_rejected(chain3, free_params):
 
 def test_disturbance_near_zero_without_mismatch(chain3, free_params):
     y, u = synth_record(chain3, free_params)
-    x0, th0 = _model_init_state(chain3, Q0, free_params)
+    x0, _ = _model_init_state(chain3, Q0, free_params)
     cfg = EstimationConfig(v1=np.zeros(7), v2=np.zeros(7), w1=1e-4, w2=0.0,
                            w3=0.0, horizon=N, dt=DT)
-    res = estimate_disturbance(chain3, y, u, free_params, th0, x0[-2], x0[-1],
-                               None, Q0, cfg)
+    res = fit_disturbance(chain3, y, u, free_params, x0, cfg)
     assert res.solution.converged
     assert np.max(np.abs(res.d.data)) < 1e-6
 
@@ -128,11 +167,10 @@ def test_known_disturbance_recovery(chain3, free_params):
     t = np.arange(N) * DT
     d_true = 0.1 * np.sin(2 * np.pi * 1.0 * t)
     y, u = synth_record(chain3, free_params, d=d_true)
-    x0, th0 = _model_init_state(chain3, Q0, free_params, d0=d_true[0])
+    x0, _ = _model_init_state(chain3, Q0, free_params, d0=d_true[0])
     cfg = EstimationConfig(v1=np.zeros(7), v2=np.zeros(7), w1=1e-6, w2=0.0,
                            w3=0.0, horizon=N, dt=DT)
-    res = estimate_disturbance(chain3, y, u, free_params, th0, x0[-2], x0[-1],
-                               None, Q0, cfg)
+    res = fit_disturbance(chain3, y, u, free_params, x0, cfg)
     assert set(res.solution.variables) == {"d"}
     rmse = float(np.sqrt(np.mean((res.d.data[:, 0] - d_true) ** 2)))
     assert rmse < 0.05 * 0.1
@@ -153,11 +191,10 @@ def test_smoothness_dominance(chain3, free_params):
     t = np.arange(N) * DT
     d_true = 0.1 * np.sin(2 * np.pi * 1.0 * t)
     y, u = synth_record(chain3, free_params, d=d_true)
-    x0, th0 = _model_init_state(chain3, Q0, free_params, d0=d_true[0])
+    x0, _ = _model_init_state(chain3, Q0, free_params, d0=d_true[0])
     cfg = EstimationConfig(v1=np.zeros(7), v2=np.zeros(7), w1=1e-6, w2=0.0,
                            w3=1e9, horizon=N, dt=DT)
-    res = estimate_disturbance(chain3, y, u, free_params, th0, x0[-2], x0[-1],
-                               None, Q0, cfg)
+    res = fit_disturbance(chain3, y, u, free_params, x0, cfg)
     d = res.d.data[:, 0]
     assert np.max(np.abs(d - np.mean(d))) < 1e-6
 
@@ -219,7 +256,9 @@ def test_learned_model_serializable(chain3, free_params):
 
 def test_fit_rmse_zero_for_exact_model(chain3, free_params):
     y, u = synth_record(chain3, free_params)
-    rmse = fit_rmse(chain3, Q0, free_params, u.data, y.data[:, 0], DT)
+    rec = Record.from_experiment(chain3, y, u, Q0, zero_reg_config())
+    ys = _model_output(rec.rb0, rec.coeffs, DT, free_params, np.zeros(N))
+    rmse = float(np.sqrt(np.mean((ys - rec.y) ** 2)))
     assert rmse < 1e-12
 
 
