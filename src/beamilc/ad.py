@@ -209,58 +209,35 @@ def concat_last(parts):
     return np.concatenate([np.broadcast_to(p, lead + np.shape(p)[-1:]) for p in parts], axis=-1)
 
 
+def _bilinear(spec, a, b):
+    """``np.einsum(spec, a, b)``, with the product rule when either factor is dual."""
+    if not (isinstance(a, Dual) or isinstance(b, Dual)):
+        return np.einsum(spec, a, b)
+    ins, out = spec.split("->")
+    sa, sb = ins.split(",")
+    av, bv = value(a), value(b)
+    parts = []
+    if isinstance(a, Dual):
+        parts.append(np.einsum(f"{sa}m,{sb}->{out}m", a.dot, bv))
+    if isinstance(b, Dual):
+        parts.append(np.einsum(f"{sa},{sb}m->{out}m", av, b.dot))
+    # two parts are added directly: a sum started at 0 would turn -0.0 into +0.0
+    return Dual(np.einsum(spec, av, bv), parts[0] if len(parts) == 1 else parts[0] + parts[1])
+
+
 def matmat(a, b):
     """Matrix product over the last two axes, batched over the rest."""
-    if isinstance(a, Dual) or isinstance(b, Dual):
-        if not isinstance(a, Dual):
-            av, bd = np.asarray(a, float), b.dot
-            return Dual(np.einsum("...ij,...jk->...ik", av, b.val),
-                        np.einsum("...ij,...jkm->...ikm", av, bd))
-        if not isinstance(b, Dual):
-            bv = np.asarray(b, float)
-            return Dual(np.einsum("...ij,...jk->...ik", a.val, bv),
-                        np.einsum("...ijm,...jk->...ikm", a.dot, bv))
-        val = np.einsum("...ij,...jk->...ik", a.val, b.val)
-        dot = (np.einsum("...ijm,...jk->...ikm", a.dot, b.val)
-               + np.einsum("...ij,...jkm->...ikm", a.val, b.dot))
-        return Dual(val, dot)
-    return np.einsum("...ij,...jk->...ik", a, b)
+    return _bilinear("...ij,...jk->...ik", a, b)
 
 
 def matvec(a, v):
     """Matrix-vector product over the last axes, batched over the rest."""
-    if isinstance(a, Dual) or isinstance(v, Dual):
-        if not isinstance(a, Dual):
-            av = np.asarray(a, float)
-            return Dual(np.einsum("...ij,...j->...i", av, v.val),
-                        np.einsum("...ij,...jm->...im", av, v.dot))
-        if not isinstance(v, Dual):
-            vv = np.asarray(v, float)
-            return Dual(np.einsum("...ij,...j->...i", a.val, vv),
-                        np.einsum("...ijm,...j->...im", a.dot, vv))
-        val = np.einsum("...ij,...j->...i", a.val, v.val)
-        dot = (np.einsum("...ijm,...j->...im", a.dot, v.val)
-               + np.einsum("...ij,...jm->...im", a.val, v.dot))
-        return Dual(val, dot)
-    return np.einsum("...ij,...j->...i", a, v)
+    return _bilinear("...ij,...j->...i", a, v)
 
 
 def inner(u, v):
     """Inner product over the last axis."""
-    if isinstance(u, Dual) or isinstance(v, Dual):
-        if not isinstance(u, Dual):
-            uv = np.asarray(u, float)
-            return Dual(np.einsum("...i,...i->...", uv, v.val),
-                        np.einsum("...i,...im->...m", uv, v.dot))
-        if not isinstance(v, Dual):
-            vv = np.asarray(v, float)
-            return Dual(np.einsum("...i,...i->...", u.val, vv),
-                        np.einsum("...im,...i->...m", u.dot, vv))
-        val = np.einsum("...i,...i->...", u.val, v.val)
-        dot = (np.einsum("...im,...i->...m", u.dot, v.val)
-               + np.einsum("...i,...im->...m", u.val, v.dot))
-        return Dual(val, dot)
-    return np.einsum("...i,...i->...", u, v)
+    return _bilinear("...i,...i->...", u, v)
 
 
 def cross(u, v):

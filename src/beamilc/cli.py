@@ -108,7 +108,15 @@ def cmd_ocp(args):
     d = None
     if args.d:
         d = resample_disturbance(Trajectory.from_csv(args.d), task.dt, task.n_pred)
-    u_prev = Trajectory.from_csv(args.u_prev).data if args.u_prev else None
+    u_prev = None
+    if args.u_prev:
+        prev = Trajectory.from_csv(args.u_prev)
+        if abs(prev.dt - task.dt) > 1e-12:
+            raise ValueError(f"u_prev is sampled every {prev.dt:g} s, not every {task.dt:g} s")
+        if prev.n_channels != chain.n_joints:
+            raise ValueError(f"u_prev has {prev.n_channels} columns, not {chain.n_joints} "
+                             "joint inputs")
+        u_prev = prev.data
     plan = solve_ptp_ocp(chain, task, params, d, u_prev, cfg.ocp_weights(),
                          opts=cfg.raw.get("solver"))
     out = _out_dir(args, cfg, "beamilc_ocp")

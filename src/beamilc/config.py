@@ -55,7 +55,7 @@ DEFAULT_CONFIG = {
              "n_ctrl": 48, "n_pred": 144, "dt": 0.01},
     "estimation": {"horizon": 240, "dt": 0.006, "v1_scale": 1e-6, "v2_scale": 1e-2,
                    "w1": 1e-4, "w2": 1e-3, "w3": 1e-2},
-    "ocp": {"r1": 1e-2, "r2": 1e-1, "r0": 0.0, "rho1": 10.0, "rho2": 1.0,
+    "ocp": {"r1": 1e-2, "r2": 1e-1, "rho1": 10.0, "rho2": 1.0,
             "rho3": 10.0, "gamma": 1.05},
     "plant": {"truth_kind": "two_segment",
               "two_segment": {"m1": 0.12, "l1": 0.4, "k1": 7.835, "c1": 0.010,

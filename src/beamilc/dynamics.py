@@ -131,14 +131,6 @@ def state_dim(n_dof):
     return 2 * (n_dof + 1) + 2
 
 
-def rest_state(chain, q0, params, d0=0.0, theta=None):
-    """Rest fixed point at configuration ``q0`` (settled filter, zero error)."""
-    q0 = np.asarray(q0, dtype=float)
-    th = pendulum_equilibrium(chain, q0, params) if theta is None else theta
-    tau = -params.k * th + d0
-    return SetupState(q0, th, np.zeros_like(q0), 0.0, tau, 0.0).as_array()
-
-
 def _params_tuple(p):
     """Split a parameter carrier into (k, c, m, l, a, b) scalars or duals."""
     if isinstance(p, BeamParams):

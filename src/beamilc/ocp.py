@@ -76,7 +76,6 @@ class OcpWeights:
     q_state: np.ndarray | None = None   # diag over the state; default: 1 on q entries
     r1: float = 1e-2                    # input magnitude
     r2: float = 1e-1                    # input rate (jerk proxy)
-    r0: float = 0.0                     # optional prior-input deviation weight
     rho1: float = 10.0                  # pendulum angle deviation, l1
     rho2: float = 1.0                   # pendulum rate, l1
     rho3: float = 10.0                  # reaction torque deviation, l1
@@ -87,7 +86,7 @@ class OcpWeights:
             object.__setattr__(self, "q_state", np.asarray(self.q_state, dtype=float))
         if self.gamma <= 1.0:
             raise ValueError("gamma must be above 1")
-        for nm in ("r1", "r2", "r0", "rho1", "rho2", "rho3"):
+        for nm in ("r1", "r2", "rho1", "rho2", "rho3"):
             if getattr(self, nm) < 0:
                 raise ValueError(f"{nm} must be nonnegative")
 
@@ -207,10 +206,12 @@ def _junction_group(problem, chain, node, sub_entries, n, n_x):
 def solve_ptp_ocp(chain, task, params, d=None, u_prev=None, weights=None, opts=None):
     """Plan the feedforward joint accelerations for one task execution.
 
-    ``d`` is the learned disturbance already resampled to the OCP grid
-    (Trajectory or array of n_pred samples; None for zero). ``u_prev`` warm
-    starts the solve and serves as the fallback on solver failure. ``opts``
-    maps ``nlp.SolverOptions`` fields to overrides of this solve's defaults.
+    ``d`` is the learned disturbance as a Trajectory already resampled to
+    the OCP grid, at least n_pred samples long (None for zero). ``u_prev``,
+    an array of inputs on the OCP grid, warm starts the solve with its rows
+    1..n_ctrl-2; those rows, zero elsewhere, are the fallback on solver
+    failure. ``opts`` maps ``nlp.SolverOptions`` fields to overrides of this
+    solve's defaults.
 
     Variable blocks: ``"x"`` holds the full state at nodes 0..n_ctrl,
     ``"u"`` the inputs of nodes 0..n_ctrl-2 (node 0's pinned to zero), and
@@ -222,18 +223,13 @@ def solve_ptp_ocp(chain, task, params, d=None, u_prev=None, weights=None, opts=N
     n_x = state_dim(n)
     n_c, n_p, dt = task.n_ctrl, task.n_pred, task.dt
 
-    if d is None:
-        d_arr = np.zeros(n_p)
-    elif isinstance(d, Trajectory):
+    d_arr = np.zeros(n_p)
+    if d is not None:
         if abs(d.dt - dt) > 1e-12:
             raise ValueError("disturbance must be resampled to the OCP grid")
-        d_arr = d.data[:n_p, 0].copy()
-        if d_arr.shape[0] < n_p:
+        if len(d) < n_p:
             raise ValueError("disturbance shorter than the prediction horizon")
-    else:
-        d_arr = np.asarray(d, dtype=float).copy()
-        if d_arr.shape != (n_p,):
-            raise ValueError("disturbance must have n_pred samples")
+        d_arr = d.data[:n_p, 0].copy()
 
     theta_0 = equilibrium_for_rotation(forward_kinematics(chain, task.q0).rotation, params)
     theta_f = equilibrium_for_rotation(task.goal_rotation, params)
@@ -283,109 +279,61 @@ def solve_ptp_ocp(chain, task, params, d=None, u_prev=None, weights=None, opts=N
     ublk.lb[:n] = 0.0
     ublk.ub[:n] = 0.0
 
+    def select(cols):
+        """Rows picking the variables at ``cols``."""
+        return sp.csr_matrix((np.ones(cols.size), (np.arange(cols.size), cols)),
+                             shape=(cols.size, problem.n))
+
     # terminal rest: pose at the goal, joint velocities zero at node n_ctrl
     problem.eq_groups.append(_terminal_pose_group(problem, chain, n_c,
                                                   task.goal_position,
                                                   task.goal_rotation, n, n_x))
-    dq_cols = problem.block("x").offset + n_c * n_x + n + 1 + np.arange(n)
-    a_dq = sp.csr_matrix((np.ones(n), (np.arange(n), dq_cols)), shape=(n, problem.n))
-    problem.eq_groups.append(nlp.LinearGroup(a_dq, np.zeros(n)))
+    x_off = problem.block("x").offset
+    problem.eq_groups.append(nlp.LinearGroup(select(x_off + n_c * n_x + n + 1 + np.arange(n)),
+                                             np.zeros(n)))
 
     # control-horizon quadratics
     q_diag = weights.state_diag(n)
     act = np.flatnonzero(q_diag > 0)
     if act.size:
-        rows = []
-        cols = []
-        vals = []
-        rhs = []
-        for k in range(n_c + 1):
-            base = len(rhs)
-            rows.extend(base + np.arange(act.size))
-            cols.extend(problem.block("x").offset + k * n_x + act)
-            vals.extend(np.sqrt(q_diag[act]))
-            rhs.extend(np.sqrt(q_diag[act]) * x0[act])
-        a_q = sp.csr_matrix((vals, (rows, cols)), shape=(len(rhs), problem.n))
-        problem.residual_groups.append(nlp.LinearGroup(a_q, np.asarray(rhs)))
+        w = np.tile(np.sqrt(q_diag[act]), n_c + 1)
+        cols = x_off + (np.arange(n_c + 1)[:, None] * n_x + act).ravel()
+        problem.residual_groups.append(
+            nlp.LinearGroup(sp.diags(w) @ select(cols), w * np.tile(x0[act], n_c + 1)))
 
-    u_off = problem.block("u").offset
+    # input steps u(k+1) - u(k), the last one onto the zero tail
     n_un = problem.n_control_nodes
-    eye_u = sp.csr_matrix((np.ones(n_un * n), (np.arange(n_un * n),
-                                               u_off + np.arange(n_un * n))),
-                          shape=(n_un * n, problem.n))
+    u_sel = select(problem.block("u").offset + np.arange(n_un * n))
+    steps = sp.kron(sp.eye(n_un, k=1) - sp.eye(n_un), sp.eye(n)) @ u_sel
     if weights.r1 > 0:
-        problem.residual_groups.append(
-            nlp.LinearGroup(np.sqrt(weights.r1) * eye_u, np.zeros(n_un * n)))
-    if weights.r0 > 0 and u_prev is not None:
-        u_prev_var = np.asarray(u_prev, dtype=float)[:n_un].ravel()
-        problem.residual_groups.append(
-            nlp.LinearGroup(np.sqrt(weights.r0) * eye_u, np.sqrt(weights.r0) * u_prev_var))
+        problem.residual_groups.append(nlp.LinearGroup(np.sqrt(weights.r1) * u_sel,
+                                                       np.zeros(n_un * n)))
     if weights.r2 > 0:
-        # input-rate rows, including the step onto the zero tail
-        rr, cc, vv = [], [], []
-        row = 0
-        for k in range(n_c - 1):
-            for j in range(n):
-                if k + 1 < n_un:
-                    rr += [row, row]
-                    cc += [u_off + (k + 1) * n + j, u_off + k * n + j]
-                    vv += [np.sqrt(weights.r2), -np.sqrt(weights.r2)]
-                else:
-                    rr.append(row)
-                    cc.append(u_off + k * n + j)
-                    vv.append(-np.sqrt(weights.r2))
-                row += 1
-        a_r2 = sp.csr_matrix((vv, (rr, cc)), shape=(row, problem.n))
-        problem.residual_groups.append(nlp.LinearGroup(a_r2, np.zeros(row)))
-
-    # jerk limits on input rate, again including the step onto the zero tail
-    rr, cc, vv, hh = [], [], [], []
-    row = 0
-    for k in range(n_c - 1):
-        for j in range(n):
-            lim = chain.jerk_max[j] * dt
-            for sign in (1.0, -1.0):
-                if k + 1 < n_un:
-                    rr += [row, row]
-                    cc += [u_off + (k + 1) * n + j, u_off + k * n + j]
-                    vv += [sign, -sign]
-                else:
-                    rr.append(row)
-                    cc.append(u_off + k * n + j)
-                    vv.append(-sign)
-                hh.append(lim)
-                row += 1
-    g_jerk = sp.csr_matrix((vv, (rr, cc)), shape=(row, problem.n))
-    problem.ineq_groups.append(nlp.LinearGroup(g_jerk, np.asarray(hh)))
+        problem.residual_groups.append(nlp.LinearGroup(np.sqrt(weights.r2) * steps,
+                                                       np.zeros(n_un * n)))
+    # jerk limits on every step, as (k, j, +) and (k, j, -) rows
+    problem.ineq_groups.append(nlp.LinearGroup(sp.kron(steps, [[1.0], [-1.0]]),
+                                               np.repeat(np.tile(chain.jerk_max * dt, n_un), 2)))
 
     # prediction-horizon l1 terms with exponentially increasing weights
     ks = np.arange(n_c, n_p)
     gam = weights.gamma ** ks
     th_cols = problem.block("y").offset + (ks - n_c) * 6
-    dth_cols = th_cols + 1
-    n_t = ks.size
-    a1 = sp.csr_matrix((np.ones(n_t), (np.arange(n_t), th_cols)), shape=(n_t, problem.n))
-    a2 = sp.csr_matrix((np.ones(n_t), (np.arange(n_t), dth_cols)), shape=(n_t, problem.n))
-    rows3 = np.repeat(np.arange(n_t), 2)
-    cols3 = np.ravel(np.column_stack([th_cols, dth_cols]))
-    vals3 = np.tile([-params.k, -params.c], n_t)
-    a3 = sp.csr_matrix((vals3, (rows3, cols3)), shape=(n_t, problem.n))
+    a1 = select(th_cols)
+    a2 = select(th_cols + 1)
     if weights.rho1 > 0:
-        problem.l1_terms.append(nlp.L1Term(a1, np.full(n_t, theta_f), weights.rho1 * gam))
+        problem.l1_terms.append(nlp.L1Term(a1, np.full(ks.size, theta_f), weights.rho1 * gam))
     if weights.rho2 > 0:
-        problem.l1_terms.append(nlp.L1Term(a2, np.zeros(n_t), weights.rho2 * gam))
+        problem.l1_terms.append(nlp.L1Term(a2, np.zeros(ks.size), weights.rho2 * gam))
     if weights.rho3 > 0:
-        problem.l1_terms.append(nlp.L1Term(a3, tau_f - d_arr[ks], weights.rho3 * gam))
+        problem.l1_terms.append(nlp.L1Term(-params.k * a1 - params.c * a2, tau_f - d_arr[ks],
+                                           weights.rho3 * gam))
 
-    # warm start: previous plan, else zero controls; states from a rollout
+    # warm start: the previous plan's free inputs, else zero; states from a rollout
+    u_guess = np.zeros((n_p, n))
     if u_prev is not None:
-        u_guess = np.asarray(u_prev, dtype=float)[:n_p]
-    else:
-        u_guess = np.zeros((n_p, n))
-    u_guess = np.vstack([u_guess, np.zeros((n_p - u_guess.shape[0], n))]) \
-        if u_guess.shape[0] < n_p else u_guess.copy()
-    u_guess[0] = 0.0
-    u_guess[n_c - 1:] = 0.0
+        rows = np.asarray(u_prev, dtype=float)[1:n_c - 1]
+        u_guess[1:1 + len(rows)] = rows
     xs_guess, _ = fast_rollout(chain, x0, u_guess, params, d_arr, dt)
     problem.set_state_guess(xs_guess[:n_c + 1])
     g2_guess = np.tile(_rest_gravity(chain, xs_guess[n_c, :n]), (n_tail, 1))
@@ -398,8 +346,7 @@ def solve_ptp_ocp(chain, task, params, d=None, u_prev=None, weights=None, opts=N
     # infeasible iterate forces the fallback to the previous input
     fell_back = sol.constraint_violation > 1e-6
     if fell_back:
-        u_full = u_guess
-        xs, _ = fast_rollout(chain, x0, u_full, params, d_arr, dt)
+        u_full, xs = u_guess, xs_guess
     else:
         u_full = np.zeros((n_p, n))
         u_var = sol.variables["u"].reshape(n_un, n)

@@ -5,17 +5,17 @@ step of the full state ``x = [q, theta, dq, dtheta, tau_hat, tau_e]``,
 written independently of the swing-plane frame terms and the closed-form
 arm stages the program steps with; batched and dual-transparent. The
 two-segment truth plant on 2-vectors and 2x2 blocks, and the parameter
-fit's output sensitivity by a rollout on duals. The model's full initial
-state at rest, for the full-state ``fast_rollout`` that the substate output
-path is checked against.
+fit's output sensitivity by a rollout on duals. The model's full state at
+rest (``rest_state``, ``_model_init_state``), for the full-state
+``fast_rollout`` that the substate output path is checked against.
 """
 import math
 
 import numpy as np
 
 from beamilc import ad
-from beamilc.dynamics import (_params_tuple, _substate_rk4, measurement_dynamics,
-                              reaction_torque, rest_state, state_dim)
+from beamilc.dynamics import (SetupState, _params_tuple, _substate_rk4, measurement_dynamics,
+                              pendulum_equilibrium, reaction_torque, state_dim)
 from beamilc.estimation import _rest_residual, _rest_substate
 from beamilc.kinematics import GRAVITY, forward_kinematics, frame_state
 
@@ -69,6 +69,14 @@ def rollout(chain, x0, u_seq, p, d_seq, dt):
     for k in range(n_steps):
         xs[k + 1] = rk4_step(chain, xs[k], u_seq[k], p, float(d_seq[k]), dt)
     return xs, xs[:n_steps, -2].copy()
+
+
+def rest_state(chain, q0, params, d0=0.0, theta=None):
+    """Rest fixed point at configuration ``q0`` (settled filter, zero error)."""
+    q0 = np.asarray(q0, dtype=float)
+    th = pendulum_equilibrium(chain, q0, params) if theta is None else theta
+    tau = -params.k * th + d0
+    return SetupState(q0, th, np.zeros_like(q0), 0.0, tau, 0.0).as_array()
 
 
 def _model_init_state(chain, q0, p, d0=0.0):

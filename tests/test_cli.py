@@ -62,11 +62,12 @@ def test_config_rejects_unknown_keys():
     doc["ocp"] = {"rho_unknown": 1.0}
     with pytest.raises(ConfigError):
         RunConfig.from_dict(doc)
-    # every section, an explicit prior, and the two keys that are not knobs:
-    # the plant seed is the top-level seed, and the QP budget is not exposed
+    # every section, an explicit prior, and the keys that are not knobs: the
+    # plant seed is the top-level seed, the QP budget is not exposed, and the
+    # OCP has no prior-input weight
     cases = [(sec, "unknown_key") for sec in ("beam", "sensing", "task", "estimation", "ocp",
                                              "plant", "ilc", "solver", "prior")]
-    cases += [("plant", "seed"), ("solver", "qp_max_iter")]
+    cases += [("plant", "seed"), ("solver", "qp_max_iter"), ("ocp", "r0")]
     for section, key in cases:
         doc = json.loads(json.dumps(DEFAULT_CONFIG))
         doc["prior"] = {"k": 4.35, "c": 0.0049, "m": 0.085, "l": 0.4, "a": 50.0, "b": 2.0}
@@ -335,6 +336,18 @@ def test_ocp_zero_displacement_zero_u(tmp_path):
         summary = json.load(fh)
     assert summary["status"] == "converged"
     assert summary["terminal_position_error"] < 1e-6
+
+
+@pytest.mark.parametrize("dt, n_cols", [(0.006, 3), (0.01, 2)])
+def test_ocp_rejects_u_prev_off_the_grid(tmp_path, capsys, dt, n_cols):
+    # a previous input on another grid than the OCP's 0.01 s, or with another
+    # number of joints than planar3's three, is a hard error that names it
+    labels = tuple(f"u{i + 1}" for i in range(n_cols))
+    Trajectory(dt, np.zeros((100, n_cols)), labels).to_csv(tmp_path / "u_prev.csv")
+    rc = main(["ocp", "--config", write_cfg(tmp_path), "--u-prev", str(tmp_path / "u_prev.csv"),
+               "--out", str(tmp_path / "ocp")])
+    assert rc == 1
+    assert "u_prev" in capsys.readouterr().err
 
 
 def test_ocp_rejects_single_control_node(tmp_path, capsys):

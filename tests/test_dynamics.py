@@ -6,10 +6,10 @@ from beamilc.dynamics import (NO_ROTATION, BeamGeometry, BeamParams, Equilibrium
                               SetupState, _params_tuple, analytic_init_params, arm_rk4_stages,
                               arm_stage_states, fast_rollout, pendulum_accel,
                               pendulum_equilibrium, plane_frame_coeffs, reaction_torque,
-                              measurement_dynamics, rest_state, state_dim, substate_rk4_step)
+                              measurement_dynamics, state_dim, substate_rk4_step)
 from beamilc.kinematics import GRAVITY, KinematicChain, forward_kinematics
 from beamilc.trajectory import Trajectory
-from reference_model import rk4_step, rollout
+from reference_model import rest_state, rk4_step, rollout
 
 
 def vertical_plane_chain():

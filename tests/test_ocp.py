@@ -136,6 +136,14 @@ def test_infeasible_task_falls_back(chain3, nominal_params):
     np.testing.assert_array_equal(plan.u.data, np.zeros((100, 3)))
 
 
+@pytest.mark.parametrize("dt, n, match", [(0.006, 100, "OCP grid"), (0.01, 99, "shorter")])
+def test_disturbance_off_the_ocp_grid_rejected(chain3, nominal_params, dt, n, match):
+    task = TaskDefinition.from_goal_joints(chain3, Q0, Q_GOAL, n_ctrl=40, n_pred=100, dt=0.01)
+    d = Trajectory(dt, np.zeros((n, 1)), ("d",))
+    with pytest.raises(ValueError, match=match):
+        solve_ptp_ocp(chain3, task, nominal_params, d)
+
+
 def test_tail_transcription_is_exact(chain3, nominal_params, plan3, monkeypatch):
     # the tail carries only the substate and g2, yet the plan's full-state
     # trace is what the model does under the planned input

@@ -2,15 +2,14 @@ import numpy as np
 import pytest
 
 from beamilc.config import RunConfig
-from beamilc.dynamics import (BeamParams, arm_stage_states, fast_rollout, plane_frame_coeffs,
-                              rest_state)
+from beamilc.dynamics import BeamParams, arm_stage_states, fast_rollout, plane_frame_coeffs
 from beamilc.kinematics import GRAVITY, forward_kinematics
 from beamilc.ocp import solve_ptp_ocp
 from beamilc.plant import (PlantConfig, TwoSegmentParams, run_experiment,
                            truth_equilibrium, two_segment_ode)
 from beamilc.trajectory import Trajectory
 from conftest import REFERENCE_Q0_7DOF
-from reference_model import two_segment_equilibrium, two_segment_trace
+from reference_model import rest_state, two_segment_equilibrium, two_segment_trace
 from test_dynamics import vertical_plane_chain
 
 
