@@ -57,8 +57,7 @@ def cmd_simulate(args):
     chain = cfg.chain()
     u = Trajectory.from_csv(args.input)
     est = cfg.estimation_config()
-    ilc_cfg = cfg.ilc_config()
-    n = args.samples or ilc_cfg.n_meas
+    n = cfg.ilc_config().n_meas if args.samples is None else args.samples
     res = run_experiment(cfg.plant_config(), chain, cfg.task(chain).q0, u,
                          n, est.dt, cfg.prior_params())
     out = _out_dir(args, cfg, "beamilc_sim")

@@ -157,6 +157,8 @@ class RunConfig:
         chain = chain or self.chain()
         t = dict(self.raw["task"])
         q0 = np.asarray(t.pop("q0"), dtype=float)
+        if q0.shape != (chain.n_joints,):
+            raise ValueError(f"q0 must have {chain.n_joints} joint angles, not shape {q0.shape}")
         if "goal_joints" in t:
             return TaskDefinition.from_goal_joints(chain, q0, t.pop("goal_joints"), **t)
         if "displacement" in t:

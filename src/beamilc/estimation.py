@@ -267,21 +267,9 @@ def estimate_parameters(rec, p_prev, cfg, opts=None):
     problem.eq_groups.append(nlp.LinearGroup(tie, np.zeros(1)))
 
     # equilibrium equality f_eq(theta_0, p) = 0
-    th_idx = problem.x_index(0, 0)
-
-    def eq_eval(z):
-        return _rest_residual(rb0, z[th_idx:th_idx + 1], z[p_off:p_off + 7])
-
-    def eq_jac(z):
-        th_d = ad.Dual(np.asarray(z[th_idx]), np.eye(8)[0])
-        p_d = ad.seed(z[p_off:p_off + 7], 8, 1)
-        r = _rest_residual(rb0, th_d, p_d)
-        jac = sp.csr_matrix((r.dot, (np.zeros(8, dtype=int),
-                                     np.concatenate([[th_idx], p_off + np.arange(7)]))),
-                            shape=(1, problem.n))
-        return np.atleast_1d(r.val), jac
-
-    problem.eq_groups.append(nlp.CallableGroup(1, eq_eval, eq_jac))
+    problem.eq_groups.append(nlp.dual_group(
+        1, np.r_[problem.x_index(0, 0), p_off + np.arange(7)],
+        lambda v: _rest_residual(rb0, ad.comp(v, 0), ad.sub(v, slice(1, 8)))))
 
     # feasible initial guess: rollout at the previous parameters
     y0 = _rest_substate(rb0, p_prev)

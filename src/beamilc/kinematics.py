@@ -312,28 +312,26 @@ def load_chain(path):
         return chain_from_dict(json.load(fh))
 
 
+def _matrix_rpy(r):
+    """Roll, pitch and yaw of ``r`` by ZYX decomposition; the inverse of :func:`_rpy_matrix`."""
+    return [math.atan2(r[2, 1], r[2, 2]), math.atan2(-r[2, 0], math.hypot(r[0, 0], r[1, 0])),
+            math.atan2(r[1, 0], r[0, 0])]
+
+
 def save_chain(chain, path):
     joints = []
     for i in range(chain.n_joints):
-        r = chain.joint_rotations[i]
-        # store rotation as rpy via ZYX decomposition
-        p = math.atan2(-r[2, 0], math.hypot(r[0, 0], r[1, 0]))
-        y = math.atan2(r[1, 0], r[0, 0])
-        rr = math.atan2(r[2, 1], r[2, 2])
         joints.append({
             "translation": chain.joint_translations[i].tolist(),
-            "rpy": [rr, p, y],
+            "rpy": _matrix_rpy(chain.joint_rotations[i]),
             "axis": chain.joint_axes[i].tolist(),
             "q_min": chain.q_min[i], "q_max": chain.q_max[i],
             "dq_max": chain.dq_max[i], "ddq_max": chain.ddq_max[i],
             "jerk_max": chain.jerk_max[i],
         })
-    tr = chain.tool_rotation
-    p = math.atan2(-tr[2, 0], math.hypot(tr[0, 0], tr[1, 0]))
-    y = math.atan2(tr[1, 0], tr[0, 0])
-    rr = math.atan2(tr[2, 1], tr[2, 2])
     doc = {"name": chain.name, "joints": joints,
-           "tool": {"translation": chain.tool_translation.tolist(), "rpy": [rr, p, y]}}
+           "tool": {"translation": chain.tool_translation.tolist(),
+                    "rpy": _matrix_rpy(chain.tool_rotation)}}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")

@@ -7,6 +7,16 @@ subproblems go through :mod:`beamilc.qp`.
 
 Objective convention: ``0.5 * sum(r_i(z)^2) + sum(w_j |a_j' z - b_j|)``
 over the stacked residual groups and l1 terms.
+
+Every sparse pattern comes from an index map made once. A shooting gap
+group maps each node's seed directions ``(x_k, u_k, p)`` to their columns
+in its constructor, and scatters the dual's whole derivative through that
+map. :func:`dual_group` seeds a fixed column list and stores every entry of
+its dense block. :func:`solve` builds the QP's constant rows (pinned variables
+and l1 links; finite bounds and slack signs) once per solve and stacks
+each iteration's linearized constraints on top. The explicit zeros of the
+dual Jacobians are kept: they fix the KKT pattern, and with it the LU's
+fill and pivots.
 """
 from __future__ import annotations
 
@@ -73,6 +83,23 @@ class CallableGroup:
 
     def eval_with_jac(self, z):
         return self._fn_jac(z)
+
+
+def dual_group(dim, cols, fn):
+    """Group ``fn(z[cols])`` whose Jacobian comes from seeding ``z[cols]``.
+
+    ``fn`` maps a plain array to ``dim`` values and a dual to their dual;
+    every one of the ``dim x len(cols)`` entries is stored.
+    """
+    cols = np.asarray(cols)
+    rows = np.repeat(np.arange(dim), cols.size)
+
+    def fn_jac(z):
+        r = fn(ad.seed(z[cols], cols.size, 0))
+        jac = sp.csr_matrix((r.dot.ravel(), (rows, np.tile(cols, dim))), shape=(dim, z.size))
+        return np.ravel(r.val), jac
+
+    return CallableGroup(dim, lambda z: np.ravel(fn(z[cols])), fn_jac)
 
 
 @dataclass
@@ -245,6 +272,22 @@ def solve(problem, opts=None):
     n_l1 = l1_a.shape[0]
     n_sl = 2 * n_l1
 
+    def picks(cols, sign):
+        """QP rows picking ``sign`` times the QP variables (decision, then slack) at ``cols``."""
+        return sp.csr_matrix((np.full(cols.size, sign), (np.arange(cols.size), cols)),
+                             shape=(cols.size, n + n_sl))
+
+    def widened(jac):
+        """``[jac | 0]``: the rows of ``jac`` over the decision and slack variables."""
+        return sp.csr_matrix((jac.data, jac.indices, jac.indptr), shape=(jac.shape[0], n + n_sl))
+
+    # the QP's rows that no iteration changes, stacked under each iteration's
+    # linearized constraints: pinned variables and l1 links; finite bounds and slack signs
+    a_fixed = sp.vstack([picks(fixed_idx, 1.0),
+                         sp.hstack([l1_a, -sp.identity(n_l1), sp.identity(n_l1)])], format="csr")
+    g_fixed = sp.vstack([picks(free_fin_ub, 1.0), picks(free_fin_lb, -1.0),
+                         picks(n + np.arange(n_sl), -1.0)], format="csr")
+
     lam = opts.levenberg_init
     mu_merit = 1.0
     working_set = None
@@ -273,54 +316,15 @@ def solve(problem, opts=None):
         grad = jr.T @ r
 
         # constraint matrices of the QP; only the Hessian depends on lambda
-        eq_rows = [sp.hstack([jc, sp.csr_matrix((jc.shape[0], n_sl))], format="csr")] if c.size else []
-        eq_rhs = [-c] if c.size else []
-        if fixed_idx.size:
-            a_fix = sp.csr_matrix(
-                (np.ones(fixed_idx.size), (np.arange(fixed_idx.size), fixed_idx)),
-                shape=(fixed_idx.size, n + n_sl))
-            eq_rows.append(a_fix)
-            eq_rhs.append(lb[fixed_idx] - z[fixed_idx])
-        if n_l1:
-            link = sp.hstack([l1_a, -sp.identity(n_l1, format="csr"),
-                              sp.identity(n_l1, format="csr")], format="csr")
-            eq_rows.append(link)
-            eq_rhs.append(-e0)
-        a_eq = sp.vstack(eq_rows, format="csr") if eq_rows else None
-        b_eq = np.concatenate(eq_rhs) if eq_rhs else None
-
-        ineq_rows = []
-        ineq_rhs = []
-        if g.size:
-            ineq_rows.append(sp.hstack([jg, sp.csr_matrix((jg.shape[0], n_sl))], format="csr"))
-            ineq_rhs.append(-g)
-        if free_fin_ub.size:
-            rows = sp.csr_matrix((np.ones(free_fin_ub.size),
-                                  (np.arange(free_fin_ub.size), free_fin_ub)),
-                                 shape=(free_fin_ub.size, n + n_sl))
-            ineq_rows.append(rows)
-            ineq_rhs.append(ub[free_fin_ub] - z[free_fin_ub])
-        if free_fin_lb.size:
-            rows = sp.csr_matrix((-np.ones(free_fin_lb.size),
-                                  (np.arange(free_fin_lb.size), free_fin_lb)),
-                                 shape=(free_fin_lb.size, n + n_sl))
-            ineq_rows.append(rows)
-            ineq_rhs.append(z[free_fin_lb] - lb[free_fin_lb])
-        if n_sl:
-            rows = sp.csr_matrix((-np.ones(n_sl), (np.arange(n_sl), n + np.arange(n_sl))),
-                                 shape=(n_sl, n + n_sl))
-            ineq_rows.append(rows)
-            ineq_rhs.append(np.zeros(n_sl))
-        g_qp = sp.vstack(ineq_rows, format="csr") if ineq_rows else None
-        h_qp = np.concatenate(ineq_rhs) if ineq_rhs else None
+        a_eq = sp.vstack([widened(jc), a_fixed], format="csr")
+        b_eq = np.concatenate([-c, lb[fixed_idx] - z[fixed_idx], -e0])
+        g_qp = sp.vstack([widened(jg), g_fixed], format="csr")
+        h_qp = np.concatenate([-g, ub[free_fin_ub] - z[free_fin_ub],
+                               z[free_fin_lb] - lb[free_fin_lb], np.zeros(n_sl)])
 
         def nlp_stationarity(eq_duals, ineq_duals):
-            vec = grad.copy()
-            if a_eq is not None and eq_duals.size:
-                vec += (a_eq.T @ eq_duals)[:n]
-            if g_qp is not None and ineq_duals.size:
-                vec += (g_qp.T @ ineq_duals)[:n]
-            return float(np.max(np.abs(vec))) if n else 0.0
+            vec = grad + (a_eq.T @ eq_duals)[:n] + (g_qp.T @ ineq_duals)[:n]
+            return float(np.max(np.abs(vec), initial=0.0))
 
         # lagged KKT check: last iteration's multipliers at the new point
         if prev_duals is not None and viol_inf < opts.tol_feas:
@@ -341,15 +345,14 @@ def solve(problem, opts=None):
                 p_qp = sp.block_diag([h_mat, SLACK_REG * sp.identity(n_sl)], format="csc")
             else:
                 p_qp = h_mat
-            q_qp = np.concatenate([grad, l1_w, l1_w]) if n_sl else grad
+            q_qp = np.concatenate([grad, l1_w, l1_w])
 
-            if working_set is None and g_qp is not None:
+            if working_set is None:
+                # pin the slack of the inactive side of each l1 pair
                 working_set = np.zeros(g_qp.shape[0], dtype=bool)
-                if n_sl:
-                    # pin the slack of the inactive side of each pair
-                    base = g_qp.shape[0] - n_sl
-                    working_set[base + np.flatnonzero(e0 <= 0)] = True
-                    working_set[base + n_l1 + np.flatnonzero(e0 >= 0)] = True
+                base = g_qp.shape[0] - n_sl
+                working_set[base + np.flatnonzero(e0 <= 0)] = True
+                working_set[base + n_l1 + np.flatnonzero(e0 >= 0)] = True
 
             # on degenerate subproblems (both slacks of an l1 pair at zero)
             # the active set may cycle; once it ends at its budget, the
@@ -371,8 +374,8 @@ def solve(problem, opts=None):
                 qp_gap_max = max(qp_gap_max, qp.duality_gap)
             elif qp.status == "infeasible":
                 # report the worst linearized equalities for diagnosis
-                resid = np.abs(a_eq @ qp.x - b_eq) if a_eq is not None else np.zeros(0)
-                worst = np.argsort(resid)[-5:][::-1] if resid.size else []
+                resid = np.abs(a_eq @ qp.x - b_eq)
+                worst = np.argsort(resid)[-5:][::-1]
                 diag = {"qp_infeasible": True,
                         "worst_equality_rows": [(int(i), float(resid[i])) for i in worst]}
                 log.warning("QP reported infeasible; worst rows %s", diag["worst_equality_rows"])
@@ -388,7 +391,7 @@ def solve(problem, opts=None):
                 continue
 
             step = qp.x[:n]
-            t_pair = qp.x[n:n + n_l1] + qp.x[n + n_l1:] if n_l1 else np.zeros(0)
+            t_pair = qp.x[n:n + n_l1] + qp.x[n + n_l1:]
             prev_duals = (qp.eq_duals.copy(), qp.ineq_duals.copy())
             stationarity = nlp_stationarity(qp.eq_duals, qp.ineq_duals)
 
@@ -397,17 +400,13 @@ def solve(problem, opts=None):
                 accepted = True
                 break
 
-            l1_new = float(l1_w @ t_pair) if n_sl else 0.0
+            l1_new = float(l1_w @ t_pair)
             l1_old = float(l1_w @ np.abs(e0))
-            dual_scale = 0.0
-            if qp.eq_duals.size:
-                dual_scale = max(dual_scale, float(np.max(np.abs(qp.eq_duals))))
-            if qp.ineq_duals.size:
-                dual_scale = max(dual_scale, float(np.max(qp.ineq_duals)))
+            dual_scale = max(float(np.max(np.abs(qp.eq_duals), initial=0.0)),
+                             float(np.max(qp.ineq_duals, initial=0.0)))
             mu_merit = max(mu_merit, 1.5 * dual_scale, 1.0)
 
-            viol1 = (float(np.sum(np.abs(c))) if c.size else 0.0) + \
-                    (float(np.sum(np.maximum(g, 0.0))) if g.size else 0.0)
+            viol1 = float(np.sum(np.abs(c))) + float(np.sum(np.maximum(g, 0.0)))
             model_decrease = -(float(grad @ step) + 0.5 * float(step @ (h_mat @ step))
                                + l1_new - l1_old)
             pred = model_decrease + mu_merit * viol1
@@ -468,9 +467,14 @@ class ShootingGapGroup:
     """Gap-closing equality constraints ``F(x_k, u_k, p) - x_{k+1} = 0``.
 
     The dynamics callable must be batched over nodes and transparent to
-    :mod:`beamilc.ad` duals. The states are the ``horizon + 1`` nodes of
-    the variable block named ``block``. Controls may exist only on a subset
-    of nodes (``control_map[k] < 0`` means the node input is pinned to zero).
+    :mod:`beamilc.ad` duals; an absent input or parameter block comes as a
+    zero-width array. The states are the ``horizon + 1`` nodes of the
+    variable block named ``block``. Controls may exist only on a subset of
+    nodes (``control_map[k] < 0`` means the node input is pinned to zero).
+
+    One column map, built here, states the group's sparse structure: entry
+    ``[k, j]`` is the variable behind seed direction ``j`` at node ``k``,
+    ordered ``(x_k, u_k, p)``, and -1 where ``u_k`` is pinned.
     """
 
     def __init__(self, problem, dynamics, n_x, horizon, n_u=0, control_map=None, n_p=0,
@@ -484,79 +488,38 @@ class ShootingGapGroup:
         self.control_map = (np.asarray(control_map, dtype=int)
                             if control_map is not None else np.full(horizon, -1))
         self.dim = horizon * n_x
-        self._x_off = problem.block(block).offset
-        self._u_off = problem.block("u").offset if n_u else 0
-        self._p_off = problem.block("p").offset if n_p else 0
+        node = self.control_map[:, None]
+        u_cols = (problem.block("u").offset if n_u else 0) + node * n_u + np.arange(n_u)
+        p_cols = (problem.block("p").offset if n_p else 0) + np.arange(n_p)
+        self._cols = np.hstack([
+            problem.block(block).offset + np.arange(self.dim).reshape(horizon, n_x),
+            np.where(node >= 0, u_cols, -1), np.tile(p_cols, (horizon, 1))])
 
     def _gather(self, z):
-        nx, nu, npar, nn = self.n_x, self.n_u, self.n_p, self.horizon
-        xs = z[self._x_off:self._x_off + (nn + 1) * nx].reshape(nn + 1, nx)
-        u = np.zeros((nn, nu)) if nu else None
-        if nu:
-            n_cn = int(self.control_map.max() + 1)
-            uvar = z[self._u_off:self._u_off + nu * n_cn].reshape(n_cn, nu)
-            mask = self.control_map >= 0
-            u[mask] = uvar[self.control_map[mask]]
-        p = z[self._p_off:self._p_off + npar] if npar else None
-        return xs, u, p
+        """The dynamics' ``(x_k, u_k, p)`` read through the column map, and ``x_{k+1}``."""
+        nx, nu = self.n_x, self.n_u
+        v = np.where(self._cols >= 0, z[self._cols], 0.0)
+        return v[:, :nx], v[:, nx:nx + nu], v[0, nx + nu:], z[self._cols[:, :nx] + nx]
 
     def eval(self, z):
-        xs, u, p = self._gather(z)
-        f_next = self.dynamics(xs[:-1], u, p)
-        return (ad.value(f_next) - xs[1:]).ravel()
+        x, u, p, x_next = self._gather(z)
+        return (ad.value(self.dynamics(x, u, p)) - x_next).ravel()
 
     def eval_with_jac(self, z):
-        nx, nu, npar, nn = self.n_x, self.n_u, self.n_p, self.horizon
-        xs, u, p = self._gather(z)
-        m = nx + nu + npar
-        x_dual = ad.seed(xs[:-1], m, 0)
-        u_dual = ad.seed(u, m, nx) if nu else None
-        p_dual = ad.seed(np.asarray(p), m, nx + nu) if npar else None
-        f_next = self.dynamics(x_dual, u_dual, p_dual)
-        res = (f_next.val - xs[1:]).ravel()
-        dot = f_next.dot  # (nn, nx, m)
-
-        rows_blk = (np.arange(nn)[:, None] * nx + np.arange(nx)[None, :])  # (nn, nx)
-        data = []
-        rows = []
-        cols = []
-
-        # d/dx_k
-        r = np.repeat(rows_blk[:, :, None], nx, axis=2)
-        c = self._x_off + (np.arange(nn)[:, None, None] * nx + np.arange(nx)[None, None, :])
-        c = np.broadcast_to(c, (nn, nx, nx))
-        data.append(dot[:, :, :nx].ravel())
-        rows.append(r.ravel())
-        cols.append(c.ravel())
-
-        # -I at x_{k+1}
-        rows.append(rows_blk.ravel())
-        cols.append((self._x_off + (np.arange(nn)[:, None] + 1) * nx
-                     + np.arange(nx)[None, :]).ravel())
-        data.append(np.full(nn * nx, -1.0))
-
-        if nu:
-            mask = self.control_map >= 0
-            kk = np.flatnonzero(mask)
-            r = np.repeat(rows_blk[kk][:, :, None], nu, axis=2)
-            c = self._u_off + (self.control_map[kk][:, None, None] * nu
-                               + np.arange(nu)[None, None, :])
-            c = np.broadcast_to(c, (kk.size, nx, nu))
-            data.append(dot[kk][:, :, nx:nx + nu].ravel())
-            rows.append(r.ravel())
-            cols.append(c.ravel())
-
-        if npar:
-            r = np.repeat(rows_blk[:, :, None], npar, axis=2)
-            c = np.broadcast_to(self._p_off + np.arange(npar)[None, None, :], (nn, nx, npar))
-            data.append(dot[:, :, nx + nu:].ravel())
-            rows.append(r.ravel())
-            cols.append(c.ravel())
-
+        nx, nu = self.n_x, self.n_u
+        m = self._cols.shape[1]
+        x, u, p, x_next = self._gather(z)
+        f_next = self.dynamics(ad.seed(x, m, 0), ad.seed(u, m, nx), ad.seed(p, m, nx + nu))
+        # row (k, i) holds the dual's dot over node k's map, and -1 at x_{k+1, i}
+        rows = np.arange(self.dim).reshape(self.horizon, nx, 1)
+        cols = np.broadcast_to(self._cols[:, None, :], f_next.dot.shape)
+        keep = cols >= 0
         jac = sp.coo_matrix(
-            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+            (np.concatenate([f_next.dot[keep], np.full(self.dim, -1.0)]),
+             (np.concatenate([np.broadcast_to(rows, cols.shape)[keep], rows.ravel()]),
+              np.concatenate([cols[keep], self._cols[:, :nx].ravel() + nx]))),
             shape=(self.dim, self.problem.n)).tocsr()
-        return res, jac
+        return (f_next.val - x_next).ravel(), jac
 
 
 class ShootingProblem(NlpProblem):

@@ -30,7 +30,8 @@ import scipy.sparse as sp
 from . import ad, nlp
 from .dynamics import (NO_ROTATION, arm_rk4_stages, equilibrium_for_rotation, fast_rollout,
                        plane_frame_coeffs, reaction_torque, state_dim, substate_rk4_step)
-from .kinematics import GRAVITY, forward_kinematics, frame_state, orientation_error
+from .kinematics import (GRAVITY, _check_rotation, forward_kinematics, frame_state,
+                         orientation_error)
 from .trajectory import Trajectory
 
 
@@ -48,7 +49,11 @@ class TaskDefinition:
     def __post_init__(self):
         object.__setattr__(self, "q0", np.asarray(self.q0, dtype=float))
         object.__setattr__(self, "goal_position", np.asarray(self.goal_position, dtype=float))
-        object.__setattr__(self, "goal_rotation", np.asarray(self.goal_rotation, dtype=float))
+        object.__setattr__(self, "goal_rotation", _check_rotation(self.goal_rotation,
+                                                                  what="goal_rotation"))
+        if self.goal_position.shape != (3,):
+            raise ValueError(f"goal_position must be a 3-vector, not shape "
+                             f"{self.goal_position.shape}")
         for nm, v in (("n_ctrl", self.n_ctrl), ("n_pred", self.n_pred)):
             if type(v) is not int:  # bool is not int here
                 raise ValueError(f"{nm} must be an int, not {v!r}")
@@ -149,30 +154,11 @@ def resample_disturbance(d, dt_new, n_new):
 
 def _terminal_pose_group(problem, chain, node, goal_pos, goal_rot, n, n_x):
     """Six equality rows: end-effector position and orientation at ``node``."""
-    q_cols = problem.block("x").offset + node * n_x + np.arange(n)
+    def pose_error(q):
+        res = frame_state(chain, q, None, None)
+        return ad.concat_last([res["p"] - goal_pos, orientation_error(res["R"], goal_rot)])
 
-    def build(q, m=None):
-        if m is None:
-            res = frame_state(chain, q, None, None)
-            e_o = orientation_error(res["R"], goal_rot)
-            return np.concatenate([res["p"] - goal_pos, e_o])
-        qd = ad.seed(q, m, 0)
-        res = frame_state(chain, qd, None, None)
-        e_p = res["p"] - ad.constant(goal_pos, m)
-        e_o = orientation_error(res["R"], ad.constant(goal_rot, m))
-        return ad.concat_last([e_p, e_o])
-
-    def eval_(z):
-        return build(z[q_cols])
-
-    def eval_jac(z):
-        r = build(z[q_cols], m=n)
-        rows = np.repeat(np.arange(6), n)
-        cols = np.tile(q_cols, 6)
-        jac = sp.csr_matrix((r.dot.ravel(), (rows, cols)), shape=(6, problem.n))
-        return r.val, jac
-
-    return nlp.CallableGroup(6, eval_, eval_jac)
+    return nlp.dual_group(6, problem.block("x").offset + node * n_x + np.arange(n), pose_error)
 
 
 def _rest_gravity(chain, q, m=None):

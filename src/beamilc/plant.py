@@ -238,6 +238,8 @@ def run_experiment(cfg, chain, q0, u, n_samples, dt_est, nominal_params, seed=No
     """
     if not isinstance(u, Trajectory):
         raise TypeError("u must be a Trajectory")
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, not {n_samples}")
     h = 1.0 / cfg.rate
     ratio = steps_per_sample(cfg, dt_est)
     n_steps = (n_samples - 1) * ratio + 1

@@ -114,6 +114,19 @@ def _scaled(p_mat, q, a_eq, b_eq, g_ineq, h_ineq):
     return cost_scale, p_mat, q / cost_scale, a_eq, b_eq, g_ineq, h_ineq
 
 
+def _solution(scaled, x, nu, mu, status, it, active):
+    """The solution at ``x`` with the duals unscaled, and its objective,
+    primal infeasibility and duality gap ``|mu'(Gx-h)| + |nu'(Ax-b)|``."""
+    cost_scale, p_mat, q, a_eq, b_eq, g_ineq, h_ineq = scaled
+    nu, mu = nu * cost_scale, mu * cost_scale
+    r_eq = a_eq @ x - b_eq
+    slack = g_ineq @ x - h_ineq
+    p_inf = max(float(np.max(np.abs(r_eq), initial=0.0)), float(np.max(slack, initial=0.0)))
+    gap = abs(float(mu @ slack)) + abs(float(nu @ r_eq))
+    obj = cost_scale * (0.5 * float(x @ (p_mat @ x)) + float(q @ x))
+    return QpSolution(x, nu, mu, obj, gap, p_inf, status, it, active)
+
+
 def solve_qp(p_mat, q, a_eq=None, b_eq=None, g_ineq=None, h_ineq=None, *,
              working_set=None, max_iter=200):
     """Primal-dual active-set solve; see module docstring.
@@ -122,8 +135,8 @@ def solve_qp(p_mat, q, a_eq=None, b_eq=None, g_ineq=None, h_ineq=None, *,
     duality gap is ``|mu'(Gx-h)| + |nu'(Ax-b)|`` (zero at an exact solution).
     """
     n = q.shape[0]
-    cost_scale, p_mat, q, a_eq, b_eq, g_ineq, h_ineq = _scaled(p_mat, q, a_eq, b_eq,
-                                                              g_ineq, h_ineq)
+    scaled = _scaled(p_mat, q, a_eq, b_eq, g_ineq, h_ineq)
+    _, p_mat, q, a_eq, b_eq, g_ineq, h_ineq = scaled
     me, mi = a_eq.shape[0], g_ineq.shape[0]
 
     active = np.zeros(mi, dtype=bool)
@@ -194,19 +207,7 @@ def solve_qp(p_mat, q, a_eq=None, b_eq=None, g_ineq=None, h_ineq=None, *,
 
         active = (active & ~negative) | violated
 
-    mu = np.maximum(mu, 0.0) * cost_scale
-    nu = nu * cost_scale
-    obj = cost_scale * (0.5 * float(x @ (p_mat @ x)) + float(q @ x))
-    slack = g_ineq @ x - h_ineq if mi else np.zeros(0)
-    p_inf = 0.0
-    if me:
-        p_inf = max(p_inf, float(np.max(np.abs(a_eq @ x - b_eq))))
-    if mi:
-        p_inf = max(p_inf, float(max(np.max(slack), 0.0)))
-    gap = abs(float(mu @ slack)) if mi else 0.0
-    if me:
-        gap += abs(float(nu @ (a_eq @ x - b_eq)))
-    return QpSolution(x, nu, mu, obj, gap, p_inf, status, it, active)
+    return _solution(scaled, x, nu, np.maximum(mu, 0.0), status, it, active)
 
 
 @np.errstate(all="ignore")  # overflow on an infeasible QP is caught as non-finite values
@@ -223,12 +224,11 @@ def solve_qp_ipm(p_mat, q, a_eq=None, b_eq=None, g_ineq=None, h_ineq=None):
     infeasible QP it stops at its last finite iterate and says so.
     """
     n = q.shape[0]
-    cost_scale, p_mat, q, a_eq, b_eq, g_ineq, h_ineq = _scaled(p_mat, q, a_eq, b_eq,
-                                                              g_ineq, h_ineq)
+    scaled = _scaled(p_mat, q, a_eq, b_eq, g_ineq, h_ineq)
+    cost_scale, p_mat, q, a_eq, b_eq, g_ineq, h_ineq = scaled
     me, mi = a_eq.shape[0], g_ineq.shape[0]
     if mi == 0:
-        return solve_qp(p_mat * cost_scale, q * cost_scale,
-                        a_eq if me else None, b_eq if me else None)
+        return solve_qp(p_mat * cost_scale, q * cost_scale, a_eq, b_eq)
 
     x = np.zeros(n)
     nu = np.zeros(me)
@@ -304,18 +304,9 @@ def solve_qp_ipm(p_mat, q, a_eq=None, b_eq=None, g_ineq=None, h_ineq=None):
         nu += alpha_d * dnu
         mu += alpha_d * dmu
 
-    mu = mu * cost_scale
-    nu = nu * cost_scale
-    obj = cost_scale * (0.5 * float(x @ (p_mat @ x)) + float(q @ x))
-    slack = g_ineq @ x - h_ineq
-    p_inf = float(max(np.max(slack), 0.0))
-    if me:
-        p_inf = max(p_inf, float(np.max(np.abs(a_eq @ x - b_eq))))
-    gap_total = abs(float(mu @ slack))
-    if me:
-        gap_total += abs(float(nu @ (a_eq @ x - b_eq)))
-    active = slack > -1e-8 * (1.0 + np.abs(h_ineq))
-    if status != "converged" and p_inf > 1e-7 and gap_total > 1e6:
+    sol = _solution(scaled, x, nu, mu, status, it,
+                    g_ineq @ x - h_ineq > -1e-8 * (1.0 + np.abs(h_ineq)))
+    if status != "converged" and sol.primal_infeasibility > 1e-7 and sol.duality_gap > 1e6:
         # stalled primal residual with exploding duals: no feasible point
-        status = "infeasible"
-    return QpSolution(x, nu, mu, obj, gap_total, p_inf, status, it, active)
+        sol.status = "infeasible"
+    return sol

@@ -145,6 +145,23 @@ def test_config_rejects_inconsistent_grids(tmp_path, capsys, section, key, bad):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("task", [
+    {"q0": [0.5, -0.9], "goal_joints": [0.8, -1.05, 0.5]},
+    {"q0": [0.5, -0.9], "goal_position": [0.5, 0.4, 0.0], "goal_rpy": [0.0, 0.0, 1.0]},
+    {"q0": [0.5, -0.9, 0.6], "goal_position": [0.5, 0.4]}])
+def test_config_rejects_task_shapes(tmp_path, capsys, task):
+    # q0 has one angle per joint and the goal a 3-vector position, in each
+    # form of the task section; a bad shape fails validation, before any solve
+    doc = json.loads(json.dumps(TINY))
+    doc["task"] = {**task, "n_ctrl": 40, "n_pred": 100, "dt": 0.01}
+    with pytest.raises(ConfigError, match="^task: "):
+        RunConfig.from_dict(doc)
+    rc = main(["ocp", "--config", write_cfg(tmp_path, doc), "--out", str(tmp_path / "plan")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: task: ")
+    assert not (tmp_path / "plan").exists()
+
+
 def test_config_defaults_parse():
     cfg = RunConfig.default()
     assert cfg.chain().n_joints == 3
@@ -251,6 +268,16 @@ def test_simulate_missing_chain_file(tmp_path, capsys):
                "--out", str(tmp_path / "x")])
     assert rc == 1
     assert "/nonexistent/chain.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_simulate_rejects_nonpositive_samples(tmp_path, capsys, samples):
+    u_path = tmp_path / "u.csv"
+    Trajectory(0.01, np.zeros((5, 3)), ("u1", "u2", "u3")).to_csv(u_path)
+    rc = main(["simulate", "--config", write_cfg(tmp_path), "--input", str(u_path),
+               "--out", str(tmp_path / "sim"), "--samples", samples])
+    assert rc == 1
+    assert "samples" in capsys.readouterr().err
 
 
 def test_simulate_round_trip_precision(tmp_path):

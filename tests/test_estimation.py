@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from beamilc import nlp
 from beamilc.dynamics import BeamParams, IntegrationBlowupError, fast_rollout
 from beamilc.estimation import (EstimationConfig, Record, disturbance_response,
                                 estimate_disturbance, estimate_parameters, learn_iteration,
@@ -140,6 +142,46 @@ def test_model_output_matches_full_state_rollout(chain3, chain7, record):
     d[N // 2] = np.nan
     with pytest.raises(IntegrationBlowupError):
         _model_output(rb0, coeffs, DT, p, d)
+
+
+class _Captured(Exception):
+    pass
+
+
+def test_parameter_fit_equality_jacobians(chain7, free_params, monkeypatch):
+    # every equality group of the parameter fit (the gaps, the tau_e tie and
+    # the equilibrium row) against central differences, over every column,
+    # away from the solution. The wrist is tilted so that gravity loads the
+    # swing plane and the equilibrium row depends on theta_0, k, m and l
+    def capture(problem, opts=None):
+        raise _Captured(problem)
+
+    q0 = REFERENCE_Q0_7DOF - np.pi / 4 * np.eye(7)[5]
+    n = 30
+    t = np.arange(n)[:, None] * DT
+    u = Trajectory(DT, np.sin(4.0 * t + np.arange(7)) * np.exp(-t),
+                   tuple(f"u{j+1}" for j in range(7)))
+    cfg = EstimationConfig(v1=np.zeros(7), v2=np.zeros(7), horizon=n, dt=DT)
+    rec = Record.from_experiment(chain7, Trajectory(DT, np.zeros((n, 1)), ("y",)), u, q0, cfg)
+    monkeypatch.setattr(nlp, "solve", capture)
+    with pytest.raises(_Captured) as exc:
+        estimate_parameters(rec, free_params, cfg)
+    problem = exc.value.args[0]
+    assert len(problem.eq_groups) == 3
+
+    rng = np.random.default_rng(11)
+    z0 = problem.initial_guess() + 0.01 * rng.standard_normal(problem.n)
+    p_cols = problem.block("p").offset + np.arange(7)
+    z0[p_cols] = free_params.as_array() * (1.0 + 0.05 * rng.standard_normal(7))
+    rest_jac = problem.eq_groups[-1].eval_with_jac(z0)[1]
+    assert rest_jac.shape == (1, problem.n)
+    assert np.all(rest_jac[0, [problem.x_index(0, 0), *p_cols[[0, 2, 3]]]].toarray() != 0)
+
+    report = nlp.check_derivatives(
+        lambda z: np.concatenate([g.eval(z) for g in problem.eq_groups]),
+        lambda z: sp.vstack([g.eval_with_jac(z)[1] for g in problem.eq_groups]),
+        z0)
+    assert report.ok(1e-6), report
 
 
 def test_grid_mismatch_rejected(chain3, free_params):

@@ -208,9 +208,12 @@ def test_control_gap_jacobian_seven_dof(chain7, nominal_params, monkeypatch):
     n, n_x = 7, state_dim(7)
     rng = np.random.default_rng(6)
     z0 = problem.initial_guess() + 0.05 * rng.standard_normal(problem.n)
-    nodes = np.array([1, 20, 40])
-    cols = np.concatenate([problem.x_index(k) + np.arange(n_x) for k in nodes]
+    # node 46 is the last with an input variable; node 47's input is pinned
+    # to zero, so it has x columns only
+    nodes = np.array([1, 20, 40, 46])
+    cols = np.concatenate([problem.x_index(k) + np.arange(n_x) for k in (*nodes, 47)]
                           + [problem.block("u").offset + k * n + np.arange(n) for k in nodes])
+    assert problem.n_control_nodes == 47
     assert np.min(np.abs(z0[problem.x_index(20) + n + 1:problem.x_index(20) + 2 * n + 1])) > 0
 
     def full(zs):
@@ -222,6 +225,22 @@ def test_control_gap_jacobian_seven_dof(chain7, nominal_params, monkeypatch):
                                    lambda zs: gaps.eval_with_jac(full(zs))[1].tocsc()[:, cols],
                                    z0[cols])
     assert report.ok(1e-6), report
+
+
+def test_equality_jacobian_pattern_is_fixed(chain7, nominal_params, monkeypatch):
+    # the 7-DOF plan's equality Jacobian stores the same entries, explicit
+    # zeros included, wherever it is evaluated: its pattern, and with it the
+    # KKT's, comes from index maps made once
+    task = TaskDefinition.from_displacement(chain7, REFERENCE_Q0_7DOF, [0.20, 0.0, -0.20],
+                                            n_ctrl=48, n_pred=144, dt=0.01)
+    problem = _ocp_problem(chain7, task, nominal_params, monkeypatch)
+    z0 = problem.initial_guess()
+    z1 = z0 + 0.05 * np.random.default_rng(7).standard_normal(problem.n)
+    j0, j1 = (sp.vstack([g.eval_with_jac(z)[1] for g in problem.eq_groups], format="csr")
+              for z in (z0, z1))
+    assert j0.nnz == j1.nnz == 26443
+    np.testing.assert_array_equal(j0.indptr, j1.indptr)
+    np.testing.assert_array_equal(j0.indices, j1.indices)
 
 
 def test_warm_start_converges_fast(chain3, nominal_params, plan3):
@@ -290,6 +309,11 @@ def test_task_validation(chain3):
     for bad in ({"n_ctrl": 48.5}, {"n_pred": 144.5}, {"n_ctrl": True}):
         with pytest.raises(ValueError):
             TaskDefinition(Q0, np.zeros(3), np.eye(3), **bad)
+    # the goal is a position in space and a rotation
+    with pytest.raises(ValueError, match="goal_position"):
+        TaskDefinition(Q0, np.zeros(2), np.eye(3))
+    with pytest.raises(ValueError, match="goal_rotation"):
+        TaskDefinition(Q0, np.zeros(3), 2.0 * np.eye(3))
 
 
 # ---------------------------------------------------------------------------
