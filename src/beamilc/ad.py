@@ -17,7 +17,7 @@ import numpy as np
 __all__ = [
     "Dual", "value", "seed", "constant", "is_dual",
     "sin", "cos", "sqrt", "arctan2",
-    "comp", "stack_last", "concat_last", "matmat", "matvec", "inner",
+    "comp", "stack_first", "stack_last", "concat_last", "matmat", "matvec", "inner",
     "cross", "mtranspose", "moveaxis", "tail",
 ]
 
@@ -184,6 +184,15 @@ def entry(m, i, j):
     return np.asarray(m)[..., i, j]
 
 
+def stack_first(parts):
+    """Stack same-shaped parts on a new leading value axis."""
+    if any(isinstance(p, Dual) for p in parts):
+        m = next(p.nseeds for p in parts if isinstance(p, Dual))
+        parts = [p if isinstance(p, Dual) else constant(p, m) for p in parts]
+        return Dual(np.stack([p.val for p in parts]), np.stack([p.dot for p in parts]))
+    return np.stack(parts)
+
+
 def stack_last(parts):
     """Stack scalars-like parts into a new last value axis."""
     if any(isinstance(p, Dual) for p in parts):
@@ -221,8 +230,11 @@ def _bilinear(spec, a, b):
         parts.append(np.einsum(f"{sa}m,{sb}->{out}m", a.dot, bv))
     if isinstance(b, Dual):
         parts.append(np.einsum(f"{sa},{sb}m->{out}m", av, b.dot))
-    # two parts are added directly: a sum started at 0 would turn -0.0 into +0.0
-    return Dual(np.einsum(spec, av, bv), parts[0] if len(parts) == 1 else parts[0] + parts[1])
+    # two parts are added directly, in place: a sum started at 0 would turn
+    # -0.0 into +0.0
+    if len(parts) == 2:
+        parts[0] += parts[1]
+    return Dual(np.einsum(spec, av, bv), parts[0])
 
 
 def matmat(a, b):

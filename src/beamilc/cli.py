@@ -16,7 +16,7 @@ import scipy
 
 from . import __version__
 from .config import ConfigError, RunConfig
-from .dynamics import PARAM_NAMES, PARAM_UNITS
+from .dynamics import PARAM_NAMES, PARAM_UNITS, BeamParams
 from .estimation import learn_iteration
 from .ilc import run_ilc
 from .kinematics import forward_kinematics, orientation_error
@@ -94,16 +94,28 @@ def cmd_estimate(args):
     return EXIT_FALLBACK if fell_back else EXIT_OK
 
 
+def _model_params(path):
+    """The parameters of a model JSON, whose ``"params"`` keys must be ``PARAM_NAMES``."""
+    with open(path, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    given = doc.get("params") if isinstance(doc, dict) else None
+    if not isinstance(given, dict):
+        raise ValueError(f"{path}: no \"params\" object")
+    unknown = sorted(set(given) - set(PARAM_NAMES))
+    missing = [nm for nm in PARAM_NAMES if nm not in given]
+    if unknown or missing:
+        raise ValueError(f"{path}: \"params\" must name {', '.join(PARAM_NAMES)}; "
+                         f"unknown: {unknown}, missing: {missing}")
+    return BeamParams(**given)
+
+
 def cmd_ocp(args):
     cfg = _load_config(args)
     chain = cfg.chain()
     task = cfg.task(chain)
     params = cfg.prior_params()
     if args.model:
-        with open(args.model, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        from .dynamics import BeamParams
-        params = BeamParams(**doc["params"])
+        params = _model_params(args.model)
     d = None
     if args.d:
         d = resample_disturbance(Trajectory.from_csv(args.d), task.dt, task.n_pred)

@@ -133,8 +133,9 @@ def _rot_about_axis(axis, angle):
 def _chain_pass(chain, q, dq=None, ddq=None):
     """Outward recursion over the chain.
 
-    Returns a dict with the frame {b} pose (and motion when dq/ddq are
-    given) plus the per-joint world axes and origins used by the Jacobian.
+    Returns a dict with the frame {b} pose, plus its motion when dq/ddq are
+    given and otherwise the per-joint world axes and origins the Jacobian
+    uses.
     Inputs are batched over leading axes; q[..., i] is joint i.
     """
     n = chain.n_joints
@@ -175,18 +176,21 @@ def _chain_pass(chain, q, dq=None, ddq=None):
             v_cur, a_cur, w_cur, dw_cur = v_i, a_i, w_i, dw_i
         r_cur = ad.matmat(r_pre, _rot_about_axis(chain.joint_axes[i], qi))
         o_cur = o_i
-        axes_world.append(z_i)
-        origins.append(o_i)
+        if not want_motion:
+            axes_world.append(z_i)
+            origins.append(o_i)
 
     tool = ad.matvec(r_cur, chain.tool_translation)
     p_b = o_cur + tool
     r_b = ad.matmat(r_cur, chain.tool_rotation)
-    out = {"p": p_b, "R": r_b, "axes": axes_world, "origins": origins}
+    out = {"p": p_b, "R": r_b}
     if want_motion:
         out["v"] = v_cur + ad.cross(w_cur, tool)
         out["a"] = a_cur + ad.cross(dw_cur, tool) + ad.cross(w_cur, ad.cross(w_cur, tool))
         out["w"] = w_cur
         out["dw"] = dw_cur
+    else:
+        out["axes"], out["origins"] = axes_world, origins
     return out
 
 

@@ -17,8 +17,10 @@ constant along the tail and tied to ``q(n_ctrl)`` at its first node.
 Both gap groups step the model as the rollout and the fits do: one
 :func:`~beamilc.dynamics.substate_rk4_step` of the substate over the frame
 terms of four RK4 stages. On the control horizon those terms come from the
-arm's closed-form stages (it is a double integrator), on duals of the
-node's ``q``, ``dq`` and ``u``; in the tail the frame rests.
+arm's closed-form stages (it is a double integrator), in one chain pass
+over the four stages stacked on a leading axis; for the Jacobian that pass
+runs on the seed directions of the node's ``q``, ``dq`` and ``u`` only,
+the ones the frame terms depend on. In the tail the frame rests.
 """
 from __future__ import annotations
 
@@ -225,12 +227,24 @@ def solve_ptp_ocp(chain, task, params, d=None, u_prev=None, weights=None, opts=N
     # node n_ctrl-1 has no variable (input identically zero)
     control_map = np.append(np.arange(n_c - 1), -1)
     sub = np.array([n, 2 * n + 1, 2 * n + 2, 2 * n + 3])   # substate entries of x
+    # the seed directions of q, dq and u: the only ones the frame terms depend on
+    arm = np.r_[0:n, n + 1:2 * n + 1, n_x:n_x + n]
+
+    def on_arm(v):
+        return ad.Dual(v.val, v.dot[..., arm]) if ad.is_dual(v) else v
 
     def dyn(x, u, _p):
         q_s, dq_s = arm_rk4_stages(ad.sub(x, slice(0, n)), ad.sub(x, slice(n + 1, 2 * n + 1)),
                                    u, dt)
-        stages = [plane_frame_coeffs(chain, q, dq, u) for q, dq in zip(q_s, dq_s)]
-        frame = {nm: [ad.moveaxis(c[nm], 0, -1) for c in stages] for nm in ("g2", "m_dw", "m_ww")}
+        # one chain pass over the four stages, stacked on a leading axis
+        frame = plane_frame_coeffs(chain, on_arm(ad.stack_first(q_s)),
+                                   on_arm(ad.stack_first(dq_s)), on_arm(u))
+        frame = {nm: ad.moveaxis(frame[nm], 1, -1) for nm in ("g2", "m_dw", "m_ww")}
+        if ad.is_dual(x):
+            for nm, v in frame.items():
+                dot = np.zeros(v.dot.shape[:-1] + (x.nseeds,))
+                dot[..., arm] = v.dot
+                frame[nm] = ad.Dual(v.val, dot)
         y = substate_rk4_step(tuple(ad.comp(x, i) for i in sub), params, frame, d_arr[:n_c], dt)
         return ad.concat_last([q_s[3], ad.stack_last(y[:1]), dq_s[3], ad.stack_last(y[1:])])
 

@@ -23,7 +23,10 @@ Otherwise the system is factored again with partial pivoting and refined
 pivoting: diagonal pivots break down on the OCP's active-set KKT, and one
 wasted factorization per call is cheaper than one per iteration.
 ``solve_qp_ipm`` always uses partial pivoting, refined ``REFINE_STEPS``
-times against the unregularized reduced KKT.
+times against the unregularized reduced KKT. Within one call that KKT
+keeps one pattern and one column order: it is assembled once and each
+iteration refills its values through an index map, and the call's first
+factorization picks the column order (COLAMD) that the later ones reuse.
 """
 from __future__ import annotations
 
@@ -210,6 +213,79 @@ def solve_qp(p_mat, q, a_eq=None, b_eq=None, g_ineq=None, h_ineq=None, *,
     return _solution(scaled, x, nu, np.maximum(mu, 0.0), status, it, active)
 
 
+class _ReducedKkt:
+    """The interior point's reduced KKT ``[[P + G' W G, A'], [A, -REG I]]`` for every W of a call.
+
+    Its pattern is the structural union of P, the pairs of stored entries of
+    each row of G, A', A and the -REG diagonal, explicit zeros included. It
+    is assembled once, with one index map from the products ``G_ij W_i G_ik``
+    to the stored entries, so each W refills ``.data`` with one ``bincount``.
+    The first factorization keeps SuperLU's COLAMD column order; the pattern
+    is then stored in that order, and later factorizations take it as it is.
+    """
+
+    def __init__(self, p_mat, a_eq, g_ineq):
+        n, me = p_mat.shape[0], a_eq.shape[0]
+        self.n, self.g = n, g_ineq
+        # the pairs (a, b) of stored entries of each row of G, as offsets into its data:
+        # entry a pairs with every entry of its row, from the row's first on
+        counts = np.diff(g_ineq.indptr)
+        reps = np.repeat(counts, counts)
+        starts = np.cumsum(reps) - reps
+        self.pair_a = np.repeat(np.arange(g_ineq.nnz, dtype=np.int32), reps)
+        self.pair_b = (np.repeat(np.repeat(g_ineq.indptr[:-1], counts) - starts, reps)
+                       + np.arange(self.pair_a.size)).astype(np.int32)
+        self.pair_row = np.repeat(np.repeat(np.arange(counts.size, dtype=np.int32), counts), reps)
+        self.pair_col = g_ineq.indices[self.pair_b]
+        # the top-left block's pattern: P's entries and the pairs'
+        p_coo = p_mat.tocoo()
+        keys, slots = np.unique(
+            np.concatenate([p_coo.col, self.pair_col]).astype(np.int64) * n
+            + np.concatenate([p_coo.row, g_ineq.indices[self.pair_a]]), return_inverse=True)
+        top = sp.csc_matrix(
+            (np.bincount(slots[:p_coo.nnz], p_coo.data, minlength=keys.size), keys % n,
+             np.searchsorted(keys, np.arange(n + 1) * n)), shape=(n, n))
+        self.mat = sp.bmat([[top, a_eq.T], [a_eq, -REG * sp.identity(me)]], format="csc")
+        # a column's top-left entries come first in the assembled KKT
+        self.slots = (self.mat.indptr[self.pair_col] + slots[p_coo.nnz:]
+                      - top.indptr[self.pair_col]).astype(np.int32)
+        self.base, self.mat.data = self.mat.data, np.empty_like(self.mat.data)
+        self.perm = None     # the column order of the stored pattern, None while natural
+        self.lu = None
+
+    def _reorder(self, perm_c):
+        """Store column j at position ``perm_c[j]``, moving the pairs' map along."""
+        ptr = self.mat.indptr
+        mat = sp.csc_matrix((self.base, self.mat.indices, ptr), shape=self.mat.shape)
+        mat = mat[:, np.argsort(perm_c)]
+        self.slots += mat.indptr[perm_c[self.pair_col]] - ptr[self.pair_col]
+        self.base, mat.data = mat.data, np.empty_like(mat.data)
+        self.mat, self.perm = mat, perm_c
+
+    def factor(self, w):
+        """Refill with the barrier weights ``w`` and factor (partial pivoting)."""
+        if self.lu is not None and self.perm is None:
+            self._reorder(self.lu.perm_c)
+        gd = self.g.data
+        products = gd[self.pair_a] * (gd[self.pair_b] * w[self.pair_row])
+        np.add(self.base, np.bincount(self.slots, products, minlength=self.base.size),
+               out=self.mat.data)
+        self.lu = None       # freed before the next one is made
+        self.lu = splu(self.mat) if self.perm is None else splu(self.mat, permc_spec="NATURAL")
+
+    def solve(self, rhs):
+        """Solve, refined ``REFINE_STEPS`` times against the unregularized KKT."""
+        def unpermuted(v):
+            return v if self.perm is None else v[self.perm]
+
+        sol = self.lu.solve(rhs)
+        for _ in range(REFINE_STEPS):
+            r = rhs - self.mat @ sol
+            r[self.n:] -= REG * unpermuted(sol)[self.n:]
+            sol = sol + self.lu.solve(r)
+        return unpermuted(sol)
+
+
 @np.errstate(all="ignore")  # overflow on an infeasible QP is caught as non-finite values
 def solve_qp_ipm(p_mat, q, a_eq=None, b_eq=None, g_ineq=None, h_ineq=None):
     """Primal-dual interior-point QP solve (Mehrotra predictor-corrector).
@@ -218,10 +294,12 @@ def solve_qp_ipm(p_mat, q, a_eq=None, b_eq=None, g_ineq=None, h_ineq=None):
     as l1 slack pairs with both slacks at zero. Eliminates the inequality
     block, so the factorized system stays at ``n + m_eq``; its barrier
     weights ``mu / s`` are not clipped, and each Newton solve is refined.
-    Stops when the dual, equality and inequality residuals (max-norm) and
-    the mean complementarity ``s'mu / m_ineq`` are all below ``IPM_TOL``
-    times ``1 + max(|q|, |h|, |b|)`` of the cost-scaled data. On an
-    infeasible QP it stops at its last finite iterate and says so.
+    The reduced KKT keeps one pattern and column order for the whole call
+    (:class:`_ReducedKkt`). Stops when the dual, equality and inequality
+    residuals (max-norm) and the mean complementarity ``s'mu / m_ineq`` are
+    all below ``IPM_TOL`` times ``1 + max(|q|, |h|, |b|)`` of the
+    cost-scaled data. On an infeasible QP it stops at its last finite
+    iterate and says so.
     """
     n = q.shape[0]
     scaled = _scaled(p_mat, q, a_eq, b_eq, g_ineq, h_ineq)
@@ -234,32 +312,28 @@ def solve_qp_ipm(p_mat, q, a_eq=None, b_eq=None, g_ineq=None, h_ineq=None):
     nu = np.zeros(me)
     s = np.maximum(h_ineq - g_ineq @ x, 1.0)
     mu = np.full(mi, max(0.1, min(10.0, float(np.mean(np.abs(q))) if q.size else 1.0)))
-    scale = 1.0 + max(float(np.max(np.abs(q))), float(np.max(np.abs(h_ineq))) if mi else 0.0,
-                      float(np.max(np.abs(b_eq))) if me else 0.0)
+    scale = 1.0 + max(float(np.max(np.abs(q))), float(np.max(np.abs(h_ineq))),
+                      float(np.max(np.abs(b_eq), initial=0.0)))
+    kkt = _ReducedKkt(p_mat, a_eq, g_ineq)
 
     status = "max-iter"
     it = 0
     for it in range(1, IPM_MAX_ITER + 1):
-        r_d = p_mat @ x + q + (a_eq.T @ nu if me else 0) + g_ineq.T @ mu
-        r_p = (a_eq @ x - b_eq) if me else np.zeros(0)
+        r_d = p_mat @ x + q + a_eq.T @ nu + g_ineq.T @ mu
+        r_p = a_eq @ x - b_eq
         r_g = g_ineq @ x + s - h_ineq
         gap = float(s @ mu) / mi
 
-        if (max(np.max(np.abs(r_d)), np.max(np.abs(r_g)),
-                np.max(np.abs(r_p)) if me else 0.0) < IPM_TOL * scale and gap < IPM_TOL * scale):
+        if (max(np.max(np.abs(r_d)), np.max(np.abs(r_g)), np.max(np.abs(r_p), initial=0.0))
+                < IPM_TOL * scale and gap < IPM_TOL * scale):
             status = "converged"
             break
 
         w = mu / s
         if not np.all(np.isfinite(w)):
             break  # s underflowed: the unclipped weights overflow on an infeasible QP
-        p_aug = (p_mat + g_ineq.T @ g_ineq.multiply(w[:, None])).tocsc()
-        kkt = sp.bmat([
-            [p_aug, a_eq.T if me else None],
-            [a_eq if me else None, -REG * sp.identity(me) if me else None],
-        ], format="csc") if me else p_aug.tocsc()
         try:
-            lu = splu(kkt)
+            kkt.factor(w)
         except RuntimeError:
             return QpSolution(x, nu, mu, np.inf, np.inf, np.inf,
                               "factorization-failed", it, np.zeros(mi, dtype=bool))
@@ -267,15 +341,8 @@ def solve_qp_ipm(p_mat, q, a_eq=None, b_eq=None, g_ineq=None, h_ineq=None):
         def solve_dir(sig_mu, ds_prod):
             # rhs folded from the eliminated (s, mu) blocks
             rc = -(s * mu) + sig_mu - ds_prod
-            rhs_x = -r_d - g_ineq.T @ (rc / s + w * r_g)
-            rhs = np.concatenate([rhs_x, -r_p]) if me else rhs_x
-            sol = lu.solve(rhs)
-            for _ in range(REFINE_STEPS):
-                # against the unregularized system, as in solve_qp
-                r_x = rhs[:n] - p_aug @ sol[:n] - a_eq.T @ sol[n:]
-                sol = sol + lu.solve(np.concatenate([r_x, rhs[n:] - a_eq @ sol[:n]]))
-            dx = sol[:n]
-            dnu = sol[n:] if me else np.zeros(0)
+            sol = kkt.solve(np.concatenate([-r_d - g_ineq.T @ (rc / s + w * r_g), -r_p]))
+            dx, dnu = sol[:n], sol[n:]
             ds = -(r_g + g_ineq @ dx)
             dmu = (rc - mu * ds) / s
             return dx, dnu, ds, dmu

@@ -74,6 +74,8 @@ class Trajectory:
                 raise ValueError(f"{path}: first column must be 'time'")
             labels = tuple(header[1:])
             rows = [list(map(float, line.strip().split(","))) for line in fh if line.strip()]
+        if not rows:
+            raise ValueError(f"{path}: no data rows below the header")
         arr = np.asarray(rows, dtype=float)
         if arr.shape[0] < 2:
             dt = 1.0

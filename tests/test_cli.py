@@ -280,6 +280,15 @@ def test_simulate_rejects_nonpositive_samples(tmp_path, capsys, samples):
     assert "samples" in capsys.readouterr().err
 
 
+def test_simulate_rejects_header_only_input(tmp_path, capsys):
+    u_path = tmp_path / "header_only.csv"
+    u_path.write_text("time,u1,u2,u3\n")
+    rc = main(["simulate", "--config", write_cfg(tmp_path), "--input", str(u_path),
+               "--out", str(tmp_path / "sim")])
+    assert rc == 1
+    assert "header_only.csv" in capsys.readouterr().err
+
+
 def test_simulate_round_trip_precision(tmp_path):
     cfg = write_cfg(tmp_path)
     t = np.arange(60) * 0.01
@@ -375,6 +384,27 @@ def test_ocp_rejects_u_prev_off_the_grid(tmp_path, capsys, dt, n_cols):
                "--out", str(tmp_path / "ocp")])
     assert rc == 1
     assert "u_prev" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit", ["no params", "unknown name", "missing name"])
+def test_ocp_rejects_malformed_model(tmp_path, capsys, free_params, edit):
+    # a model file without "params", or whose params are not exactly the
+    # model's parameter names, is a hard error that names the file
+    params = free_params.as_dict()
+    if edit == "unknown name":
+        params["stiffness"] = params.pop("k")
+    elif edit == "missing name":
+        del params["a"]
+    doc = {} if edit == "no params" else {"params": params}
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    rc = main(["ocp", "--config", write_cfg(tmp_path), "--model", str(model),
+               "--out", str(tmp_path / "ocp")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "model.json" in err
+    assert ("stiffness" in err) == (edit == "unknown name")
+    assert ("'a'" in err) == (edit == "missing name")
 
 
 def test_ocp_rejects_single_control_node(tmp_path, capsys):

@@ -325,6 +325,26 @@ def test_substate_step_matches_full_state_step(chain7, free_params):
     np.testing.assert_allclose(y_next.dot, x_next.dot[:, idx], rtol=1e-12, atol=1e-12)
 
 
+def test_frame_coeffs_of_stacked_stages_match_per_stage(chain7):
+    # the OCP's one chain pass: the four RK4 stages stacked on a leading axis,
+    # with the input shared by all four, give each stage's frame terms, in
+    # value and in the derivatives, as four separate passes do
+    rng = np.random.default_rng(15)
+    n, nodes, h, m = 7, 5, 0.01, 21      # seeds: q, dq and u of every node
+    q = ad.seed(rng.uniform(-1, 1, (nodes, n)), m, 0)
+    dq = ad.seed(rng.uniform(-1, 1, (nodes, n)), m, n)
+    u = ad.seed(3.0 * rng.standard_normal((nodes, n)), m, 2 * n)
+    q_s, dq_s = arm_rk4_stages(q, dq, u, h)
+    stacked = plane_frame_coeffs(chain7, ad.stack_first(q_s), ad.stack_first(dq_s), u)
+    for s, (qs, dqs) in enumerate(zip(q_s, dq_s)):
+        single = plane_frame_coeffs(chain7, qs, dqs, u)
+        for name, v in single.items():
+            assert stacked[name].val.shape == (4,) + v.val.shape
+            np.testing.assert_array_equal(stacked[name].val[s], v.val)
+            np.testing.assert_array_equal(stacked[name].dot[s], v.dot)
+    assert np.any(stacked["m_dw"].dot[..., 2 * n:] != 0)   # the input acts through dw
+
+
 # ---------------------------------------------------------------------------
 # energy behavior
 

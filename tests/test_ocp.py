@@ -6,7 +6,7 @@ import scipy.sparse as sp
 
 from conftest import REFERENCE_Q0_7DOF
 
-from beamilc import nlp
+from beamilc import nlp, qp
 from beamilc.dynamics import BeamParams, fast_rollout, state_dim
 from beamilc.kinematics import (KinematicChain, forward_kinematics,
                                 orientation_error)
@@ -241,6 +241,45 @@ def test_equality_jacobian_pattern_is_fixed(chain7, nominal_params, monkeypatch)
     assert j0.nnz == j1.nnz == 26443
     np.testing.assert_array_equal(j0.indptr, j1.indptr)
     np.testing.assert_array_equal(j0.indices, j1.indices)
+
+
+def test_interior_point_kkt_refill_matches_assembly(chain7, nominal_params, monkeypatch):
+    # the interior point's reduced KKT of a 7-DOF QP, refilled through its
+    # index map, stores the entries a block assembly stores, explicit zeros
+    # included, with the same values; stored in SuperLU's column order after
+    # the first factorization, it keeps those entries, and its refined
+    # solve solves the unregularized system
+    task = TaskDefinition.from_displacement(chain7, REFERENCE_Q0_7DOF, [0.20, 0.0, -0.20],
+                                            n_ctrl=48, n_pred=144, dt=0.01)
+    problem = _ocp_problem(chain7, task, nominal_params, monkeypatch)
+    monkeypatch.undo()
+
+    def capture(*args, **kwargs):
+        raise _Captured(args)
+
+    monkeypatch.setattr(nlp, "solve_qp", capture)
+    with pytest.raises(_Captured) as exc:
+        nlp.solve(problem)
+    _, p_mat, _, a_eq, _, g_ineq, _ = qp._scaled(*exc.value.args[0])
+    n, me = p_mat.shape[0], a_eq.shape[0]
+    rng = np.random.default_rng(3)
+    kkt = qp._ReducedKkt(p_mat, a_eq, g_ineq)
+    for it in range(2):
+        w = np.exp(rng.uniform(-5, 5, g_ineq.shape[0]))
+        p_aug = p_mat + g_ineq.T @ g_ineq.multiply(w[:, None])
+        ref = sp.bmat([[p_aug, a_eq.T], [a_eq, -qp.REG * sp.identity(me)]], format="csc")
+        kkt.factor(w)
+        if it:
+            # the second factorization works on the reordered pattern
+            ref = ref[:, np.argsort(kkt.perm)]
+        assert ref.nnz == kkt.mat.nnz == 59641
+        np.testing.assert_array_equal(kkt.mat.indptr, ref.indptr)
+        np.testing.assert_array_equal(kkt.mat.indices, ref.indices)
+        np.testing.assert_allclose(kkt.mat.data, ref.data, rtol=1e-15, atol=0)
+        unreg = sp.bmat([[p_aug, a_eq.T], [a_eq, None]], format="csr")
+        rhs = unreg @ rng.standard_normal(n + me)
+        assert np.max(np.abs(unreg @ kkt.solve(rhs) - rhs)) < 1e-14 * np.max(np.abs(rhs))
+    assert kkt.perm is not None
 
 
 def test_warm_start_converges_fast(chain3, nominal_params, plan3):
