@@ -17,7 +17,7 @@ import numpy as np
 __all__ = [
     "Dual", "value", "seed", "constant", "is_dual",
     "sin", "cos", "sqrt", "arctan2",
-    "comp", "stack_first", "stack_last", "concat_last", "matmat", "matvec", "inner",
+    "comp", "stack_last", "concat_last", "matmat", "matvec", "inner",
     "cross", "mtranspose", "moveaxis", "tail",
 ]
 
@@ -182,15 +182,6 @@ def entry(m, i, j):
     if isinstance(m, Dual):
         return Dual(m.val[..., i, j], m.dot[..., i, j, :])
     return np.asarray(m)[..., i, j]
-
-
-def stack_first(parts):
-    """Stack same-shaped parts on a new leading value axis."""
-    if any(isinstance(p, Dual) for p in parts):
-        m = next(p.nseeds for p in parts if isinstance(p, Dual))
-        parts = [p if isinstance(p, Dual) else constant(p, m) for p in parts]
-        return Dual(np.stack([p.val for p in parts]), np.stack([p.dot for p in parts]))
-    return np.stack(parts)
 
 
 def stack_last(parts):

@@ -95,18 +95,14 @@ def cmd_estimate(args):
 
 
 def _model_params(path):
-    """The parameters of a model JSON, whose ``"params"`` keys must be ``PARAM_NAMES``."""
+    """The parameters in a model JSON's ``"params"`` object."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    given = doc.get("params") if isinstance(doc, dict) else None
-    if not isinstance(given, dict):
-        raise ValueError(f"{path}: no \"params\" object")
-    unknown = sorted(set(given) - set(PARAM_NAMES))
-    missing = [nm for nm in PARAM_NAMES if nm not in given]
-    if unknown or missing:
-        raise ValueError(f"{path}: \"params\" must name {', '.join(PARAM_NAMES)}; "
-                         f"unknown: {unknown}, missing: {missing}")
-    return BeamParams(**given)
+    try:
+        return BeamParams(**doc["params"])
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"{path}: \"params\" must be an object of {', '.join(PARAM_NAMES)}: "
+                         f"{exc}") from None
 
 
 def cmd_ocp(args):

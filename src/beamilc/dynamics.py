@@ -156,13 +156,14 @@ def arm_rk4_stages(q, dq, u, h):
 
     The arm is a double integrator with ``u`` held over the step, so RK4's
     stages are known without integrating, and the fourth stage is the end
-    of the step. Plain ``+`` and ``*`` only: arrays batched over nodes and
+    of the step. The stages are stacked on a new leading axis of length 4.
+    Plain ``+`` and ``*`` only: arrays batched over nodes and
     :mod:`beamilc.ad` duals both run through it.
     """
-    q_s = [q, q + 0.5 * h * dq, q + 0.5 * h * dq + 0.25 * h * h * u,
-           q + h * dq + 0.5 * h * h * u]
-    dq_s = [dq, dq + 0.5 * h * u, dq + 0.5 * h * u, dq + h * u]
-    return q_s, dq_s
+    lead = (4,) + (1,) * max(np.ndim(ad.value(v)) for v in (q, dq, u))
+    a = (np.array([0.0, 0.5, 0.5, 1.0]) * h).reshape(lead)    # dq's weight, u's in dq
+    b = (np.array([0.0, 0.0, 0.25, 0.5]) * h * h).reshape(lead)   # u's weight in q
+    return q + a * dq + b * u, dq + a * u
 
 
 def arm_stage_states(q0, u_seq, dt):
@@ -184,7 +185,7 @@ def arm_stage_states(q0, u_seq, dt):
         q[k + 1] = q[k] + dt * dq[k] + 0.5 * dt * dt * u_seq[k]
     q_s, dq_s = arm_rk4_stages(q[:-1], dq[:-1], u_seq, dt)
     u_s = np.repeat(u_seq[:, None, :], 4, axis=1)
-    return q, dq, np.stack(q_s, axis=1), np.stack(dq_s, axis=1), u_s
+    return q, dq, np.moveaxis(q_s, 0, 1).copy(), np.moveaxis(dq_s, 0, 1).copy(), u_s
 
 
 def plane_frame_coeffs(chain, q, dq, ddq):

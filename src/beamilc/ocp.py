@@ -237,8 +237,7 @@ def solve_ptp_ocp(chain, task, params, d=None, u_prev=None, weights=None, opts=N
         q_s, dq_s = arm_rk4_stages(ad.sub(x, slice(0, n)), ad.sub(x, slice(n + 1, 2 * n + 1)),
                                    u, dt)
         # one chain pass over the four stages, stacked on a leading axis
-        frame = plane_frame_coeffs(chain, on_arm(ad.stack_first(q_s)),
-                                   on_arm(ad.stack_first(dq_s)), on_arm(u))
+        frame = plane_frame_coeffs(chain, on_arm(q_s), on_arm(dq_s), on_arm(u))
         frame = {nm: ad.moveaxis(frame[nm], 1, -1) for nm in ("g2", "m_dw", "m_ww")}
         if ad.is_dual(x):
             for nm, v in frame.items():

@@ -8,7 +8,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from beamilc.cli import main
+from beamilc.cli import _model_params, main
 from beamilc import nlp
 from beamilc.config import DEFAULT_CONFIG, ConfigError, RunConfig
 from beamilc.nlp import SolverOptions
@@ -406,6 +406,15 @@ def test_ocp_rejects_malformed_model(tmp_path, capsys, free_params, edit):
     assert ("stiffness" in err) == (edit == "unknown name")
     assert ("'a'" in err) == (edit == "missing name")
 
+
+
+def test_model_params_default_tau_e0(tmp_path, free_params):
+    # tau_e0 has a default, so a model file may leave it out
+    params = free_params.as_dict()
+    del params["tau_e0"]
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"params": params}))
+    assert _model_params(str(model)) == dataclasses.replace(free_params, tau_e0=0.0)
 
 def test_ocp_rejects_single_control_node(tmp_path, capsys):
     doc = json.loads(json.dumps(TINY))

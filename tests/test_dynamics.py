@@ -211,7 +211,7 @@ def test_setup_ode_double_integrator_channel():
                                q_s[3], rtol=0, atol=1e-14)
     duals = arm_rk4_stages(ad.seed(q, 3, 0), ad.seed(dq, 3, 0), ad.constant(u, 3), h)
     for got, want in zip(duals, (q_s, dq_s)):
-        np.testing.assert_array_equal([s.val for s in got], want)
+        np.testing.assert_array_equal(got.val, want)
 
 
 def test_setup_ode_affine_in_u_and_d(chain3, free_params):
@@ -335,9 +335,9 @@ def test_frame_coeffs_of_stacked_stages_match_per_stage(chain7):
     dq = ad.seed(rng.uniform(-1, 1, (nodes, n)), m, n)
     u = ad.seed(3.0 * rng.standard_normal((nodes, n)), m, 2 * n)
     q_s, dq_s = arm_rk4_stages(q, dq, u, h)
-    stacked = plane_frame_coeffs(chain7, ad.stack_first(q_s), ad.stack_first(dq_s), u)
-    for s, (qs, dqs) in enumerate(zip(q_s, dq_s)):
-        single = plane_frame_coeffs(chain7, qs, dqs, u)
+    stacked = plane_frame_coeffs(chain7, q_s, dq_s, u)
+    for s in range(4):
+        single = plane_frame_coeffs(chain7, q_s[s], dq_s[s], u)
         for name, v in single.items():
             assert stacked[name].val.shape == (4,) + v.val.shape
             np.testing.assert_array_equal(stacked[name].val[s], v.val)

@@ -42,16 +42,18 @@ def parse_args(argv):
                     help="NAME=FIRST-LAST, one pair per seed (repeatable)")
     ap.add_argument("--traced", action="append", type=seed_range, default=[],
                     help="NAME=FIRST-LAST, one traced run per side and seed (repeatable)")
-    ap.add_argument("--seconds", type=float, default=30.0)
     ap.add_argument("--what", default="")
     ap.add_argument("--out", required=True, type=Path)
     return ap.parse_args(argv)
 
 
-def run(checkout, workload, seed, seconds, trace):
-    """The report of one ``perfbench/run.py`` process: its machine line and last line."""
+def run(checkout, workload, seed, trace):
+    """The report of one ``perfbench/run.py`` process: its machine line and last line.
+
+    Untraced runs take ``run.py``'s own run length; traced ones run for 1 s.
+    """
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", str(trace)]
+           *(["--seconds", "1"] if trace else []), "--trace", str(trace)]
     out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True).stdout
     lines = out.strip().splitlines()
     machine = next(json.loads(ln[len("machine "):]) for ln in lines if ln.startswith("machine "))
@@ -90,7 +92,7 @@ def main(argv=None):
         for pair, seed in enumerate(seeds):
             order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
             for side in order:
-                info, line = run(sides[side], workload, seed, args.seconds, 0)
+                info, line = run(sides[side], workload, seed, 0)
                 machine = {k: info[k] for k in MACHINE_KEYS}
                 runs.append({"workload": workload, "seed": seed, "side": side, "pair": pair,
                              "first": side == order[0], "source_sha256": info["source_sha256"],
@@ -99,15 +101,14 @@ def main(argv=None):
     for workload, seeds in args.traced:
         for seed in seeds:
             for side in ("parent", "change"):
-                _, line = run(sides[side], workload, seed, 1, 1)
+                _, line = run(sides[side], workload, seed, 1)
                 traced.append({"workload": workload, "seed": seed, "side": side, "line": line})
     parent_commit = subprocess.run(["git", "-C", str(sides["parent"]), "rev-parse", "HEAD"],
                                    capture_output=True, text=True).stdout.strip() or None
     doc = {
         "what": args.what,
         "parent_commit": parent_commit,
-        "command": f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g} "
-                   "--trace 0",
+        "command": "python3 perfbench/run.py --workload W --seed S --trace 0",
         "traced_command": "python3 perfbench/run.py --workload W --seed S --seconds 1 --trace 1",
         "machine": machine,
         "protocol": "each pair runs the parent and the change one after the other, the parent "
