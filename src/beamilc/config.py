@@ -108,6 +108,7 @@ class RunConfig:
                 raise ConfigError(f"{name}: {exc}") from exc
 
         for name, build in (
+                ("seed", lambda: self.seed),
                 ("solver", self.solver_options), ("chain", self.chain),
                 ("task", lambda: self.task(built["chain"])),
                 ("beam", lambda: "beam" in d and self.beam_geometry()),
@@ -129,11 +130,15 @@ class RunConfig:
 
     @property
     def seed(self):
-        return int(self.raw.get("seed", 0))
+        """The plant's noise seed; without a ``"seed"`` key, ``PlantConfig``'s default."""
+        seed = self.raw.get("seed", PlantConfig.seed)
+        if type(seed) is not int or seed < 0:  # bool is not int here
+            raise ValueError(f"must be a non-negative int, not {seed!r}")
+        return seed
 
     def with_seed(self, seed):
         doc = json.loads(json.dumps(self.raw))
-        doc["seed"] = int(seed)
+        doc["seed"] = seed
         return RunConfig.from_dict(doc)
 
     def chain(self):

@@ -28,8 +28,8 @@ import scipy.sparse as sp
 from scipy.linalg import toeplitz
 
 from . import ad, nlp
-from .dynamics import (NO_ROTATION, BeamParams, IntegrationBlowupError, _params_tuple,
-                       _substate_rk4, arm_stage_states, equilibrium_for_rotation,
+from .dynamics import (NO_ROTATION, PARAM_NAMES, BeamParams, IntegrationBlowupError,
+                       _params_tuple, _substate_rk4, arm_stage_states, equilibrium_for_rotation,
                        pendulum_accel, plane_frame_coeffs, substate_rk4_step)
 from .dynamics import fast_rollout  # noqa: F401  (perfbench's _layer_table wraps this name)
 from .kinematics import GRAVITY, forward_kinematics
@@ -57,7 +57,11 @@ class EstimationConfig:
 
     def __post_init__(self):
         for nm in ("v1", "v2", "p_lb", "p_ub"):
-            object.__setattr__(self, nm, np.asarray(getattr(self, nm), dtype=float))
+            v = np.asarray(getattr(self, nm), dtype=float)
+            if v.shape != (len(PARAM_NAMES),):
+                raise ValueError(f"{nm} must have one entry per parameter {PARAM_NAMES}, "
+                                 f"not shape {v.shape}")
+            object.__setattr__(self, nm, v)
         if np.any(self.v1 < 0) or np.any(self.v2 < 0) or min(self.w1, self.w2, self.w3) < 0:
             raise ValueError("regularizer weights must be nonnegative")
         if np.any(self.p_lb >= self.p_ub):
@@ -173,14 +177,6 @@ def _rest_residual(rb0, theta, p):
     return pendulum_accel(theta, 0.0, k, c, m, l, g2, NO_ROTATION, NO_ROTATION)
 
 
-def _output_fit_group(problem, y_data):
-    """Rows (tau_hat_k - y_k) for k = 0..N-1 over the substate block."""
-    rows = np.arange(y_data.shape[0])
-    a = sp.csr_matrix((np.ones(rows.size), (rows, problem.x_index(rows, 2))),
-                      shape=(rows.size, problem.n))
-    return nlp.LinearGroup(a, y_data)
-
-
 def _record_coeffs(chain, q0, u_data, dt):
     """Frame terms at the RK4 stages of a record whose arm starts at rest at ``q0``."""
     _, _, q_s, dq_s, u_s = arm_stage_states(q0, u_data, dt)
@@ -238,42 +234,40 @@ def estimate_parameters(rec, p_prev, cfg, opts=None):
     horizon = cfg.horizon
     rb0, coeffs, dt = rec.rb0, rec.coeffs, rec.dt
 
-    problem = nlp.ShootingProblem(_shooting_dynamics(coeffs, dt), 4, horizon, n_p=7,
-                                  param_lb=cfg.p_lb, param_ub=cfg.p_ub)
-    # state bounds: pendulum angle stays inside (-pi, pi)
-    xblk = problem.block("x")
-    xblk.lb[0::4] = -np.pi + 1e-3
-    xblk.ub[0::4] = np.pi - 1e-3
+    # substate nodes 0..N: the pendulum angle stays inside (-pi, pi); the
+    # initial node is at rest (dtheta pinned), its theta/tau_hat/tau_e free
+    x_lb, x_ub = np.full((horizon + 1) * 4, -np.inf), np.full((horizon + 1) * 4, np.inf)
+    x_lb[0::4] = -np.pi + 1e-3
+    x_ub[0::4] = np.pi - 1e-3
+    x_lb[1] = x_ub[1] = 0.0
+    problem = nlp.NlpProblem()
+    x_off = problem.add_block("x", x_lb.size, x_lb, x_ub).offset
+    p_off = problem.add_block("p", 7, cfg.p_lb, cfg.p_ub).offset
+    problem.eq_groups.append(
+        nlp.ShootingGapGroup(problem, _shooting_dynamics(coeffs, dt), 4, horizon, n_p=7))
 
-    # initial node: at rest; theta/tau_hat/tau_e free
-    problem.pin_state(0, [1], [0.0])
-
-    # data fit + regularizers exactly as summed over the horizon
-    problem.residual_groups.append(_output_fit_group(problem, rec.y))
-    p_off = problem.block("p").offset
+    # data fit (tau_hat_k - y_k, k = 0..N-1) + regularizers exactly as summed over the horizon
+    problem.residual_groups.append(
+        nlp.LinearGroup(problem.select(x_off + 4 * np.arange(horizon) + 2), rec.y))
     scale1 = np.sqrt(horizon * cfg.v1)
     scale2 = np.sqrt(horizon * cfg.v2)
-    eye_p = sp.csr_matrix((np.ones(7), (np.arange(7), p_off + np.arange(7))),
-                          shape=(7, problem.n))
+    eye_p = problem.select(p_off + np.arange(7))
     problem.residual_groups.append(nlp.LinearGroup(sp.diags(scale1) @ eye_p, np.zeros(7)))
     problem.residual_groups.append(
         nlp.LinearGroup(sp.diags(scale2) @ eye_p, scale2 * p_prev.as_array()))
 
     # tie the tau_e entry of the initial state to the tau_e0 parameter
-    tie = sp.csr_matrix(
-        (np.array([1.0, -1.0]), (np.zeros(2, dtype=int),
-                                 np.array([problem.x_index(0, 3), p_off + 6]))),
-        shape=(1, problem.n))
-    problem.eq_groups.append(nlp.LinearGroup(tie, np.zeros(1)))
+    problem.eq_groups.append(
+        nlp.LinearGroup(problem.select([x_off + 3]) - problem.select([p_off + 6]), np.zeros(1)))
 
     # equilibrium equality f_eq(theta_0, p) = 0
     problem.eq_groups.append(nlp.dual_group(
-        1, np.r_[problem.x_index(0, 0), p_off + np.arange(7)],
+        1, np.r_[x_off, p_off + np.arange(7)],
         lambda v: _rest_residual(rb0, ad.comp(v, 0), ad.sub(v, slice(1, 8)))))
 
     # feasible initial guess: rollout at the previous parameters
     y0 = _rest_substate(rb0, p_prev)
-    problem.set_state_guess(_substate_rk4(y0, p_prev, coeffs, np.zeros(horizon), dt))
+    problem.set_initial_guess("x", _substate_rk4(y0, p_prev, coeffs, np.zeros(horizon), dt))
     problem.set_initial_guess("p", p_prev.as_array())
 
     sol = nlp.solve(problem, nlp.SolverOptions(**{"max_iter": 80, **(opts or {})}))

@@ -1,9 +1,11 @@
 """Shared optimization infrastructure.
 
-Direct multiple-shooting transcription, Gauss-Newton SQP with an exact-l1
-merit line search and Levenberg damping, slack-exact handling of linear
-l1 cost terms, and finite-difference derivative verification. The QP
-subproblems go through :mod:`beamilc.qp`.
+Block-structured NLPs, the multiple-shooting gap group, and a Gauss-Newton
+SQP with an exact-l1 merit line search, Levenberg damping and slack-exact
+handling of linear l1 cost terms. The QP subproblems go through
+:mod:`beamilc.qp`. A caller lays out its own blocks with
+:meth:`NlpProblem.add_block`, pins variables through ``lb == ub`` in their
+bound arrays, and appends its own groups, gap groups included.
 
 Objective convention: ``0.5 * sum(r_i(z)^2) + sum(w_j |a_j' z - b_j|)``
 over the stacked residual groups and l1 terms.
@@ -173,6 +175,12 @@ class NlpProblem:
 
     def unpack(self, z):
         return {b.name: z[b.offset:b.offset + b.dim].copy() for b in self.blocks}
+
+    def select(self, cols):
+        """Rows picking the variables at ``cols``, over the blocks added so far."""
+        cols = np.asarray(cols)
+        return sp.csr_matrix((np.ones(cols.size), (np.arange(cols.size), cols)),
+                             shape=(cols.size, self.n))
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +468,7 @@ def solve(problem, opts=None):
 
 
 # ---------------------------------------------------------------------------
-# multiple-shooting transcription
+# multiple-shooting gaps
 
 
 class ShootingGapGroup:
@@ -484,11 +492,9 @@ class ShootingGapGroup:
         self.n_x = n_x
         self.horizon = horizon
         self.n_u = n_u
-        self.n_p = n_p
-        self.control_map = (np.asarray(control_map, dtype=int)
-                            if control_map is not None else np.full(horizon, -1))
         self.dim = horizon * n_x
-        node = self.control_map[:, None]
+        node = np.full(horizon, -1) if control_map is None else np.asarray(control_map, dtype=int)
+        node = node[:, None]
         u_cols = (problem.block("u").offset if n_u else 0) + node * n_u + np.arange(n_u)
         p_cols = (problem.block("p").offset if n_p else 0) + np.arange(n_p)
         self._cols = np.hstack([
@@ -520,108 +526,3 @@ class ShootingGapGroup:
               np.concatenate([cols[keep], self._cols[:, :nx].ravel() + nx]))),
             shape=(self.dim, self.problem.n)).tocsr()
         return (f_next.val - x_next).ravel(), jac
-
-
-class ShootingProblem(NlpProblem):
-    """NLP with the multiple-shooting layout: per-node states, gap equalities."""
-
-    def __init__(self, dynamics, n_x, horizon, *, n_u=0, control_map=None,
-                 n_p=0, state_lb=None, state_ub=None,
-                 control_lb=None, control_ub=None, param_lb=None, param_ub=None):
-        super().__init__()
-        if horizon < 1:
-            raise ValueError("horizon must be at least 1")
-        self.n_x = n_x
-        self.n_u = n_u
-        self.n_p = n_p
-        self.horizon = horizon
-        if control_map is None and n_u:
-            control_map = np.arange(horizon)
-        self.control_map = np.asarray(control_map, dtype=int) if n_u else np.full(horizon, -1)
-        n_ctrl_nodes = int(self.control_map.max() + 1) if n_u and self.control_map.max() >= 0 else 0
-        self.n_control_nodes = n_ctrl_nodes
-
-        def tile(bound, none_val, count, dim):
-            if bound is None:
-                return np.full(count * dim, none_val)
-            bound = np.asarray(bound, dtype=float)
-            if bound.shape == (dim,):
-                return np.tile(bound, count)
-            return bound.ravel()
-
-        self.add_block("x", (horizon + 1) * n_x,
-                       tile(state_lb, -np.inf, horizon + 1, n_x),
-                       tile(state_ub, np.inf, horizon + 1, n_x))
-        if n_u and n_ctrl_nodes:
-            self.add_block("u", n_ctrl_nodes * n_u,
-                           tile(control_lb, -np.inf, n_ctrl_nodes, n_u),
-                           tile(control_ub, np.inf, n_ctrl_nodes, n_u))
-        if n_p:
-            self.add_block("p", n_p, param_lb, param_ub)
-        self.gap_group = ShootingGapGroup(self, dynamics, n_x, horizon, n_u,
-                                          self.control_map, n_p)
-        self.eq_groups.append(self.gap_group)
-
-    @property
-    def n_state_nodes(self):
-        return self.horizon + 1
-
-    def x_index(self, node, entry=0):
-        return self.block("x").offset + node * self.n_x + entry
-
-    def u_index(self, ctrl_node, entry=0):
-        return self.block("u").offset + ctrl_node * self.n_u + entry
-
-    def set_state_guess(self, xs):
-        self.set_initial_guess("x", np.asarray(xs, dtype=float).ravel())
-
-    def pin_state(self, node, entries, values):
-        blk = self.block("x")
-        for e, v in zip(entries, np.atleast_1d(values)):
-            i = node * self.n_x + e
-            blk.lb[i] = blk.ub[i] = v
-            blk.x0[i] = v
-
-
-# ---------------------------------------------------------------------------
-# derivative checking
-
-
-@dataclass
-class DerivativeReport:
-    max_abs_error: float
-    max_rel_error: float
-    worst_entry: tuple
-
-    def ok(self, tol):
-        return self.max_rel_error < tol
-
-
-def check_derivatives(fn, jac_fn, point, eps=1e-6):
-    """Central finite differences against a supplied Jacobian.
-
-    ``fn(z) -> array``, ``jac_fn(z) -> (m, n) array-like``. Returns the worst
-    entrywise error; the relative error is measured against the larger of
-    the FD estimate magnitude and 1.
-    """
-    z = np.asarray(point, dtype=float)
-    jac = jac_fn(z)
-    if sp.issparse(jac):
-        jac = jac.toarray()
-    jac = np.asarray(jac, dtype=float)
-    n = z.shape[0]
-    worst = (0, 0)
-    max_abs = 0.0
-    max_rel = 0.0
-    for i in range(n):
-        dz = np.zeros(n)
-        dz[i] = eps
-        fd = (np.asarray(fn(z + dz), dtype=float) - np.asarray(fn(z - dz), dtype=float)) / (2 * eps)
-        err = np.abs(jac[:, i] - fd)
-        rel = err / np.maximum(np.abs(fd), 1.0)
-        j = int(np.argmax(rel))
-        if rel[j] > max_rel:
-            max_rel = float(rel[j])
-            max_abs = float(err[j])
-            worst = (j, i)
-    return DerivativeReport(max_abs, max_rel, worst)

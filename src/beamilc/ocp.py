@@ -223,9 +223,6 @@ def solve_ptp_ocp(chain, task, params, d=None, u_prev=None, weights=None, opts=N
     theta_f = equilibrium_for_rotation(task.goal_rotation, params)
     tau_f = -params.k * theta_f + float(np.mean(d_arr[n_c:]))
 
-    # controls exist on nodes 0..n_ctrl-2; the first is pinned to zero and
-    # node n_ctrl-1 has no variable (input identically zero)
-    control_map = np.append(np.arange(n_c - 1), -1)
     sub = np.array([n, 2 * n + 1, 2 * n + 2, 2 * n + 3])   # substate entries of x
     # the seed directions of q, dq and u: the only ones the frame terms depend on
     arm = np.r_[0:n, n + 1:2 * n + 1, n_x:n_x + n]
@@ -260,36 +257,32 @@ def solve_ptp_ocp(chain, task, params, d=None, u_prev=None, weights=None, opts=N
     state_ub[n] = np.pi / 2
     state_lb[n + 1:2 * n + 1] = -chain.dq_max
     state_ub[n + 1:2 * n + 1] = chain.dq_max
-
-    problem = nlp.ShootingProblem(
-        dyn, n_x, n_c, n_u=n, control_map=control_map,
-        state_lb=state_lb, state_ub=state_ub,
-        control_lb=-chain.ddq_max, control_ub=chain.ddq_max)
-    n_tail = n_p - n_c + 1
-    tail_ub = np.r_[np.pi / 2, np.full(5, np.inf)]   # theta bounds only
-    problem.add_block("y", n_tail * 6, np.tile(-tail_ub, n_tail), np.tile(tail_ub, n_tail))
-    problem.eq_groups.append(nlp.ShootingGapGroup(problem, tail_dyn, 6, n_tail - 1, block="y"))
-    problem.eq_groups.append(_junction_group(problem, chain, n_c, sub, n, n_x))
-
     x0 = np.concatenate([task.q0, [theta_0], np.zeros(n + 1),
                          [-params.k * theta_0 + d_arr[0], 0.0]])
-    problem.pin_state(0, range(n_x), x0)
-    ublk = problem.block("u")
-    ublk.lb[:n] = 0.0
-    ublk.ub[:n] = 0.0
+    x_lb, x_ub = np.tile(state_lb, n_c + 1), np.tile(state_ub, n_c + 1)
+    x_lb[:n_x] = x_ub[:n_x] = x0                      # node 0 pinned to the start
+    # controls exist on nodes 0..n_ctrl-2; the first is pinned to zero and
+    # node n_ctrl-1 has no variable (input identically zero)
+    n_un = n_c - 1
+    u_lb, u_ub = np.tile(-chain.ddq_max, n_un), np.tile(chain.ddq_max, n_un)
+    u_lb[:n] = u_ub[:n] = 0.0
+    n_tail = n_p - n_c + 1
+    tail_ub = np.r_[np.pi / 2, np.full(5, np.inf)]   # theta bounds only
 
-    def select(cols):
-        """Rows picking the variables at ``cols``."""
-        return sp.csr_matrix((np.ones(cols.size), (np.arange(cols.size), cols)),
-                             shape=(cols.size, problem.n))
-
+    problem = nlp.NlpProblem()
+    x_off = problem.add_block("x", (n_c + 1) * n_x, x_lb, x_ub).offset
+    u_off = problem.add_block("u", n_un * n, u_lb, u_ub).offset
+    y_off = problem.add_block("y", n_tail * 6, np.tile(-tail_ub, n_tail),
+                              np.tile(tail_ub, n_tail)).offset
+    # the gaps of the control horizon and of the tail, the junction, and the
     # terminal rest: pose at the goal, joint velocities zero at node n_ctrl
-    problem.eq_groups.append(_terminal_pose_group(problem, chain, n_c,
-                                                  task.goal_position,
-                                                  task.goal_rotation, n, n_x))
-    x_off = problem.block("x").offset
-    problem.eq_groups.append(nlp.LinearGroup(select(x_off + n_c * n_x + n + 1 + np.arange(n)),
-                                             np.zeros(n)))
+    problem.eq_groups += [
+        nlp.ShootingGapGroup(problem, dyn, n_x, n_c, n_u=n,
+                             control_map=np.append(np.arange(n_un), -1)),
+        nlp.ShootingGapGroup(problem, tail_dyn, 6, n_tail - 1, block="y"),
+        _junction_group(problem, chain, n_c, sub, n, n_x),
+        _terminal_pose_group(problem, chain, n_c, task.goal_position, task.goal_rotation, n, n_x),
+        nlp.LinearGroup(problem.select(x_off + n_c * n_x + n + 1 + np.arange(n)), np.zeros(n))]
 
     # control-horizon quadratics
     q_diag = weights.state_diag(n)
@@ -298,11 +291,10 @@ def solve_ptp_ocp(chain, task, params, d=None, u_prev=None, weights=None, opts=N
         w = np.tile(np.sqrt(q_diag[act]), n_c + 1)
         cols = x_off + (np.arange(n_c + 1)[:, None] * n_x + act).ravel()
         problem.residual_groups.append(
-            nlp.LinearGroup(sp.diags(w) @ select(cols), w * np.tile(x0[act], n_c + 1)))
+            nlp.LinearGroup(sp.diags(w) @ problem.select(cols), w * np.tile(x0[act], n_c + 1)))
 
     # input steps u(k+1) - u(k), the last one onto the zero tail
-    n_un = problem.n_control_nodes
-    u_sel = select(problem.block("u").offset + np.arange(n_un * n))
+    u_sel = problem.select(u_off + np.arange(n_un * n))
     steps = sp.kron(sp.eye(n_un, k=1) - sp.eye(n_un), sp.eye(n)) @ u_sel
     if weights.r1 > 0:
         problem.residual_groups.append(nlp.LinearGroup(np.sqrt(weights.r1) * u_sel,
@@ -317,9 +309,9 @@ def solve_ptp_ocp(chain, task, params, d=None, u_prev=None, weights=None, opts=N
     # prediction-horizon l1 terms with exponentially increasing weights
     ks = np.arange(n_c, n_p)
     gam = weights.gamma ** ks
-    th_cols = problem.block("y").offset + (ks - n_c) * 6
-    a1 = select(th_cols)
-    a2 = select(th_cols + 1)
+    th_cols = y_off + (ks - n_c) * 6
+    a1 = problem.select(th_cols)
+    a2 = problem.select(th_cols + 1)
     if weights.rho1 > 0:
         problem.l1_terms.append(nlp.L1Term(a1, np.full(ks.size, theta_f), weights.rho1 * gam))
     if weights.rho2 > 0:
@@ -334,7 +326,7 @@ def solve_ptp_ocp(chain, task, params, d=None, u_prev=None, weights=None, opts=N
         rows = np.asarray(u_prev, dtype=float)[1:n_c - 1]
         u_guess[1:1 + len(rows)] = rows
     xs_guess, _ = fast_rollout(chain, x0, u_guess, params, d_arr, dt)
-    problem.set_state_guess(xs_guess[:n_c + 1])
+    problem.set_initial_guess("x", xs_guess[:n_c + 1])
     g2_guess = np.tile(_rest_gravity(chain, xs_guess[n_c, :n]), (n_tail, 1))
     problem.set_initial_guess("y", np.hstack([xs_guess[n_c:, sub], g2_guess]))
     problem.set_initial_guess("u", u_guess[:n_un].ravel())

@@ -20,10 +20,11 @@ from beamilc.estimation import (EstimationConfig, Record, _model_output,
                                 estimate_disturbance, estimate_parameters)
 from beamilc.ilc import run_ilc, vibration_metric
 from beamilc.kinematics import forward_kinematics, orientation_error
-from beamilc.nlp import ShootingProblem, check_derivatives
+from beamilc.nlp import NlpProblem
 from beamilc.ocp import TaskDefinition, _terminal_pose_group, solve_ptp_ocp
 from beamilc.trajectory import Trajectory
 from conftest import REFERENCE_Q0_7DOF
+from derivative_check import check_derivatives
 from reference_model import _model_init_state, rest_state
 from test_dynamics import accel_on_chain, vertical_plane_chain
 from test_ocp import _ocp_problem
@@ -168,7 +169,7 @@ def test_criterion_5_numerical_hygiene(chain2, chain3, free_params, monkeypatch)
     # the gaps of the planner's control horizon, which the SQP differentiates
     task = TaskDefinition.from_goal_joints(chain3, [0.5, -0.9, 0.6], [0.8, -1.05, 0.5],
                                            n_ctrl=4, n_pred=6, dt=6e-3)
-    gaps = _ocp_problem(chain3, task, free_params, monkeypatch).gap_group
+    gaps = _ocp_problem(chain3, task, free_params, monkeypatch).eq_groups[0]
     z = rng.standard_normal(gaps.problem.n) * 0.4
     worst = max(worst, check_derivatives(gaps.eval, lambda v: gaps.eval_with_jac(v)[1],
                                          z, eps=1e-6).max_rel_error)
@@ -187,11 +188,12 @@ def test_criterion_5_numerical_hygiene(chain2, chain3, free_params, monkeypatch)
                                          free_params.as_array(), eps=1e-6).max_rel_error)
 
     # terminal-pose constraint group of the planner
-    prob = ShootingProblem(lambda x, u, pp: x, n_x, 2, n_u=3)
+    prob = NlpProblem()
+    prob.add_block("x", 3 * n_x)
     group = _terminal_pose_group(prob, chain3, 1, np.array([0.5, 0.4, 0.0]),
                                  np.eye(3), 3, n_x)
     zz = np.zeros(prob.n)
-    zz[prob.x_index(1):prob.x_index(1) + 3] = rng.uniform(-1, 1, 3)
+    zz[n_x:n_x + 3] = rng.uniform(-1, 1, 3)
     worst = max(worst, check_derivatives(
         group.eval, lambda v: group.eval_with_jac(v)[1], zz, eps=1e-6).max_rel_error)
 

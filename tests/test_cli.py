@@ -11,7 +11,9 @@ import pytest
 from beamilc.cli import _model_params, main
 from beamilc import nlp
 from beamilc.config import DEFAULT_CONFIG, ConfigError, RunConfig
+from beamilc.estimation import DEFAULT_PARAM_BOX
 from beamilc.nlp import SolverOptions
+from beamilc.plant import PlantConfig
 from beamilc.trajectory import Trajectory
 
 TINY = {
@@ -160,6 +162,46 @@ def test_config_rejects_task_shapes(tmp_path, capsys, task):
     assert rc == 1
     assert capsys.readouterr().err.startswith("error: task: ")
     assert not (tmp_path / "plan").exists()
+
+
+@pytest.mark.parametrize("key", ["v1", "v2", "p_lb", "p_ub"])
+@pytest.mark.parametrize("size", [1, 2, 8])
+def test_config_rejects_estimation_vector_lengths(tmp_path, capsys, key, size):
+    # the weights and the parameter box hold one entry per parameter; any
+    # other length fails validation naming the field, before any solve
+    doc = json.loads(json.dumps(TINY))
+    doc["estimation"][key] = np.resize(DEFAULT_PARAM_BOX["lb" if key == "p_lb" else "ub"],
+                                       size).tolist()
+    with pytest.raises(ConfigError, match=f"^estimation: {key} must have one entry per parameter"):
+        RunConfig.from_dict(doc)
+    rc = main(["ilc", "--config", write_cfg(tmp_path, doc), "--out", str(tmp_path / "run")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"error: estimation: {key} ")
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("bad", [1.7, 2.0, True, "3", None, -1])
+def test_config_rejects_bad_seed(tmp_path, capsys, bad):
+    # the seed is a non-negative int: no float (int(1.7) would give 1), no bool
+    doc = json.loads(json.dumps(TINY))
+    doc["seed"] = bad
+    with pytest.raises(ConfigError, match="^seed: "):
+        RunConfig.from_dict(doc)
+    with pytest.raises(ConfigError, match="^seed: "):
+        RunConfig.from_dict(TINY).with_seed(bad)
+    rc = main(["ilc", "--config", write_cfg(tmp_path, doc), "--out", str(tmp_path / "run")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: seed: ")
+
+
+def test_config_seed_defaults_to_the_plant_seed():
+    # without a "seed" key the plant runs on PlantConfig's own default stream
+    doc = json.loads(json.dumps(TINY))
+    del doc["seed"]
+    cfg = RunConfig.from_dict(doc)
+    assert cfg.seed == PlantConfig().seed == 1234
+    assert cfg.plant_config().seed == 1234
+    assert RunConfig.from_dict(TINY).plant_config().seed == 42
 
 
 def test_config_defaults_parse():

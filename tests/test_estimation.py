@@ -4,12 +4,14 @@ import scipy.sparse as sp
 
 from beamilc import nlp
 from beamilc.dynamics import BeamParams, IntegrationBlowupError, fast_rollout
-from beamilc.estimation import (EstimationConfig, Record, disturbance_response,
-                                estimate_disturbance, estimate_parameters, learn_iteration,
+from beamilc.estimation import (DEFAULT_PARAM_BOX, EstimationConfig, Record,
+                                disturbance_response, estimate_disturbance,
+                                estimate_parameters, learn_iteration,
                                 _model_output, _output_sensitivity, _record_coeffs)
 from beamilc.kinematics import forward_kinematics
 from beamilc.trajectory import Trajectory
 from conftest import REFERENCE_Q0_7DOF
+from derivative_check import check_derivatives
 from reference_model import _model_init_state, dual_output_sensitivity
 
 Q0 = np.array([0.5, -0.9, 0.6])
@@ -148,11 +150,12 @@ class _Captured(Exception):
     pass
 
 
-def test_parameter_fit_equality_jacobians(chain7, free_params, monkeypatch):
-    # every equality group of the parameter fit (the gaps, the tau_e tie and
-    # the equilibrium row) against central differences, over every column,
-    # away from the solution. The wrist is tilted so that gravity loads the
-    # swing plane and the equilibrium row depends on theta_0, k, m and l
+def _fit_problem(chain7, free_params, monkeypatch):
+    """The parameter fit's NLP on a 30-sample 7-DOF record, captured unsolved.
+
+    The wrist is tilted so that gravity loads the swing plane and the
+    equilibrium row depends on theta_0, k, m and l.
+    """
     def capture(problem, opts=None):
         raise _Captured(problem)
 
@@ -166,7 +169,14 @@ def test_parameter_fit_equality_jacobians(chain7, free_params, monkeypatch):
     monkeypatch.setattr(nlp, "solve", capture)
     with pytest.raises(_Captured) as exc:
         estimate_parameters(rec, free_params, cfg)
-    problem = exc.value.args[0]
+    return exc.value.args[0]
+
+
+def test_parameter_fit_equality_jacobians(chain7, free_params, monkeypatch):
+    # every equality group of the parameter fit (the gaps, the tau_e tie and
+    # the equilibrium row) against central differences, over every column,
+    # away from the solution
+    problem = _fit_problem(chain7, free_params, monkeypatch)
     assert len(problem.eq_groups) == 3
 
     rng = np.random.default_rng(11)
@@ -175,13 +185,30 @@ def test_parameter_fit_equality_jacobians(chain7, free_params, monkeypatch):
     z0[p_cols] = free_params.as_array() * (1.0 + 0.05 * rng.standard_normal(7))
     rest_jac = problem.eq_groups[-1].eval_with_jac(z0)[1]
     assert rest_jac.shape == (1, problem.n)
-    assert np.all(rest_jac[0, [problem.x_index(0, 0), *p_cols[[0, 2, 3]]]].toarray() != 0)
+    assert np.all(rest_jac[0, [problem.block("x").offset, *p_cols[[0, 2, 3]]]].toarray() != 0)
 
-    report = nlp.check_derivatives(
+    report = check_derivatives(
         lambda z: np.concatenate([g.eval(z) for g in problem.eq_groups]),
         lambda z: sp.vstack([g.eval_with_jac(z)[1] for g in problem.eq_groups]),
         z0)
     assert report.ok(1e-6), report
+
+
+def test_parameter_fit_layout(chain7, free_params, monkeypatch):
+    # blocks x (31 substate nodes) and p, in that order; the only fixed
+    # variable is dtheta at node 0, at zero; the gaps come first
+    problem = _fit_problem(chain7, free_params, monkeypatch)
+    assert [(b.name, b.offset, b.dim) for b in problem.blocks] == [("x", 0, 124), ("p", 124, 7)]
+    lb, ub = problem.bounds()
+    np.testing.assert_array_equal(np.flatnonzero(lb == ub), [1])
+    assert lb[1] == 0.0 and problem.initial_guess()[1] == 0.0
+    np.testing.assert_array_equal(lb[:124:4], -np.pi + 1e-3)   # theta inside (-pi, pi)
+    np.testing.assert_array_equal(ub[:124:4], np.pi - 1e-3)
+    np.testing.assert_array_equal(lb[124:], DEFAULT_PARAM_BOX["lb"])
+    np.testing.assert_array_equal(ub[124:], DEFAULT_PARAM_BOX["ub"])
+    assert [type(g) for g in problem.eq_groups] == [nlp.ShootingGapGroup, nlp.LinearGroup,
+                                                    nlp.CallableGroup]
+    assert problem.eq_groups[0].dim == 30 * 4
 
 
 def test_grid_mismatch_rejected(chain3, free_params):

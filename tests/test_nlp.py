@@ -7,9 +7,10 @@ from scipy.sparse.linalg import splu
 
 from beamilc import ad, qp
 from beamilc.dynamics import state_dim
-from beamilc.nlp import (L1Term, LinearGroup, NlpProblem, ShootingProblem, SolverOptions,
-                         check_derivatives, solve)
+from beamilc.nlp import (L1Term, LinearGroup, NlpProblem, ShootingGapGroup, SolverOptions,
+                         solve)
 from beamilc.qp import solve_qp, solve_qp_ipm
+from derivative_check import check_derivatives
 
 
 # ---------------------------------------------------------------------------
@@ -309,19 +310,22 @@ def test_lqr_matches_riccati():
     def dyn(x, u, p):
         return a_c * x + b_c * u
 
-    prob = ShootingProblem(dyn, 1, n_steps, n_u=1)
-    prob.pin_state(0, [0], [1.5])
+    x_lb = np.full(n_steps + 1, -np.inf)
+    x_ub = np.full(n_steps + 1, np.inf)
+    x_lb[0] = x_ub[0] = 1.5
+    prob = shooting_problem(dyn, 1, n_steps, 1, x_lb, x_ub)
+    x_off, u_off = prob.block("x").offset, prob.block("u").offset
     rows = []
     for k in range(n_steps):
         r = np.zeros(prob.n)
-        r[prob.x_index(k)] = np.sqrt(qw)
+        r[x_off + k] = np.sqrt(qw)
         rows.append(r)
     r = np.zeros(prob.n)
-    r[prob.x_index(n_steps)] = np.sqrt(qf)
+    r[x_off + n_steps] = np.sqrt(qf)
     rows.append(r)
     for k in range(n_steps):
         r = np.zeros(prob.n)
-        r[prob.u_index(k)] = np.sqrt(rw)
+        r[u_off + k] = np.sqrt(rw)
         rows.append(r)
     prob.residual_groups.append(LinearGroup(np.array(rows), np.zeros(len(rows))))
     sol = solve(prob)
@@ -349,6 +353,15 @@ def test_lqr_matches_riccati():
 # transcription structure
 
 
+def shooting_problem(dyn, n_x, horizon, n_u, x_lb=None, x_ub=None, u_lb=None, u_ub=None):
+    """Blocks ``x`` (nodes 0..horizon) and ``u`` (nodes 0..horizon-1), and their gaps."""
+    prob = NlpProblem()
+    prob.add_block("x", (horizon + 1) * n_x, x_lb, x_ub)
+    prob.add_block("u", horizon * n_u, u_lb, u_ub)
+    prob.eq_groups.append(ShootingGapGroup(prob, dyn, n_x, horizon, n_u, np.arange(horizon)))
+    return prob
+
+
 def double_integrator(dt=0.1):
     def dyn(x, u, p):
         pos = ad.comp(x, 0)
@@ -359,16 +372,20 @@ def double_integrator(dt=0.1):
 
 
 def test_transcription_structure_counts():
-    prob = ShootingProblem(double_integrator(), 2, 1, n_u=1)
-    assert prob.n_state_nodes == 2
-    assert prob.n_control_nodes == 1
-    assert prob.gap_group.dim == 2
+    prob = shooting_problem(double_integrator(), 2, 1, 1)
+    gaps = prob.eq_groups[0]
+    assert gaps.dim == 2
     assert len(prob.eq_groups) == 1
+    # each gap row reads x_0 and u_0 through the dynamics, and -1 at x_1
+    jac = gaps.eval_with_jac(prob.initial_guess())[1].toarray()
+    assert jac.shape == (2, prob.n)
+    np.testing.assert_array_equal(jac[:, 2:4], -np.eye(2))
+    np.testing.assert_allclose(jac[:, 4], [0.005, 0.1], rtol=1e-15)
 
 
 def test_transcription_feasible_rollout_zero_gap():
     dt = 0.1
-    prob = ShootingProblem(double_integrator(dt), 2, 5, n_u=1)
+    prob = shooting_problem(double_integrator(dt), 2, 5, 1)
     rng = np.random.default_rng(4)
     u = rng.standard_normal(5)
     xs = np.zeros((6, 2))
@@ -376,16 +393,15 @@ def test_transcription_feasible_rollout_zero_gap():
     for k in range(5):
         xs[k + 1, 0] = xs[k, 0] + dt * xs[k, 1] + 0.5 * dt * dt * u[k]
         xs[k + 1, 1] = xs[k, 1] + dt * u[k]
-    prob.set_state_guess(xs)
+    prob.set_initial_guess("x", xs)
     prob.set_initial_guess("u", u)
-    gaps = prob.gap_group.eval(prob.initial_guess())
+    gaps = prob.eq_groups[0].eval(prob.initial_guess())
     np.testing.assert_allclose(gaps, 0.0, atol=1e-14)
 
 
 def test_transcription_bounds_mapped():
-    prob = ShootingProblem(double_integrator(), 2, 3, n_u=1,
-                           state_lb=[-1.0, -2.0], state_ub=[1.0, 2.0],
-                           control_lb=-5.0, control_ub=5.0)
+    prob = shooting_problem(double_integrator(), 2, 3, 1,
+                            np.tile([-1.0, -2.0], 4), np.tile([1.0, 2.0], 4), -5.0, 5.0)
     lb, ub = prob.bounds()
     x_blk = prob.block("x")
     assert lb[x_blk.offset] == -1.0 and ub[x_blk.offset + 1] == 2.0
@@ -455,14 +471,14 @@ def test_gap_group_jacobian_matches_fd(chain2, free_params):
 
     rng = np.random.default_rng(8)
     coeffs = _record_coeffs(chain2, rng.uniform(-1, 1, 2), rng.standard_normal((3, 2)), 0.01)
-    prob = ShootingProblem(_shooting_dynamics(coeffs, 0.01), 4, 3, n_p=7)
+    prob = NlpProblem()
+    prob.add_block("x", 4 * 4)
+    p_off = prob.add_block("p", 7).offset
+    gaps = ShootingGapGroup(prob, _shooting_dynamics(coeffs, 0.01), 4, 3, n_p=7)
     z = rng.standard_normal(prob.n) * 0.3
-    p_off = prob.block("p").offset
     z[p_off:p_off + 7] = free_params.as_array()
 
-    report = check_derivatives(prob.gap_group.eval,
-                               lambda zz: prob.gap_group.eval_with_jac(zz)[1],
-                               z, eps=1e-6)
+    report = check_derivatives(gaps.eval, lambda zz: gaps.eval_with_jac(zz)[1], z, eps=1e-6)
     assert report.max_rel_error < 1e-5
 
 

@@ -5,9 +5,10 @@ import pytest
 import scipy.sparse as sp
 
 from conftest import REFERENCE_Q0_7DOF
+from derivative_check import check_derivatives
 
 from beamilc import nlp, qp
-from beamilc.dynamics import BeamParams, fast_rollout, state_dim
+from beamilc.dynamics import BeamParams, equilibrium_for_rotation, fast_rollout, state_dim
 from beamilc.kinematics import (KinematicChain, forward_kinematics,
                                 orientation_error)
 from beamilc.ocp import (OcpWeights, TaskDefinition, resample_disturbance,
@@ -160,6 +161,30 @@ def test_tail_transcription_is_exact(chain3, nominal_params, plan3, monkeypatch)
         "x": (n_c + 1) * state_dim(3), "u": (n_c - 1) * 3, "y": (n_p - n_c + 1) * 6}
 
 
+def test_ocp_layout(chain3, nominal_params, monkeypatch):
+    # the fixed variables are node 0's state, at the start, and node 0's
+    # input, at zero; the equality groups are the control-horizon gaps, the
+    # tail gaps, the junction, the terminal pose and the terminal rest
+    task = TaskDefinition.from_goal_joints(chain3, Q0, Q_GOAL, n_ctrl=20, n_pred=50, dt=0.01)
+    problem = _ocp_problem(chain3, task, nominal_params, monkeypatch)
+    n, n_x = 3, state_dim(3)
+    assert [b.name for b in problem.blocks] == ["x", "u", "y"]
+    lb, ub = problem.bounds()
+    x_off, u_off = problem.block("x").offset, problem.block("u").offset
+    np.testing.assert_array_equal(np.flatnonzero(lb == ub),
+                                  np.r_[x_off + np.arange(n_x), u_off + np.arange(n)])
+    theta_0 = equilibrium_for_rotation(forward_kinematics(chain3, Q0).rotation, nominal_params)
+    x0 = np.r_[Q0, theta_0, np.zeros(n + 1), -nominal_params.k * theta_0, 0.0]
+    np.testing.assert_array_equal(lb[x_off:x_off + n_x], x0)
+    np.testing.assert_array_equal(problem.initial_guess()[x_off:x_off + n_x], x0)
+    np.testing.assert_array_equal(lb[u_off:u_off + n], 0.0)
+    assert not np.any(np.signbit(np.r_[lb[u_off:u_off + n], ub[u_off:u_off + n]]))
+    assert [type(g) for g in problem.eq_groups] == [
+        nlp.ShootingGapGroup, nlp.ShootingGapGroup, nlp.CallableGroup, nlp.CallableGroup,
+        nlp.LinearGroup]
+    assert [g.dim for g in problem.eq_groups] == [20 * n_x, 30 * 6, 6, 6, n]
+
+
 @pytest.mark.parametrize("arm", ["planar3", "seven_dof"])
 def test_junction_and_tail_jacobians(arm, chain3, chain7, nominal_params, monkeypatch):
     # away from rest: dq(n_ctrl) != 0, q(n_ctrl) off the goal, g2 off R(q)^T g.
@@ -194,7 +219,7 @@ def test_junction_and_tail_jacobians(arm, chain3, chain7, nominal_params, monkey
     def jac(zs):
         return sp.vstack([g.eval_with_jac(full(zs))[1] for g in problem.eq_groups]).tocsc()[:, cols]
 
-    report = nlp.check_derivatives(fn, jac, z0[cols])
+    report = check_derivatives(fn, jac, z0[cols])
     assert report.ok(1e-6), report
 
 
@@ -204,26 +229,27 @@ def test_control_gap_jacobian_seven_dof(chain7, nominal_params, monkeypatch):
     task = TaskDefinition.from_displacement(chain7, REFERENCE_Q0_7DOF, [0.20, 0.0, -0.20],
                                             n_ctrl=48, n_pred=144, dt=0.01)
     problem = _ocp_problem(chain7, task, nominal_params, monkeypatch)
-    gaps = problem.gap_group
+    gaps = problem.eq_groups[0]
     n, n_x = 7, state_dim(7)
+    x_off = problem.block("x").offset
     rng = np.random.default_rng(6)
     z0 = problem.initial_guess() + 0.05 * rng.standard_normal(problem.n)
     # node 46 is the last with an input variable; node 47's input is pinned
     # to zero, so it has x columns only
     nodes = np.array([1, 20, 40, 46])
-    cols = np.concatenate([problem.x_index(k) + np.arange(n_x) for k in (*nodes, 47)]
+    cols = np.concatenate([x_off + k * n_x + np.arange(n_x) for k in (*nodes, 47)]
                           + [problem.block("u").offset + k * n + np.arange(n) for k in nodes])
-    assert problem.n_control_nodes == 47
-    assert np.min(np.abs(z0[problem.x_index(20) + n + 1:problem.x_index(20) + 2 * n + 1])) > 0
+    assert problem.block("u").dim == 47 * n
+    assert np.min(np.abs(z0[x_off + 20 * n_x + n + 1:x_off + 20 * n_x + 2 * n + 1])) > 0
 
     def full(zs):
         z = z0.copy()
         z[cols] = zs
         return z
 
-    report = nlp.check_derivatives(lambda zs: gaps.eval(full(zs)),
-                                   lambda zs: gaps.eval_with_jac(full(zs))[1].tocsc()[:, cols],
-                                   z0[cols])
+    report = check_derivatives(lambda zs: gaps.eval(full(zs)),
+                               lambda zs: gaps.eval_with_jac(full(zs))[1].tocsc()[:, cols],
+                               z0[cols])
     assert report.ok(1e-6), report
 
 
