@@ -3,9 +3,15 @@
 Block-structured NLPs, the multiple-shooting gap group, and a Gauss-Newton
 SQP with an exact-l1 merit line search, Levenberg damping and slack-exact
 handling of linear l1 cost terms. The QP subproblems go through
-:mod:`beamilc.qp`. A caller lays out its own blocks with
-:meth:`NlpProblem.add_block`, pins variables through ``lb == ub`` in their
-bound arrays, and appends its own groups, gap groups included.
+:mod:`beamilc.qp`: every QP of a problem with l1 terms to the interior
+point, the others to the active set until it ends at its budget. An
+infeasible QP is re-solved in elastic form, with an l1 slack pair of weight
+``mu_merit`` on each linearized equality (Fletcher's Sl1QP, 1985; SNOPT's
+elastic mode), and the rest of that solve stays elastic; the predicted
+decrease then counts only the linearized violation the step removes. A
+caller lays out its own blocks with :meth:`NlpProblem.add_block`, pins
+variables through ``lb == ub`` in their bound arrays, and appends its own
+groups, gap groups included.
 
 Objective convention: ``0.5 * sum(r_i(z)^2) + sum(w_j |a_j' z - b_j|)``
 over the stacked residual groups and l1 terms.
@@ -34,7 +40,7 @@ from .qp import solve_qp, solve_qp_ipm
 log = logging.getLogger("beamilc.nlp")
 
 # deterministic QP effort counts in every NlpSolution.diagnostics
-QP_EFFORT = ("qp_calls", "qp_as_at_budget", "qp_ipm_calls")
+QP_EFFORT = ("qp_calls", "qp_as_at_budget", "qp_ipm_calls", "qp_elastic_calls")
 
 ARMIJO = 1e-4          # sufficient-decrease fraction of the line search
 ALPHA_MIN = 1e-8       # smallest step length tried
@@ -198,8 +204,9 @@ class NlpSolution:
     qp_gap_max: float = 0.0
     merit_history: list = field(default_factory=list)
     # the QP_EFFORT counts: qp_calls (active-set and interior-point solves),
-    # qp_as_at_budget (active-set solves that ended at max-iter, at most 1)
-    # and qp_ipm_calls; plus the worst equality rows when a QP was infeasible
+    # qp_as_at_budget (active-set solves that ended at max-iter, at most 1),
+    # qp_ipm_calls and qp_elastic_calls (QPs solved in elastic form); plus
+    # the worst equality rows when an elastic QP was infeasible
     diagnostics: dict = field(default_factory=dict)
 
     @property
@@ -279,15 +286,16 @@ def solve(problem, opts=None):
     # slack pair encoding: e_j = t+_j - t-_j, t >= 0, cost w (t+ + t-)
     n_l1 = l1_a.shape[0]
     n_sl = 2 * n_l1
+    m_eq = sum(grp.dim for grp in problem.eq_groups)   # linearized equality rows
 
-    def picks(cols, sign):
+    def picks(cols, sign, width=n + n_sl):
         """QP rows picking ``sign`` times the QP variables (decision, then slack) at ``cols``."""
         return sp.csr_matrix((np.full(cols.size, sign), (np.arange(cols.size), cols)),
-                             shape=(cols.size, n + n_sl))
+                             shape=(cols.size, width))
 
-    def widened(jac):
+    def widened(jac, width=n + n_sl):
         """``[jac | 0]``: the rows of ``jac`` over the decision and slack variables."""
-        return sp.csr_matrix((jac.data, jac.indices, jac.indptr), shape=(jac.shape[0], n + n_sl))
+        return sp.csr_matrix((jac.data, jac.indices, jac.indptr), shape=(jac.shape[0], width))
 
     # the QP's rows that no iteration changes, stacked under each iteration's
     # linearized constraints: pinned variables and l1 links; finite bounds and slack signs
@@ -296,10 +304,34 @@ def solve(problem, opts=None):
     g_fixed = sp.vstack([picks(free_fin_ub, 1.0), picks(free_fin_lb, -1.0),
                          picks(n + np.arange(n_sl), -1.0)], format="csr")
 
+    def qp_rows(elastic):
+        """The QP's constraints ``(A, b, G, h)`` at the current iterate.
+
+        Elastic ones give each linearized equality a pair ``v+ - v-``, ``v >= 0``,
+        whose columns follow the l1 slacks'.
+        """
+        n_v = 2 * m_eq if elastic else 0
+        width = n + n_sl + n_v
+        if elastic:
+            pairs = sp.identity(m_eq, format="csr")
+            lin = sp.hstack([jc, sp.csr_matrix((m_eq, n_sl)), -pairs, pairs], format="csr")
+        else:
+            lin = widened(jc)
+        return (sp.vstack([lin, widened(a_fixed, width)], format="csr"),
+                np.concatenate([-c, lb[fixed_idx] - z[fixed_idx], -e0]),
+                sp.vstack([widened(jg, width), widened(g_fixed, width),
+                           picks(n + n_sl + np.arange(n_v), -1.0, width)], format="csr"),
+                np.concatenate([-g, ub[free_fin_ub] - z[free_fin_ub],
+                                z[free_fin_lb] - lb[free_fin_lb], np.zeros(n_sl + n_v)]))
+
     lam = opts.levenberg_init
     mu_merit = 1.0
     working_set = None
-    ipm_only = False
+    # degenerate l1 slack pairs (both at zero) can make the active set cycle,
+    # so a problem with l1 terms sends every QP to the interior point
+    ipm_only = bool(problem.l1_terms)
+    # once a QP is infeasible, this and every later QP of the solve is elastic
+    elastic = False
     prev_duals = None
     qp_gap_max = 0.0
     merit_hist = []
@@ -324,11 +356,7 @@ def solve(problem, opts=None):
         grad = jr.T @ r
 
         # constraint matrices of the QP; only the Hessian depends on lambda
-        a_eq = sp.vstack([widened(jc), a_fixed], format="csr")
-        b_eq = np.concatenate([-c, lb[fixed_idx] - z[fixed_idx], -e0])
-        g_qp = sp.vstack([widened(jg), g_fixed], format="csr")
-        h_qp = np.concatenate([-g, ub[free_fin_ub] - z[free_fin_ub],
-                               z[free_fin_lb] - lb[free_fin_lb], np.zeros(n_sl)])
+        a_eq, b_eq, g_qp, h_qp = qp_rows(elastic)
 
         def nlp_stationarity(eq_duals, ineq_duals):
             vec = grad + (a_eq.T @ eq_duals)[:n] + (g_qp.T @ ineq_duals)[:n]
@@ -346,27 +374,20 @@ def solve(problem, opts=None):
         accepted = False
         step = np.zeros(n)
         jtj = (jr.T @ jr).tocsc()
-        for bump in range(6):
-            # quadratic model: H on the decision part, tiny diagonal on slacks
-            h_mat = jtj + lam * sp.identity(n, format="csc")
-            if n_sl:
-                p_qp = sp.block_diag([h_mat, SLACK_REG * sp.identity(n_sl)], format="csc")
-            else:
-                p_qp = h_mat
-            q_qp = np.concatenate([grad, l1_w, l1_w])
 
-            if working_set is None:
-                # pin the slack of the inactive side of each l1 pair
-                working_set = np.zeros(g_qp.shape[0], dtype=bool)
-                base = g_qp.shape[0] - n_sl
-                working_set[base + np.flatnonzero(e0 <= 0)] = True
-                working_set[base + n_l1 + np.flatnonzero(e0 >= 0)] = True
-
-            # on degenerate subproblems (both slacks of an l1 pair at zero)
-            # the active set may cycle; once it ends at its budget, the
-            # interior point takes this QP and every later one of the solve,
-            # and its step and multipliers are used as they are
-            if not ipm_only:
+        def solve_subproblem(h_mat):
+            """The QP with Hessian ``h_mat`` on the decision part, by the solve's routing."""
+            nonlocal working_set, ipm_only
+            n_qp = g_qp.shape[1]
+            # a tiny diagonal on the slacks; the elastic pairs cost mu_merit each
+            p_qp = (sp.block_diag([h_mat, SLACK_REG * sp.identity(n_qp - n)], format="csc")
+                    if n_qp > n else h_mat)
+            q_qp = np.concatenate([grad, l1_w, l1_w, np.full(n_qp - n - n_sl, mu_merit)])
+            diagnostics["qp_elastic_calls"] += elastic
+            if not (ipm_only or elastic):
+                # the active set may cycle; once it ends at its budget, the
+                # interior point takes this QP and every later one of the
+                # solve, and its step and multipliers are used as they are
                 qp = solve_qp(p_qp, q_qp, a_eq, b_eq, g_qp, h_qp,
                               working_set=working_set, max_iter=QP_MAX_ITER)
                 diagnostics["qp_calls"] += 1
@@ -374,10 +395,22 @@ def solve(problem, opts=None):
                 diagnostics["qp_as_at_budget"] += ipm_only
                 if qp.status == "converged":
                     working_set = qp.working_set
-            if ipm_only or qp.status == "factorization-failed":
-                qp = solve_qp_ipm(p_qp, q_qp, a_eq, b_eq, g_qp, h_qp)
-                diagnostics["qp_calls"] += 1
-                diagnostics["qp_ipm_calls"] += 1
+                if qp.status not in ("max-iter", "factorization-failed"):
+                    return qp
+            diagnostics["qp_calls"] += 1
+            diagnostics["qp_ipm_calls"] += 1
+            return solve_qp_ipm(p_qp, q_qp, a_eq, b_eq, g_qp, h_qp)
+
+        for bump in range(6):
+            # quadratic model: H on the decision part
+            h_mat = jtj + lam * sp.identity(n, format="csc")
+            qp = solve_subproblem(h_mat)
+            if qp.status == "infeasible" and not elastic:
+                # an inconsistent linearization: re-solve with each linearized
+                # equality in an l1 slack pair of weight mu_merit (Sl1QP)
+                elastic = True
+                a_eq, b_eq, g_qp, h_qp = qp_rows(elastic)
+                qp = solve_subproblem(h_mat)
             if qp.status == "converged":
                 qp_gap_max = max(qp_gap_max, qp.duality_gap)
             elif qp.status == "infeasible":
@@ -399,7 +432,7 @@ def solve(problem, opts=None):
                 continue
 
             step = qp.x[:n]
-            t_pair = qp.x[n:n + n_l1] + qp.x[n + n_l1:]
+            t_pair = qp.x[n:n + n_l1] + qp.x[n + n_l1:n + n_sl]
             prev_duals = (qp.eq_duals.copy(), qp.ineq_duals.copy())
             stationarity = nlp_stationarity(qp.eq_duals, qp.ineq_duals)
 
@@ -410,14 +443,18 @@ def solve(problem, opts=None):
 
             l1_new = float(l1_w @ t_pair)
             l1_old = float(l1_w @ np.abs(e0))
+            # the sign rows of the elastic pairs come last; their duals are
+            # mu_merit -+ the row's dual and say nothing about the merit weight
             dual_scale = max(float(np.max(np.abs(qp.eq_duals), initial=0.0)),
-                             float(np.max(qp.ineq_duals, initial=0.0)))
+                             float(np.max(qp.ineq_duals[:g_fixed.shape[0] + g.size], initial=0.0)))
             mu_merit = max(mu_merit, 1.5 * dual_scale, 1.0)
 
             viol1 = float(np.sum(np.abs(c))) + float(np.sum(np.maximum(g, 0.0)))
             model_decrease = -(float(grad @ step) + 0.5 * float(step @ (h_mat @ step))
                                + l1_new - l1_old)
-            pred = model_decrease + mu_merit * viol1
+            # the linearized violation an elastic step leaves
+            viol_left = float(np.sum(qp.x[n + n_sl:]))
+            pred = model_decrease + mu_merit * (viol1 - viol_left)
             if pred <= 1e-14 * (1.0 + abs(f_val)):
                 lam = min(lam * 10.0, LAM_MAX)
                 continue

@@ -5,11 +5,19 @@ Each iteration treats the working set as equalities, factorizes the
 quasi-definite KKT system with a sparse LU and updates the set from primal
 violations and dual signs simultaneously (Hintermüller, Ito & Kunisch,
 SIAM J. Optim. 13(3), 2002). Iterative refinement removes the effect of the
-dual regularization. On degenerate QPs the method has no convergence
-guarantee and may cycle; ``max_iter`` ends such a call with status
-``max-iter``, and the caller hands the QP to ``solve_qp_ipm``. Warm starting
-with a previous working set makes repeated solves (SQP, learning
-iterations) cheap.
+dual regularization. On inconsistent equalities the regularized KKT settles
+on a least-squares point; a settled working set whose equality residual is
+past ``TOL_EQ`` ends the call ``infeasible``. On degenerate QPs the method
+has no convergence guarantee and may cycle; ``max_iter`` ends such a call
+with status ``max-iter``, and the caller hands the QP to ``solve_qp_ipm``.
+Warm starting with a previous working set makes repeated solves (SQP,
+learning iterations) cheap.
+
+``solve_qp_ipm`` starts from one affine-scaling step away from a fixed
+point (Nocedal & Wright, Numerical Optimization, 2nd ed., §16.6): x and
+the equality multipliers take it in full, and each slack and inequality
+multiplier becomes ``max(1, |v + dv|)``. That costs one factorization and
+saves several iterations.
 
 The KKT factorization uses static pivoting with iterative refinement
 (Li & Demmel, ACM TOMS 29(2), 2003). It first factors with diagonal
@@ -43,6 +51,7 @@ BACKWARD_TOL = 1e-14   # normwise backward error a diagonal-pivot solve must rea
 REFINE_STEPS = 2       # refinement steps after a partial-pivoting factorization
 TOL_PRIMAL = 1e-10     # inequality violation that adds a row to the working set
 TOL_DUAL = 1e-10       # negative multiplier that drops a row from the working set
+TOL_EQ = 1e-8          # equality residual, relative to 1 + max|b|, of a settled working set
 REG = 1e-11            # dual regularization of the KKT systems
 IPM_MAX_ITER = 150     # interior-point iteration budget
 IPM_TOL = 1e-11        # interior-point residual and gap tolerance, relative to the data
@@ -68,7 +77,7 @@ class QpSolution:
     objective: float
     duality_gap: float
     primal_infeasibility: float
-    status: str                  # converged | max-iter | factorization-failed
+    status: str                  # converged | max-iter | factorization-failed | infeasible
     iterations: int
     working_set: np.ndarray      # boolean mask over inequality rows
 
@@ -205,7 +214,11 @@ def solve_qp(p_mat, q, a_eq=None, b_eq=None, g_ineq=None, h_ineq=None, *,
         violated = (~active) & (slack > TOL_PRIMAL)
         negative = active & (mu < -TOL_DUAL)
         if not violated.any() and not negative.any():
-            status = "converged"
+            # the regularized KKT solves inconsistent equalities in a least-squares
+            # sense; a residual left past the tolerance means there is no feasible point
+            r_eq = float(np.max(np.abs(a_eq @ x - b_eq), initial=0.0))
+            feasible = r_eq <= TOL_EQ * (1.0 + float(np.max(np.abs(b_eq), initial=0.0)))
+            status = "converged" if feasible else "infeasible"
             break
 
         active = (active & ~negative) | violated
@@ -295,7 +308,8 @@ def solve_qp_ipm(p_mat, q, a_eq=None, b_eq=None, g_ineq=None, h_ineq=None):
     block, so the factorized system stays at ``n + m_eq``; its barrier
     weights ``mu / s`` are not clipped, and each Newton solve is refined.
     The reduced KKT keeps one pattern and column order for the whole call
-    (:class:`_ReducedKkt`). Stops when the dual, equality and inequality
+    (:class:`_ReducedKkt`); its first factorization serves the affine-scaling
+    start (module docstring). Stops when the dual, equality and inequality
     residuals (max-norm) and the mean complementarity ``s'mu / m_ineq`` are
     all below ``IPM_TOL`` times ``1 + max(|q|, |h|, |b|)`` of the
     cost-scaled data. On an infeasible QP it stops at its last finite
@@ -318,14 +332,16 @@ def solve_qp_ipm(p_mat, q, a_eq=None, b_eq=None, g_ineq=None, h_ineq=None):
 
     status = "max-iter"
     it = 0
-    for it in range(1, IPM_MAX_ITER + 1):
+    # iteration 0 moves the start: one affine-scaling step from the point above
+    for it in range(IPM_MAX_ITER + 1):
         r_d = p_mat @ x + q + a_eq.T @ nu + g_ineq.T @ mu
         r_p = a_eq @ x - b_eq
         r_g = g_ineq @ x + s - h_ineq
         gap = float(s @ mu) / mi
 
-        if (max(np.max(np.abs(r_d)), np.max(np.abs(r_g)), np.max(np.abs(r_p), initial=0.0))
-                < IPM_TOL * scale and gap < IPM_TOL * scale):
+        if (it and max(np.max(np.abs(r_d)), np.max(np.abs(r_g)),
+                       np.max(np.abs(r_p), initial=0.0)) < IPM_TOL * scale
+                and gap < IPM_TOL * scale):
             status = "converged"
             break
 
@@ -349,6 +365,12 @@ def solve_qp_ipm(p_mat, q, a_eq=None, b_eq=None, g_ineq=None, h_ineq=None):
 
         # predictor
         dx, dnu, ds, dmu = solve_dir(0.0, 0.0)
+        if it == 0:
+            # full step in x and nu; s and mu keep their new magnitudes, at least 1
+            if all(np.all(np.isfinite(v)) for v in (dx, dnu, ds, dmu)):
+                x, nu = x + dx, nu + dnu
+                s, mu = np.maximum(np.abs(s + ds), 1.0), np.maximum(np.abs(mu + dmu), 1.0)
+            continue
 
         def step_len(v, dv):
             neg = dv < 0

@@ -318,7 +318,8 @@ def test_learned_model_serializable(chain3, free_params):
     assert doc["statuses"]["parameters"] == "converged"
     for fit in ("parameters", "disturbance"):
         effort = doc["statuses"][f"{fit}_effort"]
-        assert set(effort) == {"iterations", "qp_calls", "qp_as_at_budget", "qp_ipm_calls"}
+        assert set(effort) == {"iterations", "qp_calls", "qp_as_at_budget", "qp_ipm_calls",
+                               "qp_elastic_calls"}
         assert effort["iterations"] >= 1 and effort["qp_calls"] >= 1
     assert doc["statuses"]["parameters_condition"] > 1.0
 

@@ -7,8 +7,8 @@ from scipy.sparse.linalg import splu
 
 from beamilc import ad, qp
 from beamilc.dynamics import state_dim
-from beamilc.nlp import (L1Term, LinearGroup, NlpProblem, ShootingGapGroup, SolverOptions,
-                         solve)
+from beamilc.nlp import (CallableGroup, L1Term, LinearGroup, NlpProblem, ShootingGapGroup,
+                         SolverOptions, solve)
 from beamilc.qp import solve_qp, solve_qp_ipm
 from derivative_check import check_derivatives
 
@@ -148,6 +148,21 @@ def test_qp_ipm_reports_infeasible():
         assert np.all(np.isfinite(sol.x)) and np.all(np.isfinite(sol.ineq_duals))
 
 
+def test_qp_reports_inconsistent_equalities():
+    # x = 0 and x = 1: the regularized KKT settles on x = 1/2, which no
+    # solver may call converged, with or without a bound x <= 2
+    eqs = (sp.identity(1, format="csc"), np.zeros(1), sp.csr_matrix(np.ones((2, 1))),
+           np.array([0.0, 1.0]))
+    sol = solve_qp(*eqs)
+    assert sol.status == "infeasible"
+    assert sol.iterations == 1
+    assert sol.primal_infeasibility == pytest.approx(0.5)
+    for solver in (solve_qp, solve_qp_ipm):
+        sol = solver(*eqs, sp.csr_matrix(np.ones((1, 1))), np.array([2.0]))
+        assert sol.status == "infeasible"
+        assert sol.primal_infeasibility == pytest.approx(0.5, abs=1e-5)
+
+
 def estimation_shaped_qp(n_nodes=60, n_x=4, n_p=3, seed=0):
     """Gauss-Newton QP of a shooting fit: gap equalities, dense parameter columns."""
     rng = np.random.default_rng(seed)
@@ -261,6 +276,28 @@ def test_l1_with_active_bound():
     sol = solve(prob)
     assert sol.converged
     assert sol.variables["v"][0] == pytest.approx(2.0, abs=1e-9)
+
+
+def test_elastic_mode_on_inconsistent_linearization():
+    # z0^2 = 1 has a zero gradient at the start z0 = 0, so the first QP's
+    # linearized row 0 * dz0 = 1 is inconsistent; the solve goes on in
+    # elastic form, with that row in an l1 slack pair, and reaches z = (1, 2)
+    def circle(z):
+        return np.array([z[0] ** 2 - 1.0]), sp.csr_matrix(np.array([[2.0 * z[0], 0.0]]))
+
+    prob = NlpProblem()
+    prob.add_block("z", 2)
+    prob.residual_groups.append(LinearGroup(np.array([[1.0, 0.0]]), np.array([0.5])))
+    prob.l1_terms.append(L1Term(sp.csr_matrix(np.array([[0.0, 1.0]])),
+                                np.array([2.0]), np.array([1.0])))
+    prob.eq_groups.append(CallableGroup(1, lambda z: circle(z)[0], circle))
+    sol = solve(prob)
+    assert sol.converged
+    np.testing.assert_allclose(sol.variables["z"], [1.0, 2.0], rtol=0, atol=1e-9)
+    effort = sol.qp_effort
+    assert effort["qp_elastic_calls"] >= 1
+    assert effort["qp_calls"] == effort["qp_ipm_calls"] > effort["qp_elastic_calls"]
+    assert "worst_equality_rows" not in sol.diagnostics
 
 
 class RosenbrockGroup:

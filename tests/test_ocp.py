@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -269,6 +267,25 @@ def test_equality_jacobian_pattern_is_fixed(chain7, nominal_params, monkeypatch)
     np.testing.assert_array_equal(j0.indices, j1.indices)
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", range(12))
+def test_seeded_cold_starts_seven_dof(seed, chain7, nominal_params):
+    # the criterion-3 task from a start offset by up to 0.05 rad per joint;
+    # on about half of these starts the first QP's linearization is
+    # inconsistent, and the solve goes on in elastic form
+    q0 = REFERENCE_Q0_7DOF + np.random.default_rng(seed).uniform(-0.05, 0.05, 7)
+    task = TaskDefinition.from_displacement(chain7, q0, [0.20, 0.0, -0.20],
+                                            n_ctrl=48, n_pred=144, dt=0.01)
+    plan = solve_ptp_ocp(chain7, task, nominal_params)
+    assert plan.solution.converged
+    assert not plan.fell_back
+    pose = forward_kinematics(chain7, plan.states[task.n_ctrl, :7])
+    assert np.linalg.norm(pose.position - task.goal_position) < 1e-6
+    assert np.linalg.norm(orientation_error(pose.rotation, task.goal_rotation)) < 1e-6
+    assert np.max(np.abs(plan.states[task.n_ctrl, 8:15])) < 1e-8
+    assert max(plan.limit_violations(chain7, task).values()) <= 1e-9
+
+
 def test_interior_point_kkt_refill_matches_assembly(chain7, nominal_params, monkeypatch):
     # the interior point's reduced KKT of a 7-DOF QP, refilled through its
     # index map, stores the entries a block assembly stores, explicit zeros
@@ -283,7 +300,8 @@ def test_interior_point_kkt_refill_matches_assembly(chain7, nominal_params, monk
     def capture(*args, **kwargs):
         raise _Captured(args)
 
-    monkeypatch.setattr(nlp, "solve_qp", capture)
+    # the plan has l1 terms, so its first QP goes to the interior point
+    monkeypatch.setattr(nlp, "solve_qp_ipm", capture)
     with pytest.raises(_Captured) as exc:
         nlp.solve(problem)
     _, p_mat, _, a_eq, _, g_ineq, _ = qp._scaled(*exc.value.args[0])
@@ -315,12 +333,14 @@ def test_warm_start_converges_fast(chain3, nominal_params, plan3):
     assert warm.solution.iterations <= 3
 
 
-def test_qp_budget_keeps_the_answer(chain3, nominal_params, plan3, monkeypatch):
-    # a warm replan with a stiffer model: its first active-set QP does not
-    # settle, at the budget or at 60 iterations, and the interior point takes
-    # that QP and every later one
-    task, plan = plan3
-    stiffer = dataclasses.replace(nominal_params, k=1.05 * nominal_params.k)
+def test_qp_budget_keeps_the_answer(chain3, nominal_params, monkeypatch):
+    # a cold plan without l1 terms, so the active set runs first: its first
+    # QP, whose linearization is inconsistent, does not settle at the budget
+    # or at 60 iterations, and the interior point takes that QP, its elastic
+    # re-solve and every later one
+    task = TaskDefinition.from_goal_joints(chain3, Q0, [0.5, -0.4, 1.1],
+                                           n_ctrl=48, n_pred=60, dt=0.01)
+    no_l1 = OcpWeights(rho1=0.0, rho2=0.0, rho3=0.0)
     calls = []
     solve_qp = nlp.solve_qp
 
@@ -331,23 +351,23 @@ def test_qp_budget_keeps_the_answer(chain3, nominal_params, plan3, monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(nlp, "solve_qp", recording_solve_qp)
-        replan = solve_ptp_ocp(chain3, task, stiffer, u_prev=plan.u.data)
+        plan = solve_ptp_ocp(chain3, task, nominal_params, weights=no_l1)
     budget = nlp.QP_MAX_ITER
-    assert replan.solution.converged
+    assert plan.solution.converged
     assert all(it <= budget for status, it in calls if status == "converged")
     assert calls[-1] == ("max-iter", budget)
     assert sum(status == "max-iter" for status, _ in calls) == 1
-    effort = replan.solution.qp_effort
+    effort = plan.solution.qp_effort
     assert effort["qp_as_at_budget"] == 1
     assert effort["qp_ipm_calls"] >= 1
     assert effort["qp_calls"] == len(calls) + effort["qp_ipm_calls"]
 
     with monkeypatch.context() as m:
         m.setattr(nlp, "QP_MAX_ITER", 60)
-        ref = solve_ptp_ocp(chain3, task, stiffer, u_prev=plan.u.data)
-    assert ref.solution.iterations == replan.solution.iterations
+        ref = solve_ptp_ocp(chain3, task, nominal_params, weights=no_l1)
+    assert ref.solution.iterations == plan.solution.iterations
     for name, value in ref.solution.variables.items():
-        np.testing.assert_array_equal(replan.solution.variables[name], value)
+        np.testing.assert_array_equal(plan.solution.variables[name], value)
 
 
 # ---------------------------------------------------------------------------
