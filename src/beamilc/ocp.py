@@ -21,6 +21,12 @@ arm's closed-form stages (it is a double integrator), in one chain pass
 over the four stages stacked on a leading axis; for the Jacobian that pass
 runs on the seed directions of the node's ``q``, ``dq`` and ``u`` only,
 the ones the frame terms depend on. In the tail the frame rests.
+
+A cold solve starts from a rest-to-rest move in joint space: the goal
+configuration from a damped Gauss-Newton on the terminal pose error, and
+the inputs that take the double integrator there at rest at node
+``n_ctrl`` at least cost under the arm's own quadratic terms. The SQP then
+starts near the answer, and its linearizations stay consistent.
 """
 from __future__ import annotations
 
@@ -35,6 +41,9 @@ from .dynamics import (NO_ROTATION, arm_rk4_stages, equilibrium_for_rotation, fa
 from .kinematics import (GRAVITY, _check_rotation, forward_kinematics, frame_state,
                          orientation_error)
 from .trajectory import Trajectory
+
+IK_ITERS = 30          # Gauss-Newton steps of the cold start's goal configuration
+IK_DAMPING = 1e-6      # their Levenberg damping: steps stay bounded near singular poses
 
 
 @dataclass(frozen=True)
@@ -154,13 +163,71 @@ def resample_disturbance(d, dt_new, n_new):
     return Trajectory(dt_new, out[:, None], ("d",))
 
 
-def _terminal_pose_group(problem, chain, node, goal_pos, goal_rot, n, n_x):
-    """Six equality rows: end-effector position and orientation at ``node``."""
-    def pose_error(q):
+def _pose_error(chain, goal_pos, goal_rot):
+    """The end-effector's position and orientation error from a goal pose, as a function of q.
+
+    The function takes plain arrays and duals alike, and returns six entries.
+    """
+    def error(q):
         res = frame_state(chain, q, None, None)
         return ad.concat_last([res["p"] - goal_pos, orientation_error(res["R"], goal_rot)])
 
-    return nlp.dual_group(6, problem.block("x").offset + node * n_x + np.arange(n), pose_error)
+    return error
+
+
+def _terminal_pose_group(problem, chain, node, goal_pos, goal_rot, n, n_x):
+    """Six equality rows: end-effector position and orientation at ``node``."""
+    return nlp.dual_group(6, problem.block("x").offset + node * n_x + np.arange(n),
+                          _pose_error(chain, goal_pos, goal_rot))
+
+
+def _goal_configuration(chain, task):
+    """Damped Gauss-Newton on the terminal pose error from ``task.q0``, inside the joint box.
+
+    An unreachable pose leaves the last of ``IK_ITERS`` iterates.
+    """
+    n = chain.n_joints
+    pose_error = _pose_error(chain, task.goal_position, task.goal_rotation)
+    q = task.q0.copy()
+    for _ in range(IK_ITERS):
+        err = pose_error(ad.seed(q, n, 0))
+        jac = err.dot
+        step = np.linalg.solve(jac.T @ jac + IK_DAMPING * np.eye(n), -jac.T @ err.val)
+        q = np.clip(q + step, chain.q_min, chain.q_max)
+        if np.max(np.abs(step)) < 1e-15:    # at rounding level
+            break
+    return q
+
+
+def _rest_to_rest_input(chain, task, weights, q_goal):
+    """Inputs of nodes 0..n_ctrl-2 that bring the arm to rest at ``q_goal`` at node ``n_ctrl``.
+
+    Per joint, they minimize the OCP's arm-only quadratics (``q_state`` on
+    q, ``r1``, ``r2`` with the last step onto the zero tail) subject to the
+    double integrator's q and dq at node ``n_ctrl``, node 0's input pinned
+    to zero: one equality-constrained least squares, solved by ``lstsq`` so
+    that zero weights give the minimum-norm input.
+    """
+    n, n_c, dt = chain.n_joints, task.n_ctrl, task.dt
+    n_un = n_c - 1
+    u = np.zeros((n_un, n))
+    if n_un < 2:      # node 0's input, pinned, is the only one
+        return u
+    # q(k) - q0 of the double integrator under inputs 1..n_ctrl-2, k = 0..n_ctrl;
+    # at node n_ctrl, dq is dt times their sum
+    k = np.arange(n_c + 1)[:, None]
+    i = np.arange(1, n_un)[None, :]
+    reach_q = np.where(i < k, dt * dt * (k - i - 0.5), 0.0)
+    ends = np.vstack([reach_q[-1], np.full(n_un - 1, dt)])
+    steps = (np.eye(n_un, k=1) - np.eye(n_un))[:, 1:]
+    w_q = weights.state_diag(n)[:n]
+    for j in range(n):
+        hess = (w_q[j] * reach_q.T @ reach_q + weights.r1 * np.eye(n_un - 1)
+                + weights.r2 * steps.T @ steps)
+        kkt = np.block([[hess, ends.T], [ends, np.zeros((2, 2))]])
+        rhs = np.r_[np.zeros(n_un - 1), q_goal[j] - task.q0[j], 0.0]
+        u[1:, j] = np.linalg.lstsq(kkt, rhs)[0][:n_un - 1]
+    return u
 
 
 def _rest_gravity(chain, q, m=None):
@@ -198,8 +265,11 @@ def solve_ptp_ocp(chain, task, params, d=None, u_prev=None, weights=None, opts=N
     the OCP grid, at least n_pred samples long (None for zero). ``u_prev``,
     an array of inputs on the OCP grid, warm starts the solve with its rows
     1..n_ctrl-2; those rows, zero elsewhere, are the fallback on solver
-    failure. ``opts`` maps ``nlp.SolverOptions`` fields to overrides of this
-    solve's defaults.
+    failure. Without it the solve starts cold from a rest-to-rest move to
+    the goal configuration, and falls back to the zero input, the arm
+    resting at ``task.q0``: a failed cold plan never executes its guess.
+    ``opts`` maps ``nlp.SolverOptions`` fields to overrides of this solve's
+    defaults.
 
     Variable blocks: ``"x"`` holds the full state at nodes 0..n_ctrl,
     ``"u"`` the inputs of nodes 0..n_ctrl-2 (node 0's pinned to zero), and
@@ -320,11 +390,16 @@ def solve_ptp_ocp(chain, task, params, d=None, u_prev=None, weights=None, opts=N
         problem.l1_terms.append(nlp.L1Term(-params.k * a1 - params.c * a2, tau_f - d_arr[ks],
                                            weights.rho3 * gam))
 
-    # warm start: the previous plan's free inputs, else zero; states from a rollout
-    u_guess = np.zeros((n_p, n))
+    # warm start: the previous plan's free inputs; cold start: a rest-to-rest
+    # move to the goal configuration. States come from a rollout
+    u_fallback = np.zeros((n_p, n))
     if u_prev is not None:
         rows = np.asarray(u_prev, dtype=float)[1:n_c - 1]
-        u_guess[1:1 + len(rows)] = rows
+        u_fallback[1:1 + len(rows)] = rows
+        u_guess = u_fallback
+    else:
+        u_guess = np.zeros((n_p, n))
+        u_guess[:n_un] = _rest_to_rest_input(chain, task, weights, _goal_configuration(chain, task))
     xs_guess, _ = fast_rollout(chain, x0, u_guess, params, d_arr, dt)
     problem.set_initial_guess("x", xs_guess[:n_c + 1])
     g2_guess = np.tile(_rest_gravity(chain, xs_guess[n_c, :n]), (n_tail, 1))
@@ -334,10 +409,11 @@ def solve_ptp_ocp(chain, task, params, d=None, u_prev=None, weights=None, opts=N
     sol = nlp.solve(problem, nlp.SolverOptions(**{"max_iter": 150, **(opts or {})}))
 
     # a feasible plan is executable even when optimality stalled; only an
-    # infeasible iterate forces the fallback to the previous input
+    # infeasible iterate forces the fallback to the previous input, or to rest
     fell_back = sol.constraint_violation > 1e-6
     if fell_back:
-        u_full, xs = u_guess, xs_guess
+        u_full = u_fallback
+        xs, _ = fast_rollout(chain, x0, u_full, params, d_arr, dt)
     else:
         u_full = np.zeros((n_p, n))
         u_var = sol.variables["u"].reshape(n_un, n)
