@@ -15,7 +15,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .config import ConfigError, RunConfig
+from .config import ConfigError, RunConfig, load_json
 from .dynamics import PARAM_NAMES, PARAM_UNITS, BeamParams
 from .estimation import learn_iteration
 from .ilc import run_ilc
@@ -96,8 +96,7 @@ def cmd_estimate(args):
 
 def _model_params(path):
     """The parameters in a model JSON's ``"params"`` object."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = load_json(path)
     try:
         return BeamParams(**doc["params"])
     except (KeyError, TypeError) as exc:

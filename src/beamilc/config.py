@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import inspect
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +37,34 @@ SECTIONS = ("seed", "out_dir", "chain", "beam", "prior", "sensing", "task",
 
 class ConfigError(ValueError):
     pass
+
+
+def _finite_number(text):
+    """A JSON number, which must not overflow to an infinity (``1e999``)."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text}")
+    return value
+
+
+def _no_constant(name):
+    raise ValueError(f"non-finite number {name}")
+
+
+def load_json(path):
+    """The JSON document in ``path``.
+
+    A malformed file or a non-finite number (``NaN``, ``Infinity``,
+    ``-Infinity``, or one that overflows) raises a ``ConfigError`` naming
+    the file.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh, parse_float=_finite_number, parse_constant=_no_constant)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+        except ValueError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
 
 
 def _reject_unknown_keys(section, d, allowed):
@@ -75,12 +104,7 @@ class RunConfig:
 
     @staticmethod
     def load(path):
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-        return RunConfig.from_dict(doc)
+        return RunConfig.from_dict(load_json(path))
 
     @staticmethod
     def from_dict(doc):

@@ -11,9 +11,12 @@ The arm's RK4 stages follow in closed form from its input
 (:func:`arm_rk4_stages`), so only the beam-and-sensing substate
 ``(theta, dtheta, tau_hat, tau_e)`` is integrated, by
 :func:`substate_rk4_step` over the frame terms of the four stages from
-:func:`plane_frame_coeffs`. :func:`pendulum_accel` is the one pendulum
-equation: the rollout, both fits, the OCP (on duals of its decision
-variables), the single-pendulum plant and the equilibrium solve all use it.
+:func:`plane_frame_coeffs`. The frame's rotation enters the pendulum
+through one 2x2 block, ``m_rot``, the sum of the angular-acceleration and
+angular-velocity blocks, which each evaluation projects once.
+:func:`pendulum_accel` is the one pendulum equation: the rollout, both
+fits, the OCP (on duals of its decision variables), the single-pendulum
+plant and the equilibrium solve all use it.
 """
 from __future__ import annotations
 
@@ -29,7 +32,7 @@ PARAM_NAMES = ("k", "c", "m", "l", "a", "b", "tau_e0")
 PARAM_UNITS = ("N*m/rad", "N*m*s/rad", "kg", "m", "1/s", "1/s", "N*m")
 
 
-# the m_dw and m_ww blocks of plane_frame_coeffs for a frame that does not rotate
+# the m_rot block of plane_frame_coeffs for a frame that does not rotate
 NO_ROTATION = np.zeros((2, 2))
 
 
@@ -192,10 +195,13 @@ def plane_frame_coeffs(chain, q, dq, ddq):
     """Swing-plane projections of the frame {b} motion, batched and dual-transparent.
 
     Returns trailing dims: ``g2`` (.., 2) the in-plane part of
-    R^T (g - p_ddot); ``m_dw``, ``m_ww``, ``m_w`` (.., 2, 2) the in-plane
-    blocks of R^T S(w_dot) R, R^T S(w) S(w) R and R^T S(w) R. Everything a
-    pendulum (or chain of pendulums) on frame {b} needs. With
-    ``v_b = R^T v``, ``R^T S(v) R = S(v_b)`` and ``S(w)^2 = w w^T - |w|^2 I``.
+    R^T (g - p_ddot); ``m_rot``, ``m_w`` (.., 2, 2) the in-plane blocks of
+    R^T S(w_dot) R + R^T S(w) S(w) R and of R^T S(w) R. Everything a
+    pendulum (or chain of pendulums) on frame {b} needs: both equations use
+    the first two blocks only through their sum. With ``v_b = R^T v``,
+    ``R^T S(v) R = S(v_b)`` and ``S(w)^2 = w w^T - |w|^2 I``, so ``m_rot``'s
+    symmetric part is the in-plane ``S(w_b)^2`` and its antisymmetric part
+    ``S(w_dot_b)``.
     """
     fr = frame_state(chain, q, dq, ddq)
     rt = ad.mtranspose(fr["R"])
@@ -207,32 +213,31 @@ def plane_frame_coeffs(chain, q, dq, ddq):
     def mat(a, b, c, d):    # [[a, b], [c, d]]
         return ad.stack_last([ad.stack_last([a, c]), ad.stack_last([b, d])])
 
-    return {"g2": g2, "m_dw": mat(zero, -dwz, dwz, zero),
-            "m_ww": mat(-(wy * wy + wz * wz), wx * wy, wx * wy, -(wx * wx + wz * wz)),
+    wxy = wx * wy
+    return {"g2": g2,
+            "m_rot": mat(-(wy * wy + wz * wz), wxy - dwz, wxy + dwz, -(wx * wx + wz * wz)),
             "m_w": mat(zero, -wz, wz, zero)}
 
 
-def pendulum_accel(theta, dtheta, k, c, m, l, g2, m_dw, m_ww):
+def pendulum_accel(theta, dtheta, k, c, m, l, g2, m_rot):
     """Angular acceleration of the pendulum on frame {b}: the model's equation.
 
     Spring and damper, the in-plane gravity-minus-frame-acceleration
-    ``g2`` and the rotation blocks ``m_dw``, ``m_ww`` of
-    :func:`plane_frame_coeffs`, component axes first. At rest
-    (``dtheta = 0``, ``m_dw = m_ww =`` :data:`NO_ROTATION`,
-    ``g2 = (R^T g)[:2]``) it is zero at the equilibrium angle. Floats,
-    arrays and duals run through it.
+    ``g2`` and the rotation block ``m_rot`` of :func:`plane_frame_coeffs`,
+    component axes first. At rest (``dtheta = 0``, ``m_rot =``
+    :data:`NO_ROTATION`, ``g2 = (R^T g)[:2]``) it is zero at the
+    equilibrium angle. Floats, arrays and duals run through it.
     """
     # scalar loops keep libm's sine, whose last bits numpy's need not match
     if isinstance(theta, float):
         st, ct = math.sin(theta), math.cos(theta)
     else:
         st, ct = ad.sin(theta), ad.cos(theta)
-    # r = (ct, st), r' = (-st, ct); r'^T M r expanded on the 2x2 blocks
-    def proj(mm):
-        return (-st * ct * mm[0, 0] - st * st * mm[0, 1]
-                + ct * ct * mm[1, 0] + ct * st * mm[1, 1])
+    # r = (ct, st), r' = (-st, ct); r'^T M r expanded on the 2x2 block
+    proj = (-st * ct * m_rot[0, 0] - st * st * m_rot[0, 1]
+            + ct * ct * m_rot[1, 0] + ct * st * m_rot[1, 1])
     term_g = (-st * g2[0] + ct * g2[1]) / l
-    return -(k * theta + c * dtheta) / (m * l * l) + term_g - proj(m_dw) - proj(m_ww)
+    return -(k * theta + c * dtheta) / (m * l * l) + term_g - proj
 
 
 def substate_rk4_step(y, p, coeffs, d, h):
@@ -244,11 +249,11 @@ def substate_rk4_step(y, p, coeffs, d, h):
     the node axes and :mod:`beamilc.ad` duals all run through it.
     """
     k, c, m, l, _, _ = _params_tuple(p)
-    g2, m_dw, m_ww = coeffs["g2"], coeffs["m_dw"], coeffs["m_ww"]
+    g2, m_rot = coeffs["g2"], coeffs["m_rot"]
 
     def f(s, y):
         theta, dtheta, tau_hat, tau_e = y
-        ddtheta = pendulum_accel(theta, dtheta, k, c, m, l, g2[s], m_dw[s], m_ww[s])
+        ddtheta = pendulum_accel(theta, dtheta, k, c, m, l, g2[s], m_rot[s])
         dtau_hat, dtau_e = measurement_dynamics(
             tau_hat, reaction_torque(theta, dtheta, p, d), tau_e, p)
         return (dtheta, ddtheta, dtau_hat, dtau_e)
@@ -310,7 +315,7 @@ def equilibrium_for_rotation(rb, p, tol=1e-12):
     k, m, l = p.k, p.m, p.l
 
     def f(th):
-        return pendulum_accel(th, 0.0, k, p.c, m, l, g_b, NO_ROTATION, NO_ROTATION)
+        return pendulum_accel(th, 0.0, k, p.c, m, l, g_b, NO_ROTATION)
 
     def fprime(th):
         return -k / (m * l * l) + (-math.cos(th) * g_b[0] - math.sin(th) * g_b[1]) / l

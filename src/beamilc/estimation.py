@@ -174,7 +174,7 @@ def _rest_residual(rb0, theta, p):
     """The pendulum equation at rest in the frame orientation ``rb0``; zero at equilibrium."""
     k, c, m, l, _, _ = _params_tuple(p)
     g2 = ad.matvec(ad.mtranspose(rb0), GRAVITY)[:2]
-    return pendulum_accel(theta, 0.0, k, c, m, l, g2, NO_ROTATION, NO_ROTATION)
+    return pendulum_accel(theta, 0.0, k, c, m, l, g2, NO_ROTATION)
 
 
 def _record_coeffs(chain, q0, u_data, dt):

@@ -16,15 +16,21 @@ groups, gap groups included.
 Objective convention: ``0.5 * sum(r_i(z)^2) + sum(w_j |a_j' z - b_j|)``
 over the stacked residual groups and l1 terms.
 
-Every sparse pattern comes from an index map made once. A shooting gap
-group maps each node's seed directions ``(x_k, u_k, p)`` to their columns
-in its constructor, and scatters the dual's whole derivative through that
-map. :func:`dual_group` seeds a fixed column list and stores every entry of
-its dense block. :func:`solve` builds the QP's constant rows (pinned variables
-and l1 links; finite bounds and slack signs) once per solve and stacks
-each iteration's linearized constraints on top. The explicit zeros of the
-dual Jacobians are kept: they fix the KKT pattern, and with it the LU's
-fill and pivots.
+Every sparse pattern comes from an index map made once; later calls only
+refill values. A shooting gap group maps each node's seed directions
+``(x_k, u_k, p)`` to their columns in its constructor, and fixes there its
+Jacobian's CSR pattern and the order in which each stored entry is
+gathered from the dual's derivative. :func:`dual_group` seeds a fixed
+column list, stores every entry of its dense block and fixes its pattern
+the same way. :func:`solve` stacks the groups' Jacobians in a pattern made
+at its first iteration, and makes the QP's constraint matrices there too:
+the linearized constraints over the constant rows (pinned variables and l1
+links; finite bounds and slack signs), each iteration refilling them. It
+makes them again once if elastic mode widens them, or if a group's
+Jacobian changes its pattern. One :class:`beamilc.qp.KktWorkspace` per
+solve carries the QPs' KKT maps from one QP to the next. The explicit
+zeros of the dual Jacobians are kept: they fix the KKT pattern, and with it
+the LU's fill and pivots.
 """
 from __future__ import annotations
 
@@ -35,7 +41,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import ad
-from .qp import solve_qp, solve_qp_ipm
+from .qp import KktWorkspace, pattern_of, same_pattern, solve_qp, solve_qp_ipm
 
 log = logging.getLogger("beamilc.nlp")
 
@@ -97,14 +103,22 @@ def dual_group(dim, cols, fn):
     """Group ``fn(z[cols])`` whose Jacobian comes from seeding ``z[cols]``.
 
     ``fn`` maps a plain array to ``dim`` values and a dual to their dual;
-    every one of the ``dim x len(cols)`` entries is stored.
+    every one of the ``dim x len(cols)`` entries is stored. The CSR pattern
+    is fixed here: each row stores the distinct ``cols`` in ascending
+    order, and a call gathers the dual's dot into it.
     """
     cols = np.asarray(cols)
-    rows = np.repeat(np.arange(dim), cols.size)
+    if np.unique(cols).size != cols.size:
+        raise ValueError("dual_group columns must be distinct")
+    order = np.argsort(cols)
+    slots = (np.arange(dim)[:, None] * cols.size + order).ravel()
+    pattern = sp.csr_matrix((np.zeros(slots.size), np.tile(cols[order], dim),
+                             np.arange(dim + 1) * cols.size), shape=(dim, cols.max(initial=0) + 1))
 
     def fn_jac(z):
         r = fn(ad.seed(z[cols], cols.size, 0))
-        jac = sp.csr_matrix((r.dot.ravel(), (rows, np.tile(cols, dim))), shape=(dim, z.size))
+        jac = sp.csr_matrix((r.dot.ravel()[slots], pattern.indices, pattern.indptr),
+                            shape=(dim, z.size))
         return np.ravel(r.val), jac
 
     return CallableGroup(dim, lambda z: np.ravel(fn(z[cols])), fn_jac)
@@ -237,22 +251,63 @@ class SolverOptions:
 # evaluation helpers
 
 
-def _eval_groups(groups, z, with_jac):
-    vals = []
-    jacs = []
-    for g in groups:
-        if with_jac:
+def _eval_groups(groups, z):
+    """The stacked values of ``groups`` at ``z``."""
+    return np.concatenate([np.zeros(0)] + [np.asarray(g.eval(z), dtype=float).ravel()
+                                           for g in groups])
+
+
+class _Stacked:
+    """The stacked values and CSR Jacobian of one list of groups, for one solve.
+
+    The stack's pattern is made at the first call and kept while each group's
+    Jacobian keeps its pattern, so a call only concatenates the groups' data.
+    """
+
+    def __init__(self, groups):
+        self.groups = groups
+        self.parts = None            # the patterns of the groups' Jacobians at the last call
+        self.jac = None
+
+    def eval_with_jac(self, z):
+        if not self.groups:
+            return np.zeros(0), sp.csr_matrix((0, z.size))
+        vals, jacs = [], []
+        for g in self.groups:
             r, j = g.eval_with_jac(z)
+            vals.append(np.asarray(r, dtype=float).ravel())
             jacs.append(sp.csr_matrix(j))
+        if self.parts is None or not all(map(same_pattern, jacs, self.parts)):
+            self.jac = sp.vstack(jacs, format="csr")
         else:
-            r = g.eval(z)
-        vals.append(np.asarray(r, dtype=float).ravel())
-    if not vals:
-        return np.zeros(0), sp.csr_matrix((0, z.shape[0])) if with_jac else None
-    v = np.concatenate(vals)
-    if with_jac:
-        return v, sp.vstack(jacs, format="csr")
-    return v, None
+            self.jac = sp.csr_matrix((np.concatenate([j.data for j in jacs]), self.jac.indices,
+                                      self.jac.indptr), shape=self.jac.shape)
+        self.parts = [pattern_of(j) for j in jacs]
+        return np.concatenate(vals), self.jac
+
+
+class _Refilled:
+    """The sparse matrix ``build(part)`` for new values of a ``part`` of fixed pattern.
+
+    Built once with ``part``'s entries zero and once with them numbered
+    1, 2, ...: the stored entries that differ are ``part``'s, and a refill
+    writes its data there. ``build`` only places ``part``'s entries, next to
+    entries of its own.
+    """
+
+    def __init__(self, build, part):
+        blank = build(sp.csr_matrix((np.zeros(part.nnz), part.indices, part.indptr), part.shape))
+        tagged = build(sp.csr_matrix((np.arange(1.0, part.nnz + 1), part.indices, part.indptr),
+                                     part.shape)).data
+        self.pattern, self.blank = pattern_of(part), blank
+        self.slots = np.flatnonzero(tagged != blank.data).astype(np.int32)
+        self.src = tagged[self.slots].astype(np.int32) - 1
+
+    def __call__(self, part):
+        data = self.blank.data.copy()
+        data[self.slots] = part.data[self.src]
+        return type(self.blank)((data, self.blank.indices, self.blank.indptr),
+                                shape=self.blank.shape)
 
 
 def _l1_value(problem, z):
@@ -260,9 +315,9 @@ def _l1_value(problem, z):
 
 
 def _merit(problem, z, mu_merit):
-    r, _ = _eval_groups(problem.residual_groups, z, False)
-    c, _ = _eval_groups(problem.eq_groups, z, False)
-    g, _ = _eval_groups(problem.ineq_groups, z, False)
+    r = _eval_groups(problem.residual_groups, z)
+    c = _eval_groups(problem.eq_groups, z)
+    g = _eval_groups(problem.ineq_groups, z)
     f = 0.5 * float(r @ r) + _l1_value(problem, z)
     viol = float(np.sum(np.abs(c))) + float(np.sum(np.maximum(g, 0.0)))
     return f + mu_merit * viol, f, viol
@@ -304,23 +359,42 @@ def solve(problem, opts=None):
     g_fixed = sp.vstack([picks(free_fin_ub, 1.0), picks(free_fin_lb, -1.0),
                          picks(n + np.arange(n_sl), -1.0)], format="csr")
 
-    def qp_rows(elastic):
-        """The QP's constraints ``(A, b, G, h)`` at the current iterate.
+    def eq_rows(jac, elastic):
+        """The QP's equality rows: ``jac``'s over its constant rows.
 
         Elastic ones give each linearized equality a pair ``v+ - v-``, ``v >= 0``,
         whose columns follow the l1 slacks'.
         """
+        if not elastic:
+            return sp.vstack([widened(jac), a_fixed], format="csr")
+        pairs = sp.identity(m_eq, format="csr")
+        width = n + n_sl + 2 * m_eq
+        lin = sp.hstack([jac, sp.csr_matrix((m_eq, n_sl)), -pairs, pairs], format="csr")
+        return sp.vstack([lin, widened(a_fixed, width)], format="csr")
+
+    def ineq_rows(jac, elastic):
+        """The QP's inequality rows: ``jac``'s over its constant rows, and the elastic signs."""
         n_v = 2 * m_eq if elastic else 0
         width = n + n_sl + n_v
-        if elastic:
-            pairs = sp.identity(m_eq, format="csr")
-            lin = sp.hstack([jc, sp.csr_matrix((m_eq, n_sl)), -pairs, pairs], format="csr")
-        else:
-            lin = widened(jc)
-        return (sp.vstack([lin, widened(a_fixed, width)], format="csr"),
+        return sp.vstack([widened(jac, width), widened(g_fixed, width),
+                          picks(n + n_sl + np.arange(n_v), -1.0, width)], format="csr")
+
+    # the QP's constraint matrices of this solve, refilled from the stacked
+    # Jacobians; made at the first iteration, again if the solve turns
+    # elastic, and whenever a group's Jacobian changes its pattern
+    refills = {}
+
+    def qp_rows(elastic):
+        """The QP's constraints ``(A, b, G, h)`` at the current iterate."""
+        for key, jac, rows in (("eq", jc, eq_rows), ("ineq", jg, ineq_rows)):
+            kept = refills.get(key)
+            if kept is None or kept[0] != elastic or not same_pattern(jac, kept[1].pattern):
+                refills[key] = (elastic,
+                                _Refilled(lambda part, rows=rows: rows(part, elastic), jac))
+        n_v = 2 * m_eq if elastic else 0
+        return (refills["eq"][1](jc),
                 np.concatenate([-c, lb[fixed_idx] - z[fixed_idx], -e0]),
-                sp.vstack([widened(jg, width), widened(g_fixed, width),
-                           picks(n + n_sl + np.arange(n_v), -1.0, width)], format="csr"),
+                refills["ineq"][1](jg),
                 np.concatenate([-g, ub[free_fin_ub] - z[free_fin_ub],
                                 z[free_fin_lb] - lb[free_fin_lb], np.zeros(n_sl + n_v)]))
 
@@ -341,10 +415,12 @@ def solve(problem, opts=None):
     n_iter = 0
     diagnostics = dict.fromkeys(QP_EFFORT, 0)
 
+    stacks = [_Stacked(groups) for groups in (problem.residual_groups, problem.eq_groups,
+                                              problem.ineq_groups)]
+    workspace = KktWorkspace()
+
     for n_iter in range(1, opts.max_iter + 1):
-        r, jr = _eval_groups(problem.residual_groups, z, True)
-        c, jc = _eval_groups(problem.eq_groups, z, True)
-        g, jg = _eval_groups(problem.ineq_groups, z, True)
+        (r, jr), (c, jc), (g, jg) = (stack.eval_with_jac(z) for stack in stacks)
         e0 = l1_a @ z - l1_b
         f_val = 0.5 * float(r @ r) + float(l1_w @ np.abs(e0))
         viol_inf = 0.0
@@ -389,7 +465,7 @@ def solve(problem, opts=None):
                 # interior point takes this QP and every later one of the
                 # solve, and its step and multipliers are used as they are
                 qp = solve_qp(p_qp, q_qp, a_eq, b_eq, g_qp, h_qp,
-                              working_set=working_set, max_iter=QP_MAX_ITER)
+                              working_set=working_set, max_iter=QP_MAX_ITER, workspace=workspace)
                 diagnostics["qp_calls"] += 1
                 ipm_only = qp.status == "max-iter"
                 diagnostics["qp_as_at_budget"] += ipm_only
@@ -399,7 +475,7 @@ def solve(problem, opts=None):
                     return qp
             diagnostics["qp_calls"] += 1
             diagnostics["qp_ipm_calls"] += 1
-            return solve_qp_ipm(p_qp, q_qp, a_eq, b_eq, g_qp, h_qp)
+            return solve_qp_ipm(p_qp, q_qp, a_eq, b_eq, g_qp, h_qp, workspace=workspace)
 
         for bump in range(6):
             # quadratic model: H on the decision part
@@ -489,7 +565,7 @@ def solve(problem, opts=None):
             status = "line-search-failure"
             break
 
-    r, _ = _eval_groups(problem.residual_groups, z, False)
+    r = _eval_groups(problem.residual_groups, z)
     obj = 0.5 * float(r @ r) + _l1_value(problem, z)
     return NlpSolution(
         variables=problem.unpack(z),
@@ -537,6 +613,20 @@ class ShootingGapGroup:
         self._cols = np.hstack([
             problem.block(block).offset + np.arange(self.dim).reshape(horizon, n_x),
             np.where(node >= 0, u_cols, -1), np.tile(p_cols, (horizon, 1))])
+        # the Jacobian's CSR pattern: row (k, i) holds the dual's dot over node
+        # k's map, and -1 at x_{k+1, i}; each stored entry, in column order,
+        # is gathered from the dot, flattened, with that -1 appended
+        m = self._cols.shape[1]
+        cols = np.broadcast_to(self._cols[:, None, :], (horizon, n_x, m)).ravel()
+        keep = np.flatnonzero(cols >= 0)
+        rows = np.concatenate([keep // m, np.arange(self.dim)])
+        cols = np.concatenate([cols[keep], self._cols[:, :n_x].ravel() + n_x])
+        order = np.lexsort((cols, rows))
+        self._slots = np.append(keep, np.full(self.dim, self.dim * m))[order].astype(np.int32)
+        ptr = np.searchsorted(rows[order], np.arange(self.dim + 1))
+        pattern = sp.csr_matrix((np.zeros(order.size), cols[order], ptr),
+                                shape=(self.dim, cols.max() + 1))
+        self._indices, self._indptr = pattern.indices, pattern.indptr
 
     def _gather(self, z):
         """The dynamics' ``(x_k, u_k, p)`` read through the column map, and ``x_{k+1}``."""
@@ -553,13 +643,6 @@ class ShootingGapGroup:
         m = self._cols.shape[1]
         x, u, p, x_next = self._gather(z)
         f_next = self.dynamics(ad.seed(x, m, 0), ad.seed(u, m, nx), ad.seed(p, m, nx + nu))
-        # row (k, i) holds the dual's dot over node k's map, and -1 at x_{k+1, i}
-        rows = np.arange(self.dim).reshape(self.horizon, nx, 1)
-        cols = np.broadcast_to(self._cols[:, None, :], f_next.dot.shape)
-        keep = cols >= 0
-        jac = sp.coo_matrix(
-            (np.concatenate([f_next.dot[keep], np.full(self.dim, -1.0)]),
-             (np.concatenate([np.broadcast_to(rows, cols.shape)[keep], rows.ravel()]),
-              np.concatenate([cols[keep], self._cols[:, :nx].ravel() + nx]))),
-            shape=(self.dim, self.problem.n)).tocsr()
+        jac = sp.csr_matrix((np.append(f_next.dot, -1.0)[self._slots], self._indices,
+                             self._indptr), shape=(self.dim, self.problem.n))
         return (f_next.val - x_next).ravel(), jac

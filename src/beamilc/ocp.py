@@ -305,7 +305,7 @@ def solve_ptp_ocp(chain, task, params, d=None, u_prev=None, weights=None, opts=N
                                    u, dt)
         # one chain pass over the four stages, stacked on a leading axis
         frame = plane_frame_coeffs(chain, on_arm(q_s), on_arm(dq_s), on_arm(u))
-        frame = {nm: ad.moveaxis(frame[nm], 1, -1) for nm in ("g2", "m_dw", "m_ww")}
+        frame = {nm: ad.moveaxis(frame[nm], 1, -1) for nm in ("g2", "m_rot")}
         if ad.is_dual(x):
             for nm, v in frame.items():
                 dot = np.zeros(v.dot.shape[:-1] + (x.nseeds,))
@@ -316,7 +316,7 @@ def solve_ptp_ocp(chain, task, params, d=None, u_prev=None, weights=None, opts=N
 
     def tail_dyn(y, _u, _p):
         y = tuple(ad.comp(y, i) for i in range(6))
-        frame = {"g2": [y[4:]] * 4, "m_dw": [NO_ROTATION] * 4, "m_ww": [NO_ROTATION] * 4}
+        frame = {"g2": [y[4:]] * 4, "m_rot": [NO_ROTATION] * 4}
         return ad.stack_last(substate_rk4_step(y[:4], params, frame, d_arr[n_c:], dt) + y[4:])
 
     state_lb = np.full(n_x, -np.inf)

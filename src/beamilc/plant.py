@@ -13,8 +13,11 @@ and only the beam + sensing substate is integrated in the loop. The
 two-segment equation (:func:`two_segment_ode`, the only one) and its RK4
 loop run on plain Python floats, with explicit 2x2 products and the 2x2
 solve: thousands of steps on 2-vectors cost far less that way than as
-numpy calls. Each step reads its frame terms with one ``.tolist()`` per
-coefficient array, so the record is never copied whole.
+numpy calls. The frame's rotation enters both segments through the summed
+block ``m_rot`` and the velocity block ``m_w`` of
+:func:`~beamilc.dynamics.plane_frame_coeffs`. Each step reads its frame
+terms with one ``.tolist()`` per coefficient array, so the record is never
+copied whole.
 """
 from __future__ import annotations
 
@@ -92,7 +95,7 @@ class ExperimentResult:
     joints: Trajectory       # achieved joint positions/velocities, decimated
 
 
-def two_segment_ode(th1, th2, dth1, dth2, params, g2, m_dw, m_ww, m_w):
+def two_segment_ode(th1, th2, dth1, dth2, params, g2, m_rot, m_w):
     """Double-pendulum dynamics on the moving frame, from plane projections.
 
     ``th2`` is the relative angle of the second segment. Assembled from the
@@ -103,17 +106,16 @@ def two_segment_ode(th1, th2, dth1, dth2, params, g2, m_dw, m_ww, m_w):
     after ``.tolist()``. Returns ``(theta1_ddot, theta2_ddot)``.
     """
     p = params
-    (dw00, dw01), (dw10, dw11) = m_dw
-    (ww00, ww01), (ww10, ww11) = m_ww
+    (r00, r01), (r10, r11) = m_rot
     (w00, w01), (w10, w11) = m_w
     g0, g1 = g2
 
     # bias acceleration of a unit segment along r = (c, s), r' = (-s, c), with
-    # theta_ddot removed: M_dw r + M_ww r + 2 dth M_w r' - dth^2 r
+    # theta_ddot removed: M_rot r + 2 dth M_w r' - dth^2 r
     def seg_bias(c, s, dth):
         two_d, d2 = 2.0 * dth, dth * dth
-        bx = dw00 * c + dw01 * s + (ww00 * c + ww01 * s) + two_d * (w00 * -s + w01 * c) - d2 * c
-        by = dw10 * c + dw11 * s + (ww10 * c + ww11 * s) + two_d * (w10 * -s + w11 * c) - d2 * s
+        bx = r00 * c + r01 * s + two_d * (w00 * -s + w01 * c) - d2 * c
+        by = r10 * c + r11 * s + two_d * (w10 * -s + w11 * c) - d2 * s
         return bx, by
 
     s1, c1 = math.sin(th1), math.cos(th1)
@@ -159,7 +161,7 @@ def truth_equilibrium(cfg, chain, q0, nominal):
     zmat = ((0.0, 0.0), (0.0, 0.0))
 
     def accel(th):
-        return np.array(two_segment_ode(th[0], th[1], 0.0, 0.0, ts, g2, zmat, zmat, zmat))
+        return np.array(two_segment_ode(th[0], th[1], 0.0, 0.0, ts, g2, zmat, zmat))
 
     th = np.zeros(2)
     for _ in range(100):
@@ -185,14 +187,14 @@ def _two_segment_trace(cfg, th_eq, coeffs, n_steps, h):
     """
     ts = cfg.two_segment
     a_t, b_t = cfg.a_true, cfg.b_true
-    frame = [coeffs[nm] for nm in ("g2", "m_dw", "m_ww", "m_w")]
+    frame = [coeffs[nm] for nm in ("g2", "m_rot", "m_w")]
 
     def torque(th1, dth1):
         return -ts.c1 * dth1 - ts.k1 * th1
 
-    def deriv(y, g2, m_dw, m_ww, m_w):
+    def deriv(y, g2, m_rot, m_w):
         th1, th2, dth1, dth2, tau_hat, tau_e = y
-        dd1, dd2 = two_segment_ode(th1, th2, dth1, dth2, ts, g2, m_dw, m_ww, m_w)
+        dd1, dd2 = two_segment_ode(th1, th2, dth1, dth2, ts, g2, m_rot, m_w)
         return (dth1, dth2, dd1, dd2,
                 -a_t * tau_hat + a_t * (torque(th1, dth1) + tau_e), -b_t * tau_e)
 

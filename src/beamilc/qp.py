@@ -31,10 +31,16 @@ Otherwise the system is factored again with partial pivoting and refined
 pivoting: diagonal pivots break down on the OCP's active-set KKT, and one
 wasted factorization per call is cheaper than one per iteration.
 ``solve_qp_ipm`` always uses partial pivoting, refined ``REFINE_STEPS``
-times against the unregularized reduced KKT. Within one call that KKT
-keeps one pattern and one column order: it is assembled once and each
-iteration refills its values through an index map, and the call's first
-factorization picks the column order (COLAMD) that the later ones reuse.
+times against the unregularized reduced KKT.
+
+No KKT is assembled block by block per solve. A :class:`KktWorkspace`,
+one per SQP solve, keeps each KKT's pattern and index map while the QPs
+keep the patterns of P, A and G: the active set's KKT of its last working
+set, refilled by one gather, and the interior point's reduced KKT, whose
+values each barrier weight refills through its map, stored in the column
+order (COLAMD) that its first factorization picked; every later
+factorization, in this QP and the solve's later ones, reuses that order.
+A QP solved without a workspace makes a fresh one.
 """
 from __future__ import annotations
 
@@ -80,6 +86,103 @@ class QpSolution:
     status: str                  # converged | max-iter | factorization-failed | infeasible
     iterations: int
     working_set: np.ndarray      # boolean mask over inequality rows
+
+
+def pattern_of(mat):
+    """The positions a compressed sparse matrix stores entries at: its shape and index arrays."""
+    return mat.shape, mat.indptr, mat.indices
+
+
+def same_pattern(mat, pattern):
+    """Whether ``mat`` stores its entries at the positions of ``pattern`` (:func:`pattern_of`)."""
+    shape, indptr, indices = pattern
+    return mat.shape == shape and all(
+        x is y or np.array_equal(x, y) for x, y in ((mat.indptr, indptr), (mat.indices, indices)))
+
+
+def _csc_map(dim, rows, cols, src):
+    """The CSC pattern of entries ``(rows, cols)``, which must be distinct, and the
+    ``src`` of each stored entry, in storage order."""
+    keys = cols.astype(np.int64) * dim + rows
+    order = np.argsort(keys, kind="stable")
+    if np.any(keys[order[1:]] == keys[order[:-1]]):
+        raise ValueError("a QP matrix stores an entry twice")
+    mat = sp.csc_matrix((np.zeros(order.size), rows[order],
+                         np.searchsorted(cols[order], np.arange(dim + 1))), shape=(dim, dim))
+    return mat, src[order]
+
+
+class _ActiveKkt:
+    """The active set's KKT ``[[P, A', Gw'], [A, -REG I, 0], [Gw, 0, -REG I]]`` for one
+    working set w, with Gw the rows of G in w.
+
+    Its CSC pattern is the one a block assembly gives, explicit zeros
+    included, and each stored entry maps to its value's position in
+    ``P.data``, ``A.data``, ``G.data`` and ``-REG``, concatenated. A refill
+    for new values of P, A and G is one gather.
+    """
+
+    def __init__(self, p_mat, a_eq, g_ineq, active):
+        n, me = p_mat.shape[0], a_eq.shape[0]
+        g_rows = np.flatnonzero(active)
+        # the working set's rows of G, as offsets into its data
+        counts = np.diff(g_ineq.indptr)[g_rows]
+        g_src = (np.repeat(g_ineq.indptr[g_rows] - np.cumsum(counts) + counts, counts)
+                 + np.arange(counts.sum()))
+        g_row = n + me + np.repeat(np.arange(g_rows.size), counts)
+        g_col = g_ineq.indices[g_src]
+        p, a = p_mat.tocoo(), a_eq.tocoo()
+        a_src = p.nnz + np.arange(a.nnz)
+        g_src = p.nnz + a.nnz + g_src
+        diag = n + np.arange(me + g_rows.size)
+        self.mat, self.src = _csc_map(
+            n + me + g_rows.size,
+            np.concatenate([p.row, n + a.row, a.col, g_row, g_col, diag]),
+            np.concatenate([p.col, a.col, n + a.row, g_col, g_row, diag]),
+            np.concatenate([np.arange(p.nnz), a_src, a_src, g_src, g_src,
+                            np.full(diag.size, p.nnz + a.nnz + g_ineq.nnz)]))
+
+    def fill(self, p_mat, a_eq, g_ineq):
+        self.mat.data = np.concatenate([p_mat.data, a_eq.data, g_ineq.data, [-REG]])[self.src]
+        return self.mat
+
+
+class KktWorkspace:
+    """The KKT structures of one SQP solve's QPs, kept while the QPs keep their patterns.
+
+    The active set keeps the KKT map of its last working set
+    (:class:`_ActiveKkt`), the interior point its reduced KKT with the
+    column order of that KKT's first factorization (:class:`_ReducedKkt`).
+    Both are dropped when a QP's P, A or G stores its entries elsewhere than
+    the last QP's. A QP solved without a workspace makes a fresh one.
+    """
+
+    def __init__(self):
+        self.patterns = None         # those of the last QP's P, A and G
+        self.active = None           # (working set, _ActiveKkt)
+        self.reduced = None          # _ReducedKkt
+
+    def keep(self, p_mat, a_eq, g_ineq):
+        """Take the next QP's matrices, dropping the structures their patterns no longer fit."""
+        mats = (p_mat, a_eq, g_ineq)
+        if self.patterns is None or not all(map(same_pattern, mats, self.patterns)):
+            self.active = self.reduced = None
+        self.patterns = [pattern_of(m) for m in mats]
+
+    def active_kkt(self, p_mat, a_eq, g_ineq, active):
+        """The active-set KKT of working set ``active``, filled from P, A and G."""
+        key = active.tobytes()
+        if self.active is None or self.active[0] != key:
+            self.active = (key, _ActiveKkt(p_mat, a_eq, g_ineq, active))
+        return self.active[1].fill(p_mat, a_eq, g_ineq)
+
+    def reduced_kkt(self, p_mat, a_eq, g_ineq):
+        """The interior point's reduced KKT, refilled from P, A and G."""
+        if self.reduced is None:
+            self.reduced = _ReducedKkt(p_mat, a_eq, g_ineq)
+        else:
+            self.reduced.refill(p_mat, a_eq, g_ineq)
+        return self.reduced
 
 
 def _static_pivot_solve(kkt, rhs, residual):
@@ -140,16 +243,20 @@ def _solution(scaled, x, nu, mu, status, it, active):
 
 
 def solve_qp(p_mat, q, a_eq=None, b_eq=None, g_ineq=None, h_ineq=None, *,
-             working_set=None, max_iter=200):
+             working_set=None, max_iter=200, workspace=None):
     """Primal-dual active-set solve; see module docstring.
 
     ``working_set`` warm-starts the active inequality mask. The returned
     duality gap is ``|mu'(Gx-h)| + |nu'(Ax-b)|`` (zero at an exact solution).
+    ``workspace``, a :class:`KktWorkspace`, carries the KKT map of the last
+    working set from one call to the next.
     """
     n = q.shape[0]
     scaled = _scaled(p_mat, q, a_eq, b_eq, g_ineq, h_ineq)
     _, p_mat, q, a_eq, b_eq, g_ineq, h_ineq = scaled
     me, mi = a_eq.shape[0], g_ineq.shape[0]
+    workspace = workspace or KktWorkspace()
+    workspace.keep(p_mat, a_eq, g_ineq)
 
     active = np.zeros(mi, dtype=bool)
     if working_set is not None and working_set.shape == (mi,):
@@ -161,15 +268,13 @@ def solve_qp(p_mat, q, a_eq=None, b_eq=None, g_ineq=None, h_ineq=None, *,
 
     diag_pivots = True
 
+    a_t = a_eq.T
+
     def kkt_solve(act):
         nonlocal diag_pivots
         g_act = g_ineq[act]
-        ma = g_act.shape[0]
-        kkt = sp.bmat([
-            [p_mat, a_eq.T if me else None, g_act.T if ma else None],
-            [a_eq if me else None, -REG * sp.identity(me) if me else None, None],
-            [g_act if ma else None, None, -REG * sp.identity(ma) if ma else None],
-        ], format="csc")
+        g_t, ma = g_act.T, g_act.shape[0]
+        kkt = workspace.active_kkt(p_mat, a_eq, g_ineq, act)
         rhs = np.concatenate([-q, b_eq, h_ineq[act]])
 
         def residual(sol):
@@ -177,7 +282,7 @@ def solve_qp(p_mat, q, a_eq=None, b_eq=None, g_ineq=None, h_ineq=None, *,
             xx = sol[:n]
             vv = sol[n:n + me]
             ww = sol[n + me:]
-            r1 = -q - (p_mat @ xx + (a_eq.T @ vv if me else 0) + (g_act.T @ ww if ma else 0))
+            r1 = -q - (p_mat @ xx + (a_t @ vv if me else 0) + (g_t @ ww if ma else 0))
             r2 = b_eq - (a_eq @ xx if me else np.zeros(0))
             r3 = h_ineq[act] - (g_act @ xx if ma else np.zeros(0))
             return np.concatenate([r1, r2, r3])
@@ -227,19 +332,22 @@ def solve_qp(p_mat, q, a_eq=None, b_eq=None, g_ineq=None, h_ineq=None, *,
 
 
 class _ReducedKkt:
-    """The interior point's reduced KKT ``[[P + G' W G, A'], [A, -REG I]]`` for every W of a call.
+    """The interior point's reduced KKT ``[[P + G' W G, A'], [A, -REG I]]`` for every W.
 
     Its pattern is the structural union of P, the pairs of stored entries of
     each row of G, A', A and the -REG diagonal, explicit zeros included. It
-    is assembled once, with one index map from the products ``G_ij W_i G_ik``
-    to the stored entries, so each W refills ``.data`` with one ``bincount``.
-    The first factorization keeps SuperLU's COLAMD column order; the pattern
-    is then stored in that order, and later factorizations take it as it is.
+    is assembled once, with index maps from the entries of P and A, and from
+    the products ``G_ij W_i G_ik``, to the stored entries: new values of P,
+    A and G refill the part without W (:meth:`refill`), and each W adds the
+    products with one ``bincount``. The first factorization keeps SuperLU's
+    COLAMD column order; the pattern is then stored in that order, and
+    later factorizations, of this QP and of later ones, take it as it is.
+    Between QPs it holds only its pattern and maps (:meth:`release`).
     """
 
     def __init__(self, p_mat, a_eq, g_ineq):
         n, me = p_mat.shape[0], a_eq.shape[0]
-        self.n, self.g = n, g_ineq
+        self.n = n
         # the pairs (a, b) of stored entries of each row of G, as offsets into its data:
         # entry a pairs with every entry of its row, from the row's first on
         counts = np.diff(g_ineq.indptr)
@@ -249,40 +357,61 @@ class _ReducedKkt:
         self.pair_b = (np.repeat(np.repeat(g_ineq.indptr[:-1], counts) - starts, reps)
                        + np.arange(self.pair_a.size)).astype(np.int32)
         self.pair_row = np.repeat(np.repeat(np.arange(counts.size, dtype=np.int32), counts), reps)
-        self.pair_col = g_ineq.indices[self.pair_b]
-        # the top-left block's pattern: P's entries and the pairs'
-        p_coo = p_mat.tocoo()
-        keys, slots = np.unique(
-            np.concatenate([p_coo.col, self.pair_col]).astype(np.int64) * n
-            + np.concatenate([p_coo.row, g_ineq.indices[self.pair_a]]), return_inverse=True)
-        top = sp.csc_matrix(
-            (np.bincount(slots[:p_coo.nnz], p_coo.data, minlength=keys.size), keys % n,
-             np.searchsorted(keys, np.arange(n + 1) * n)), shape=(n, n))
-        self.mat = sp.bmat([[top, a_eq.T], [a_eq, -REG * sp.identity(me)]], format="csc")
-        # a column's top-left entries come first in the assembled KKT
-        self.slots = (self.mat.indptr[self.pair_col] + slots[p_coo.nnz:]
-                      - top.indptr[self.pair_col]).astype(np.int32)
-        self.base, self.mat.data = self.mat.data, np.empty_like(self.mat.data)
+        # every entry's position: P's, A's, A''s, the diagonal's, then the pairs'
+        p, a = p_mat.tocoo(), a_eq.tocoo()
+        diag = n + np.arange(me)
+        rows = np.concatenate([p.row, n + a.row, a.col, diag, g_ineq.indices[self.pair_a]])
+        cols = np.concatenate([p.col, a.col, n + a.row, diag, g_ineq.indices[self.pair_b]])
+        keys, slots = np.unique(cols.astype(np.int64) * (n + me) + rows, return_inverse=True)
+        n_base = rows.size - self.pair_a.size
+        slots = slots.astype(np.int32)
+        self.base_slots, self.slots = slots[:n_base], slots[n_base:]
+        self.dim = n + me
+        ptr = np.searchsorted(keys, np.arange(self.dim + 1) * self.dim)
+        pattern = sp.csc_matrix((np.zeros(keys.size), keys % self.dim, ptr),
+                                shape=(self.dim, self.dim))
+        self.pattern = pattern.indices, pattern.indptr
         self.perm = None     # the column order of the stored pattern, None while natural
-        self.lu = None
+        self.mat = self.lu = None
+        self.refill(p_mat, a_eq, g_ineq)
 
-    def _reorder(self, perm_c):
-        """Store column j at position ``perm_c[j]``, moving the pairs' map along."""
-        ptr = self.mat.indptr
-        mat = sp.csc_matrix((self.base, self.mat.indices, ptr), shape=self.mat.shape)
-        mat = mat[:, np.argsort(perm_c)]
-        self.slots += mat.indptr[perm_c[self.pair_col]] - ptr[self.pair_col]
-        self.base, mat.data = mat.data, np.empty_like(mat.data)
-        self.mat, self.perm = mat, perm_c
+    def refill(self, p_mat, a_eq, g_ineq):
+        """Take new values of P, A and G, in the patterns the map was made for."""
+        self.g = g_ineq
+        self.base = np.bincount(
+            self.base_slots, np.concatenate([p_mat.data, a_eq.data, a_eq.data,
+                                             np.full(a_eq.shape[0], -REG)]),
+            minlength=self.pattern[0].size)
+
+    def _take_order(self):
+        """Once factored in the natural order, store column j at position ``perm_c[j]``
+        of that factorization, moving the maps along."""
+        if self.lu is None or self.perm is not None:
+            return
+        perm_c = self.lu.perm_c
+        mat = sp.csc_matrix((np.arange(self.pattern[0].size, dtype=float), *self.pattern),
+                            shape=(self.dim, self.dim))[:, np.argsort(perm_c)]
+        order = mat.data.astype(np.int32)        # each stored entry's place before
+        moved = np.empty_like(order)
+        moved[order] = np.arange(order.size, dtype=np.int32)
+        self.base_slots, self.slots = moved[self.base_slots], moved[self.slots]
+        self.base = self.base[order]
+        self.pattern, self.perm = (mat.indices, mat.indptr), perm_c
+
+    def release(self):
+        """Free what the next QP refills: the KKT, its values and its factors, whose order
+        is kept."""
+        self._take_order()
+        self.mat = self.lu = self.base = self.g = None
 
     def factor(self, w):
         """Refill with the barrier weights ``w`` and factor (partial pivoting)."""
-        if self.lu is not None and self.perm is None:
-            self._reorder(self.lu.perm_c)
+        self._take_order()
         gd = self.g.data
         products = gd[self.pair_a] * (gd[self.pair_b] * w[self.pair_row])
-        np.add(self.base, np.bincount(self.slots, products, minlength=self.base.size),
-               out=self.mat.data)
+        self.mat = sp.csc_matrix(
+            (self.base + np.bincount(self.slots, products, minlength=self.base.size),
+             *self.pattern), shape=(self.dim, self.dim))
         self.lu = None       # freed before the next one is made
         self.lu = splu(self.mat) if self.perm is None else splu(self.mat, permc_spec="NATURAL")
 
@@ -300,16 +429,17 @@ class _ReducedKkt:
 
 
 @np.errstate(all="ignore")  # overflow on an infeasible QP is caught as non-finite values
-def solve_qp_ipm(p_mat, q, a_eq=None, b_eq=None, g_ineq=None, h_ineq=None):
+def solve_qp_ipm(p_mat, q, a_eq=None, b_eq=None, g_ineq=None, h_ineq=None, *, workspace=None):
     """Primal-dual interior-point QP solve (Mehrotra predictor-corrector).
 
     Robust where the active-set method cannot settle: degenerate QPs such
     as l1 slack pairs with both slacks at zero. Eliminates the inequality
     block, so the factorized system stays at ``n + m_eq``; its barrier
     weights ``mu / s`` are not clipped, and each Newton solve is refined.
-    The reduced KKT keeps one pattern and column order for the whole call
-    (:class:`_ReducedKkt`); its first factorization serves the affine-scaling
-    start (module docstring). Stops when the dual, equality and inequality
+    The reduced KKT keeps one pattern and column order for the whole call,
+    and for later calls through the same ``workspace`` (:class:`_ReducedKkt`);
+    the call's first factorization serves the affine-scaling start (module
+    docstring). Stops when the dual, equality and inequality
     residuals (max-norm) and the mean complementarity ``s'mu / m_ineq`` are
     all below ``IPM_TOL`` times ``1 + max(|q|, |h|, |b|)`` of the
     cost-scaled data. On an infeasible QP it stops at its last finite
@@ -320,7 +450,9 @@ def solve_qp_ipm(p_mat, q, a_eq=None, b_eq=None, g_ineq=None, h_ineq=None):
     cost_scale, p_mat, q, a_eq, b_eq, g_ineq, h_ineq = scaled
     me, mi = a_eq.shape[0], g_ineq.shape[0]
     if mi == 0:
-        return solve_qp(p_mat * cost_scale, q * cost_scale, a_eq, b_eq)
+        return solve_qp(p_mat * cost_scale, q * cost_scale, a_eq, b_eq, workspace=workspace)
+    workspace = workspace or KktWorkspace()
+    workspace.keep(p_mat, a_eq, g_ineq)
 
     x = np.zeros(n)
     nu = np.zeros(me)
@@ -328,7 +460,7 @@ def solve_qp_ipm(p_mat, q, a_eq=None, b_eq=None, g_ineq=None, h_ineq=None):
     mu = np.full(mi, max(0.1, min(10.0, float(np.mean(np.abs(q))) if q.size else 1.0)))
     scale = 1.0 + max(float(np.max(np.abs(q))), float(np.max(np.abs(h_ineq))),
                       float(np.max(np.abs(b_eq), initial=0.0)))
-    kkt = _ReducedKkt(p_mat, a_eq, g_ineq)
+    kkt = workspace.reduced_kkt(p_mat, a_eq, g_ineq)
 
     status = "max-iter"
     it = 0
@@ -393,6 +525,7 @@ def solve_qp_ipm(p_mat, q, a_eq=None, b_eq=None, g_ineq=None, h_ineq=None):
         nu += alpha_d * dnu
         mu += alpha_d * dmu
 
+    kkt.release()            # the workspace keeps the KKT's maps for the next QP
     sol = _solution(scaled, x, nu, mu, status, it,
                     g_ineq @ x - h_ineq > -1e-8 * (1.0 + np.abs(h_ineq)))
     if status != "converged" and sol.primal_infeasibility > 1e-7 and sol.duality_gap > 1e6:

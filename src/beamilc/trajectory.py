@@ -77,6 +77,9 @@ class Trajectory:
         if not rows:
             raise ValueError(f"{path}: no data rows below the header")
         arr = np.asarray(rows, dtype=float)
+        bad = np.flatnonzero(~np.all(np.isfinite(arr), axis=1))
+        if bad.size:
+            raise ValueError(f"{path}: non-finite number in data row {bad[0] + 1}")
         if arr.shape[0] < 2:
             dt = 1.0
         else:

@@ -4,7 +4,8 @@ The pendulum equation in world-frame vector form and the classical RK4
 step of the full state ``x = [q, theta, dq, dtheta, tau_hat, tau_e]``,
 written independently of the swing-plane frame terms and the closed-form
 arm stages the program steps with; batched and dual-transparent. The
-two-segment truth plant on 2-vectors and 2x2 blocks, and the parameter
+in-plane frame terms from 3x3 products, the two-segment truth plant on
+2-vectors and 2x2 blocks, and the parameter
 fit's output sensitivity by a rollout on duals. The model's full state at
 rest (``rest_state``, ``_model_init_state``), for the full-state
 ``fast_rollout`` that the substate output path is checked against.
@@ -146,12 +147,36 @@ def two_segment_equilibrium(ts, g2):
     return th
 
 
-def two_segment_trace(cfg, th_eq, coeffs, n_steps, h):
-    """RK4 trace ``(theta1, theta2, dtheta1, dtheta2, tau_hat, tau_e)`` of the truth plant."""
+def _skew(v):
+    """``S(v)``, the cross-product matrix of each 3-vector in ``v`` (.., 3)."""
+    z = np.zeros_like(v[..., 0])
+    return np.stack([np.stack([z, -v[..., 2], v[..., 1]], -1),
+                     np.stack([v[..., 2], z, -v[..., 0]], -1),
+                     np.stack([-v[..., 1], v[..., 0], z], -1)], -2)
+
+
+def frame_blocks(chain, q, dq, ddq):
+    """In-plane frame terms from 3x3 products: ``g2`` (.., 2) of R^T (g - p_ddot), and
+    ``m_dw``, ``m_ww``, ``m_w`` (.., 2, 2) of R^T S(w_dot) R, R^T S(w)^2 R and R^T S(w) R."""
+    frame = frame_state(chain, q, dq, ddq)
+    r = frame["R"]
+    rt = np.swapaxes(r, -1, -2)
+    s_w = _skew(frame["w"])
+
+    def plane(mat):
+        return (rt @ mat @ r)[..., :2, :2]
+
+    return {"g2": (rt @ (GRAVITY - frame["a"])[..., None])[..., :2, 0],
+            "m_dw": plane(_skew(frame["dw"])), "m_ww": plane(s_w @ s_w), "m_w": plane(s_w)}
+
+
+def two_segment_trace(cfg, th_eq, blocks, n_steps, h):
+    """RK4 trace ``(theta1, theta2, dtheta1, dtheta2, tau_hat, tau_e)`` of the truth plant,
+    over the :func:`frame_blocks` of every step's four RK4 stages."""
     ts = cfg.two_segment
     a_t, b_t = cfg.a_true, cfg.b_true
-    g2_all, mdw_all = coeffs["g2"], coeffs["m_dw"]
-    mww_all, mw_all = coeffs["m_ww"], coeffs["m_w"]
+    g2_all, mdw_all = blocks["g2"], blocks["m_dw"]
+    mww_all, mw_all = blocks["m_ww"], blocks["m_w"]
 
     def torque(y):
         return -ts.c1 * y[2] - ts.k1 * y[0]

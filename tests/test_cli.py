@@ -450,6 +450,51 @@ def test_ocp_rejects_malformed_model(tmp_path, capsys, free_params, edit):
 
 
 
+@pytest.mark.parametrize("section, key, text", [
+    ("solver", "tol_opt", "NaN"), ("task", "dt", "Infinity"), ("task", "dt", "-Infinity"),
+    ("beam", "length", "1e999")])
+def test_config_file_rejects_non_finite_numbers(tmp_path, capsys, section, key, text):
+    # JSON readers accept NaN, Infinity and numbers that overflow; a run
+    # configuration must not: the error names the file, before any solve
+    doc = json.loads(json.dumps(TINY))
+    doc.setdefault(section, {})[key] = "@"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc).replace('"@"', text))
+    with pytest.raises(ConfigError, match="bad.json"):
+        RunConfig.load(str(path))
+    rc = main(["ocp", "--config", str(path), "--out", str(tmp_path / "ocp")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "bad.json" in err and "non-finite" in err
+
+
+@pytest.mark.parametrize("text", ["NaN", "-Infinity"])
+def test_ocp_rejects_non_finite_model(tmp_path, capsys, free_params, text):
+    params = free_params.as_dict()
+    params["k"] = "@"
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"params": params}).replace('"@"', text))
+    rc = main(["ocp", "--config", write_cfg(tmp_path), "--model", str(model),
+               "--out", str(tmp_path / "ocp")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "model.json" in err and "non-finite" in err
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-1e999"])
+def test_simulate_rejects_non_finite_input(tmp_path, capsys, text):
+    u_path = tmp_path / "u.csv"
+    Trajectory(0.01, np.zeros((5, 3)), ("u1", "u2", "u3")).to_csv(u_path)
+    lines = u_path.read_text().splitlines()
+    lines[3] = lines[3].rsplit(",", 1)[0] + "," + text
+    u_path.write_text("\n".join(lines) + "\n")
+    rc = main(["simulate", "--config", write_cfg(tmp_path), "--input", str(u_path),
+               "--out", str(tmp_path / "sim")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "u.csv" in err and "row 3" in err
+
+
 def test_model_params_default_tau_e0(tmp_path, free_params):
     # tau_e0 has a default, so a model file may leave it out
     params = free_params.as_dict()

@@ -9,7 +9,7 @@ from beamilc.dynamics import (NO_ROTATION, BeamGeometry, BeamParams, Equilibrium
                               measurement_dynamics, state_dim, substate_rk4_step)
 from beamilc.kinematics import GRAVITY, KinematicChain, forward_kinematics
 from beamilc.trajectory import Trajectory
-from reference_model import rest_state, rk4_step, rollout
+from reference_model import frame_blocks, rest_state, rk4_step, rollout
 
 
 def vertical_plane_chain():
@@ -26,7 +26,7 @@ def accel_on_chain(chain, q, dq, ddq, theta, dtheta, p):
     """The program's pendulum equation over the frame terms of one arm state."""
     fr = plane_frame_coeffs(chain, q, dq, ddq)
     k, c, m, l, _, _ = _params_tuple(p)
-    return pendulum_accel(theta, dtheta, k, c, m, l, fr["g2"], fr["m_dw"], fr["m_ww"])
+    return pendulum_accel(theta, dtheta, k, c, m, l, fr["g2"], fr["m_rot"])
 
 
 def mass_position(chain, q, theta, length):
@@ -111,7 +111,7 @@ def test_pendulum_accel_matches_lagrange_oracle(chain3, free_params):
 
 def test_pendulum_accel_matches_lagrange_oracle_spatial(chain7, free_params):
     # the 7-DOF arm tilts Z_b, so the in-plane angular velocity and the
-    # off-diagonal terms of m_ww are not zero, as they are on planar arms
+    # symmetric off-diagonal terms of m_rot are not zero, as they are on planar arms
     _check_against_lagrange_oracle(chain7, free_params, np.random.default_rng(23))
 
 
@@ -342,7 +342,25 @@ def test_frame_coeffs_of_stacked_stages_match_per_stage(chain7):
             assert stacked[name].val.shape == (4,) + v.val.shape
             np.testing.assert_array_equal(stacked[name].val[s], v.val)
             np.testing.assert_array_equal(stacked[name].dot[s], v.dot)
-    assert np.any(stacked["m_dw"].dot[..., 2 * n:] != 0)   # the input acts through dw
+    # the input acts through dw: m_rot's antisymmetric part, 2 dwz
+    antisym = stacked["m_rot"].dot[..., 1, 0, :] - stacked["m_rot"].dot[..., 0, 1, :]
+    assert np.any(antisym[..., 2 * n:] != 0)
+
+
+def test_frame_coeffs_match_frame_state_products(chain7):
+    # m_rot is the in-plane block of R^T S(dw) R + R^T S(w)^2 R, m_w that of
+    # R^T S(w) R and g2 that of R^T (g - a), each from frame_state by 3x3
+    # products, batched over nodes and stages
+    rng = np.random.default_rng(16)
+    q, dq, ddq = (rng.uniform(-1.5, 1.5, (5, 4, 7)) for _ in range(3))
+    got = plane_frame_coeffs(chain7, q, dq, ddq)
+    ref = frame_blocks(chain7, q, dq, ddq)
+    assert set(got) == {"g2", "m_rot", "m_w"}
+    for name, want in (("g2", ref["g2"]), ("m_rot", ref["m_dw"] + ref["m_ww"]),
+                       ("m_w", ref["m_w"])):
+        assert got[name].shape == want.shape
+        np.testing.assert_allclose(got[name], want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
+    assert np.min(np.max(np.abs(ref["m_dw"]), axis=(0, 1))[[0, 1], [1, 0]]) > 1e-1
 
 
 # ---------------------------------------------------------------------------
@@ -429,8 +447,7 @@ def test_equilibrium_matches_potential_grid():
     th_grid = grid[i0] + 0.5 * h * (fa - fc) / (fa - 2 * fb + fc)
     assert abs(th_eq - th_grid) < 1e-6
     # the pendulum equation at rest vanishes there
-    assert abs(pendulum_accel(th_eq, 0.0, p.k, p.c, p.m, p.l, g_b[:2],
-                              NO_ROTATION, NO_ROTATION)) < 1e-12
+    assert abs(pendulum_accel(th_eq, 0.0, p.k, p.c, p.m, p.l, g_b[:2], NO_ROTATION)) < 1e-12
 
 
 def rod_up_chain():

@@ -4,7 +4,8 @@ from scipy.linalg import expm
 
 from beamilc.kinematics import (KinematicChain, chain_from_dict, forward_kinematics,
                                 frame_motion, geometric_jacobian, load_chain,
-                                orientation_error, save_chain)
+                                orientation_error)
+from chain_file import save_chain
 from conftest import REFERENCE_Q0_7DOF
 
 

@@ -7,8 +7,10 @@ from scipy.sparse.linalg import splu
 
 from beamilc import ad, qp
 from beamilc.dynamics import state_dim
+from beamilc import nlp
 from beamilc.nlp import (CallableGroup, L1Term, LinearGroup, NlpProblem, ShootingGapGroup,
-                         SolverOptions, solve)
+                         SolverOptions, _Stacked, dual_group, solve)
+from beamilc.qp import pattern_of, same_pattern
 from beamilc.qp import solve_qp, solve_qp_ipm
 from derivative_check import check_derivatives
 
@@ -278,10 +280,8 @@ def test_l1_with_active_bound():
     assert sol.variables["v"][0] == pytest.approx(2.0, abs=1e-9)
 
 
-def test_elastic_mode_on_inconsistent_linearization():
-    # z0^2 = 1 has a zero gradient at the start z0 = 0, so the first QP's
-    # linearized row 0 * dz0 = 1 is inconsistent; the solve goes on in
-    # elastic form, with that row in an l1 slack pair, and reaches z = (1, 2)
+def elastic_problem():
+    """z0^2 = 1 from z = 0, with 0.5 (z0 - 1)^2 ... a residual and an l1 term on z1."""
     def circle(z):
         return np.array([z[0] ** 2 - 1.0]), sp.csr_matrix(np.array([[2.0 * z[0], 0.0]]))
 
@@ -291,7 +291,14 @@ def test_elastic_mode_on_inconsistent_linearization():
     prob.l1_terms.append(L1Term(sp.csr_matrix(np.array([[0.0, 1.0]])),
                                 np.array([2.0]), np.array([1.0])))
     prob.eq_groups.append(CallableGroup(1, lambda z: circle(z)[0], circle))
-    sol = solve(prob)
+    return prob
+
+
+def test_elastic_mode_on_inconsistent_linearization():
+    # z0^2 = 1 has a zero gradient at the start z0 = 0, so the first QP's
+    # linearized row 0 * dz0 = 1 is inconsistent; the solve goes on in
+    # elastic form, with that row in an l1 slack pair, and reaches z = (1, 2)
+    sol = solve(elastic_problem())
     assert sol.converged
     np.testing.assert_allclose(sol.variables["z"], [1.0, 2.0], rtol=0, atol=1e-9)
     effort = sol.qp_effort
@@ -450,6 +457,188 @@ def test_initial_guess_clipped_to_bounds():
     prob = NlpProblem()
     prob.add_block("z", 2, lb=0.0, ub=1.0, x0=np.array([-5.0, 5.0]))
     np.testing.assert_allclose(prob.initial_guess(), [0.0, 1.0])
+
+
+# ---------------------------------------------------------------------------
+# sparse structure made once per group and per solve, refilled after
+
+
+def assert_same_matrix(got, want):
+    """The same stored entries, explicit zeros included, and bit for bit the same values."""
+    assert got.format == want.format and got.shape == want.shape
+    np.testing.assert_array_equal(got.indptr, want.indptr)
+    np.testing.assert_array_equal(got.indices, want.indices)
+    np.testing.assert_array_equal(got.data.view(np.int64), want.data.view(np.int64))
+
+
+def gap_jacobian_assembly(gaps, z):
+    """The gap group's Jacobian assembled afresh from COO triplets."""
+    nx, nu, m = gaps.n_x, gaps.n_u, gaps._cols.shape[1]
+    x, u, p, _ = gaps._gather(z)
+    dot = gaps.dynamics(ad.seed(x, m, 0), ad.seed(u, m, nx), ad.seed(p, m, nx + nu)).dot
+    rows = np.broadcast_to(np.arange(gaps.dim).reshape(gaps.horizon, nx, 1), dot.shape)
+    cols = np.broadcast_to(gaps._cols[:, None, :], dot.shape)
+    keep = cols >= 0
+    return sp.coo_matrix(
+        (np.concatenate([dot[keep], np.full(gaps.dim, -1.0)]),
+         (np.concatenate([rows[keep], np.arange(gaps.dim)]),
+          np.concatenate([cols[keep], gaps._cols[:, :nx].ravel() + nx]))),
+        shape=(gaps.dim, gaps.problem.n)).tocsr()
+
+
+def test_gap_jacobian_refill_matches_assembly():
+    # inputs on nodes 0, 2 and 3 only (node 1's pinned: no column), and
+    # dynamics whose rows miss some seeds: the stored zeros stay stored
+    def dyn(x, u, p):
+        pos, vel, uu = ad.comp(x, 0), ad.comp(x, 1), ad.comp(u, 0)
+        return ad.stack_last([pos + 0.1 * ad.sin(vel) + 0.0 * uu, vel + 0.1 * uu * ad.cos(pos)])
+
+    prob = NlpProblem()
+    prob.add_block("x", 5 * 2)
+    prob.add_block("u", 3)
+    gaps = ShootingGapGroup(prob, dyn, 2, 4, 1, np.array([0, -1, 1, 2]))
+    rng = np.random.default_rng(12)
+    jacs = []
+    for _ in range(2):
+        z = rng.standard_normal(prob.n)
+        jac = gaps.eval_with_jac(z)[1]
+        assert_same_matrix(jac, gap_jacobian_assembly(gaps, z))
+        jacs.append(jac)
+    # each of the 8 rows reads 3 seeds and stores a -1, but node 1 has no input column
+    assert jacs[0].nnz == 8 * (3 + 1) - 2
+    assert np.any(jacs[0].data == 0.0)
+
+
+def test_dual_group_refill_matches_assembly():
+    cols = np.array([5, 1, 3])
+
+    def fn(v):
+        return ad.stack_last([ad.comp(v, 0) * ad.comp(v, 1), 0.0 * ad.comp(v, 2),
+                              ad.sin(ad.comp(v, 2))])
+
+    grp = dual_group(3, cols, fn)
+    rng = np.random.default_rng(13)
+    for _ in range(2):
+        z = rng.standard_normal(7)
+        dot = fn(ad.seed(z[cols], 3, 0)).dot
+        want = sp.csr_matrix((dot.ravel(), (np.repeat(np.arange(3), 3), np.tile(cols, 3))),
+                             shape=(3, 7))
+        assert_same_matrix(grp.eval_with_jac(z)[1], want)
+    with pytest.raises(ValueError):
+        dual_group(1, [2, 2], fn)
+
+
+def test_stacked_jacobian_refill_matches_assembly():
+    # a linear group, a group whose pattern depends on the point (its
+    # Jacobian comes from a dense matrix, zeros dropped) and a gap group
+    def circle(z):
+        return np.array([z[0] ** 2 - 1.0]), sp.csr_matrix(np.array([[2.0 * z[0], 0.0, z[1]]]))
+
+    prob = NlpProblem()
+    prob.add_block("z", 3)
+    groups = [LinearGroup(np.array([[1.0, 0.0, 2.0], [0.0, 3.0, 0.0]]), np.ones(2)),
+              CallableGroup(1, lambda z: circle(z)[0], circle)]
+    stack = _Stacked(groups)
+    points = np.array([[0.5, 1.0, 0.0], [0.7, -1.0, 0.0], [0.0, 2.0, 0.0], [0.3, 1.0, 0.0]])
+    prev, held = None, []
+    for z in points:
+        _, jac = stack.eval_with_jac(z)
+        assert_same_matrix(jac, sp.vstack([g.eval_with_jac(z)[1] for g in groups], format="csr"))
+        if prev is not None:
+            # the stack keeps its index arrays while each group keeps its pattern
+            held.append(same_pattern(jac, pattern_of(prev)))
+            assert np.shares_memory(jac.indices, prev.indices) == held[-1]
+        prev = jac
+    assert held == [True, False, False]               # z0 = 0 drops an entry, and back
+    assert _Stacked([]).eval_with_jac(np.zeros(3))[1].shape == (0, 3)
+
+
+def recorded_refills(monkeypatch):
+    """Checks every QP-row refill of the solves it is active for against a fresh build."""
+    seen = []
+    init, call = nlp._Refilled.__init__, nlp._Refilled.__call__
+
+    def recording_init(self, build, part):
+        init(self, build, part)
+        self.build = build
+
+    def checking_call(self, part):
+        got = call(self, part)
+        assert_same_matrix(got, self.build(part))
+        seen.append(got.shape)
+        return got
+
+    monkeypatch.setattr(nlp._Refilled, "__init__", recording_init)
+    monkeypatch.setattr(nlp._Refilled, "__call__", checking_call)
+    return seen
+
+
+def test_qp_rows_refill_matches_assembly(chain3, nominal_params, monkeypatch):
+    from beamilc.ocp import TaskDefinition, solve_ptp_ocp
+
+    seen = recorded_refills(monkeypatch)
+    # plain rows: a planar plan with bounds, inequalities and l1 terms, over
+    # several SQP iterations
+    task = TaskDefinition.from_goal_joints(chain3, [0.5, -0.9, 0.6], [0.9, -1.1, 0.5],
+                                           n_ctrl=48, n_pred=144, dt=0.01)
+    sol = solve_ptp_ocp(chain3, task, nominal_params).solution
+    assert sol.iterations >= 3 and sol.qp_effort["qp_elastic_calls"] == 0
+    assert len(set(seen)) == 2 and len(seen) == 2 * sol.iterations
+    # elastic rows, wider by a slack pair per linearized equality, over the
+    # iterations after the first QP turned out infeasible
+    seen.clear()
+    sol = solve(elastic_problem())
+    assert sol.converged and sol.qp_effort["qp_elastic_calls"] >= 3
+    widths = sorted({shape[1] for shape in seen})
+    assert widths == [4, 6]                           # z and l1 slacks; and an elastic pair
+    assert sum(shape[1] == 6 for shape in seen) >= 2 * 3
+
+
+def active_kkt_assembly(p_mat, a_eq, g_ineq, act):
+    """The active set's KKT assembled afresh from its blocks."""
+    me, g_act = a_eq.shape[0], g_ineq[act]
+    ma = g_act.shape[0]
+    return sp.bmat([
+        [p_mat, a_eq.T if me else None, g_act.T if ma else None],
+        [a_eq if me else None, -qp.REG * sp.identity(me) if me else None, None],
+        [g_act if ma else None, None, -qp.REG * sp.identity(ma) if ma else None],
+    ], format="csc")
+
+
+def test_active_set_kkt_refill_matches_assembly(monkeypatch):
+    # two QPs of one pattern through one workspace: the first changes its
+    # working set from iteration to iteration, the second starts from the
+    # first's and refills the map kept for it
+    seen = []
+    active_kkt = qp.KktWorkspace.active_kkt
+
+    def checking(self, p_mat, a_eq, g_ineq, active):
+        got = active_kkt(self, p_mat, a_eq, g_ineq, active)
+        assert_same_matrix(got, active_kkt_assembly(p_mat, a_eq, g_ineq, active))
+        seen.append((active.tobytes(), self.active[1]))
+        return got
+
+    monkeypatch.setattr(qp.KktWorkspace, "active_kkt", checking)
+    rng = np.random.default_rng(14)
+    p_mat, q, a_eq, b_eq, g, h = random_strictly_convex_qp(rng, mi=12)
+    g[:, 0] = 0.0                                     # explicit zeros in G's pattern
+    data = [sp.csc_matrix(p_mat), q, sp.csr_matrix(a_eq), b_eq, sp.csr_matrix(g), h]
+    data[4].data[::5] = 0.0
+    workspace = qp.KktWorkspace()
+    first = solve_qp(*data, workspace=workspace)
+    assert first.status == "converged"
+    assert len({key for key, _ in seen}) >= 3         # the working set changed
+    last = seen[-1]
+    assert last[0] == first.working_set.tobytes()
+    data[0] = sp.csc_matrix(2.0 * p_mat)
+    data[2] = sp.csr_matrix((rng.standard_normal(data[2].nnz), data[2].indices, data[2].indptr),
+                            shape=data[2].shape)
+    del seen[:]
+    second = solve_qp(*data, working_set=first.working_set, workspace=workspace)
+    assert second.status == "converged"
+    assert seen[0][1] is last[1]                      # the kept map, refilled
+    fresh = solve_qp(*data, working_set=first.working_set)
+    np.testing.assert_array_equal(second.x, fresh.x)
 
 
 # ---------------------------------------------------------------------------

@@ -362,6 +362,37 @@ def test_interior_point_kkt_refill_matches_assembly(chain7, nominal_params, monk
     assert kkt.perm is not None
 
 
+def test_interior_point_kkt_kept_across_one_solves_calls(chain3, nominal_params, monkeypatch):
+    # the QPs of one SQP solve share one reduced KKT: its index map and the
+    # column order of its first factorization carry over to the next call,
+    # whose refill stores, bit for bit, what a fresh assembly of that QP
+    # stores in that order
+    task = TaskDefinition.from_goal_joints(chain3, Q0, Q_GOAL, n_ctrl=48, n_pred=144, dt=0.01)
+    calls = []
+    solve_qp_ipm = nlp.solve_qp_ipm
+
+    def recording(*args, workspace):
+        calls.append((args, workspace.reduced))
+        return solve_qp_ipm(*args, workspace=workspace)
+
+    monkeypatch.setattr(nlp, "solve_qp_ipm", recording)
+    plan = solve_ptp_ocp(chain3, task, nominal_params)
+    assert plan.solution.converged and len(calls) >= 3
+    kept = calls[1][1]
+    assert kept is not None and kept.perm is not None
+    assert all(held is kept for _, held in calls[2:])
+    _, p_mat, _, a_eq, _, g_ineq, _ = qp._scaled(*calls[1][0])
+    fresh = qp._ReducedKkt(p_mat, a_eq, g_ineq)
+    kept.refill(p_mat, a_eq, g_ineq)
+    w = np.exp(np.random.default_rng(5).uniform(-5, 5, g_ineq.shape[0]))
+    kept.factor(w)
+    fresh.factor(w)
+    ref = fresh.mat[:, np.argsort(kept.perm)]
+    np.testing.assert_array_equal(kept.mat.indptr, ref.indptr)
+    np.testing.assert_array_equal(kept.mat.indices, ref.indices)
+    np.testing.assert_array_equal(kept.mat.data.view(np.int64), ref.data.view(np.int64))
+
+
 def test_warm_start_converges_fast(chain3, nominal_params, plan3):
     task, plan = plan3
     warm = solve_ptp_ocp(chain3, task, nominal_params, u_prev=plan.u.data)

@@ -9,7 +9,8 @@ from beamilc.plant import (PlantConfig, TwoSegmentParams, run_experiment,
                            truth_equilibrium, two_segment_ode)
 from beamilc.trajectory import Trajectory
 from conftest import REFERENCE_Q0_7DOF
-from reference_model import rest_state, two_segment_equilibrium, two_segment_trace
+from reference_model import (frame_blocks, rest_state, two_segment_equilibrium,
+                             two_segment_trace)
 from test_dynamics import vertical_plane_chain
 
 
@@ -127,7 +128,7 @@ def test_two_segment_energy_conservation(mismatch_two_segment):
     e0 = energy(state)
     for _ in range(100_000):  # 10 s
         def f(s):
-            dd1, dd2 = two_segment_ode(*s, ts, g2, zm, zm, zm)
+            dd1, dd2 = two_segment_ode(*s, ts, g2, zm, zm)
             return np.array([s[2], s[3], dd1, dd2])
         k1 = f(state)
         k2 = f(state + 0.5 * h * k1)
@@ -146,8 +147,8 @@ def test_two_segment_linearized_modes(mismatch_two_segment):
     for j in range(2):
         e = np.zeros(2)
         e[j] = eps
-        up = np.array(two_segment_ode(e[0], e[1], 0.0, 0.0, ts, g2, zm, zm, zm))
-        dn = np.array(two_segment_ode(-e[0], -e[1], 0.0, 0.0, ts, g2, zm, zm, zm))
+        up = np.array(two_segment_ode(e[0], e[1], 0.0, 0.0, ts, g2, zm, zm))
+        dn = np.array(two_segment_ode(-e[0], -e[1], 0.0, 0.0, ts, g2, zm, zm))
         k_lin[:, j] = (up - dn) / (2 * eps)
     num_modes = np.sort(np.sqrt(np.linalg.eigvals(-k_lin).real))
     m_mat = ts.mass_matrix_small_angle()
@@ -159,17 +160,18 @@ def test_two_segment_linearized_modes(mismatch_two_segment):
 
 
 def reference_truth(cfg, chain, q0, u, n_samples, dt_est):
-    """``run_experiment``'s decimated two-segment trace, by the reference model."""
+    """``run_experiment``'s decimated two-segment trace, by the reference model,
+    and the program's frame terms of the plant steps' RK4 stages."""
     q0 = np.asarray(q0, dtype=float)
     h = 1.0 / cfg.rate
     ratio = int(round(dt_est / h))
     n_steps = (n_samples - 1) * ratio + 1
     u_hold = u.sample_hold(np.arange(n_steps) * h)
     _, _, q_s, dq_s, u_s = arm_stage_states(np.concatenate([q0, 0.0 * q0]), u_hold, h)
-    coeffs = plane_frame_coeffs(chain, q_s, dq_s, u_s)
     rb = forward_kinematics(chain, q0).rotation
     th_eq = two_segment_equilibrium(cfg.two_segment, (rb.T @ GRAVITY)[:2])
-    return two_segment_trace(cfg, th_eq, coeffs, n_steps, h)[::ratio], coeffs
+    ref = two_segment_trace(cfg, th_eq, frame_blocks(chain, q_s, dq_s, u_s), n_steps, h)
+    return ref[::ratio], plane_frame_coeffs(chain, q_s, dq_s, u_s)
 
 
 def assert_matches_reference(got, ref):
@@ -201,8 +203,9 @@ def test_two_segment_truth_matches_reference_spatial(chain7, free_params,
     u = make_u(chain7, lambda t, j: 1.5 * np.sin(4 * t + j), 60)
     res = run_experiment(cfg, chain7, q0, u, 250, 0.006, free_params)
     ref, coeffs = reference_truth(cfg, chain7, q0, u, 250, 0.006)
-    # the spatial arm loads the blocks a planar chain leaves at zero
-    assert np.max(np.abs(coeffs["m_ww"][..., 0, 1])) > 1e-2
+    # the spatial arm loads the blocks a planar chain leaves at zero: the
+    # symmetric part of m_rot off its diagonal is 2 wx wy
+    assert np.max(np.abs(coeffs["m_rot"][..., 0, 1] + coeffs["m_rot"][..., 1, 0])) > 2e-2
     assert np.max(np.abs(coeffs["m_w"])) > 1e-1
     assert np.min(np.abs(ref[0, :2])) > 1e-2
     assert_matches_reference(res.truth_states, ref)

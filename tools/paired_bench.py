@@ -12,7 +12,8 @@ the change first in odd ones. Workloads run in the order given, seeds in
 order within each. The traced runs (``--seconds 1 --trace 1``) follow, one
 at a time, parent before change. The output keeps every run's last report
 line, and per workload the median and quartiles of each end-to-end metric
-on both sides, and in how many pairs the change's ``wall_s`` was lower.
+on both sides, in how many pairs the change's ``wall_s`` was lower, and the
+verdict of the paired rule on ``wall_s`` (:func:`paired_rule`).
 """
 from __future__ import annotations
 
@@ -65,6 +66,22 @@ def spread(values):
     return {"median": median, "q1": q1, "q3": q3, "n": len(values)}
 
 
+def paired_rule(parent, change):
+    """Whether ``change`` is faster than ``parent`` by the paired rule, with the figures.
+
+    ``parent`` and ``change`` hold one ``wall_s`` per pair, in pair order.
+    The rule holds when the change is faster in at least 9 of every 10
+    pairs (a tie counts for neither side) and its median is below the
+    parent's by more than the parent's interquartile range.
+    """
+    wins = sum(c < p for p, c in zip(parent, change))
+    ties = sum(c == p for p, c in zip(parent, change))
+    par, chg = spread(parent), spread(change)
+    gap, iqr = par["median"] - chg["median"], par["q3"] - par["q1"]
+    return {"holds": 10 * wins >= 9 * len(parent) and gap > iqr, "wins": wins, "ties": ties,
+            "pairs": len(parent), "median_gap": gap, "parent_iqr": iqr}
+
+
 def summary(runs):
     out = {}
     for name in dict.fromkeys(r["workload"] for r in runs):
@@ -79,6 +96,8 @@ def summary(runs):
         entry["wall_s"]["change_faster_pairs"] = sum(
             walls[p, "change"] < walls[p, "parent"] for p in pairs)
         entry["wall_s"]["pairs"] = len(pairs)
+        entry["wall_s"]["paired_rule"] = paired_rule([walls[p, "parent"] for p in pairs],
+                                                     [walls[p, "change"] for p in pairs])
         entry["all_correct"] = all(r["line"]["correct"] for r in mine)
         out[name] = entry
     return out
@@ -122,6 +141,11 @@ def main(argv=None):
         "traced": traced,
     }
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
+    for name, entry in doc["summary"].items():
+        rule = entry["wall_s"]["paired_rule"]
+        print(f"{name}: paired rule {'holds' if rule['holds'] else 'does not hold'}: faster in "
+              f"{rule['wins']} of {rule['pairs']} pairs ({rule['ties']} ties), median gap "
+              f"{rule['median_gap']:.4g} s against the parent's IQR {rule['parent_iqr']:.4g} s")
 
 
 if __name__ == "__main__":
