@@ -10,8 +10,7 @@ leave no residual vibration.
 __version__ = "0.1.0"
 
 from .config import RunConfig
-from .dynamics import (BeamGeometry, BeamParams, SetupState, analytic_init_params,
-                       pendulum_equilibrium)
+from .dynamics import BeamGeometry, BeamParams, analytic_init_params
 from .estimation import EstimationConfig, LearnedModel
 from .ilc import IlcConfig, IlcRecord, run_ilc, vibration_metric
 from .kinematics import (FrameMotion, FramePose, KinematicChain, builtin_chain,
@@ -25,9 +24,9 @@ __all__ = [
     "BeamGeometry", "BeamParams", "EstimationConfig", "ExperimentResult",
     "FrameMotion", "FramePose", "IlcConfig", "IlcRecord", "KinematicChain",
     "LearnedModel", "OcpWeights", "PlannedMotion", "PlantConfig", "RunConfig",
-    "SetupState", "TaskDefinition", "Trajectory", "TwoSegmentParams",
+    "TaskDefinition", "Trajectory", "TwoSegmentParams",
     "analytic_init_params", "builtin_chain", "forward_kinematics",
     "frame_motion", "geometric_jacobian", "orientation_error",
-    "pendulum_equilibrium", "run_experiment", "run_ilc", "solve_ptp_ocp",
+    "run_experiment", "run_ilc", "solve_ptp_ocp",
     "vibration_metric",
 ]

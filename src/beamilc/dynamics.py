@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ad
-from .kinematics import GRAVITY, forward_kinematics, frame_state
+from .kinematics import GRAVITY, frame_state
 
 PARAM_NAMES = ("k", "c", "m", "l", "a", "b", "tau_e0")
 PARAM_UNITS = ("N*m/rad", "N*m*s/rad", "kg", "m", "1/s", "1/s", "N*m")
@@ -102,34 +102,6 @@ class BeamGeometry:
         return 1.8751 ** 2 * math.sqrt(self.bending_stiffness / (rho_a * self.length ** 4))
 
 
-@dataclass(frozen=True)
-class SetupState:
-    """Structured view of the combined arm+pendulum+sensing state."""
-
-    q: np.ndarray
-    theta: float
-    dq: np.ndarray
-    dtheta: float
-    tau_hat: float
-    tau_e: float
-
-    def as_array(self):
-        return np.concatenate([
-            np.asarray(self.q, dtype=float), [self.theta],
-            np.asarray(self.dq, dtype=float), [self.dtheta, self.tau_hat, self.tau_e],
-        ])
-
-    @staticmethod
-    def from_array(x, n_dof):
-        x = np.asarray(x, dtype=float)
-        if x.shape != (2 * (n_dof + 1) + 2,):
-            raise ValueError("state dimension mismatch")
-        if not np.all(np.isfinite(x)):
-            raise ValueError("non-finite state entries")
-        return SetupState(x[:n_dof].copy(), float(x[n_dof]), x[n_dof + 1:2 * n_dof + 1].copy(),
-                          float(x[2 * n_dof + 1]), float(x[2 * n_dof + 2]), float(x[2 * n_dof + 3]))
-
-
 def state_dim(n_dof):
     return 2 * (n_dof + 1) + 2
 
@@ -174,18 +146,21 @@ def arm_stage_states(q0, u_seq, dt):
 
     Returns ``(q, dq)`` at every step start and at the end, shapes (N+1, n),
     and the :func:`arm_rk4_stages` of every step as stage arrays
-    ``(q_s, dq_s, u_s)`` of shape (N, 4, n).
+    ``(q_s, dq_s, u_s)`` of shape (N, 4, n). Each of ``dq`` and ``q`` is one
+    running sum that adds in the step's order, ``dq + dt u`` and
+    ``(q + dt dq) + dt^2/2 u``: ``q`` sums the interleaved increments and
+    keeps every other row.
     """
     u_seq = np.atleast_2d(np.asarray(u_seq, dtype=float))
     n_steps, n = u_seq.shape
     q0 = np.asarray(q0, dtype=float)
-    dq = np.zeros((n_steps + 1, n))
-    q = np.zeros((n_steps + 1, n))
-    q[0] = q0[:n]
-    dq[0] = q0[n:] if q0.shape[0] == 2 * n else 0.0
-    for k in range(n_steps):
-        dq[k + 1] = dq[k] + dt * u_seq[k]
-        q[k + 1] = q[k] + dt * dq[k] + 0.5 * dt * dt * u_seq[k]
+    dq0 = q0[n:] if q0.shape[0] == 2 * n else np.zeros(n)
+    dq = np.add.accumulate(np.vstack([dq0, dt * u_seq]))
+    incr = np.empty((2 * n_steps + 1, n))
+    incr[0] = q0[:n]
+    incr[1::2] = dt * dq[:-1]
+    incr[2::2] = 0.5 * dt * dt * u_seq
+    q = np.add.accumulate(incr)[::2]
     q_s, dq_s = arm_rk4_stages(q[:-1], dq[:-1], u_seq, dt)
     u_s = np.repeat(u_seq[:, None, :], 4, axis=1)
     return q, dq, np.moveaxis(q_s, 0, 1).copy(), np.moveaxis(dq_s, 0, 1).copy(), u_s
@@ -344,12 +319,6 @@ def equilibrium_for_rotation(rb, p, tol=1e-12):
             lo, flo = cand, f(cand)
         th = cand
     raise EquilibriumError("equilibrium refinement did not converge")
-
-
-def pendulum_equilibrium(chain, q, p, tol=1e-12):
-    """Equilibrium pendulum angle for the arm held at configuration ``q``."""
-    pose = forward_kinematics(chain, np.asarray(q, dtype=float))
-    return equilibrium_for_rotation(pose.rotation, p, tol=tol)
 
 
 def analytic_init_params(geom, zeta=0.01, a=50.0, b=2.0, tau_e0=0.0):

@@ -89,9 +89,13 @@ class KinematicChain:
     name: str = field(default="chain")
 
     def __post_init__(self):
-        t = np.asarray(self.joint_translations, dtype=float)
-        r = np.asarray(self.joint_rotations, dtype=float)
-        a = np.asarray(self.joint_axes, dtype=float)
+        for nm in ("joint_translations", "joint_rotations", "joint_axes", "tool_translation",
+                   "tool_rotation", "q_min", "q_max", "dq_max", "ddq_max", "jerk_max"):
+            v = np.asarray(getattr(self, nm), dtype=float)
+            if not np.all(np.isfinite(v)):
+                raise ValueError(f"{nm} has a non-finite entry")
+            object.__setattr__(self, nm, v)
+        t, r, a = self.joint_translations, self.joint_rotations, self.joint_axes
         n = t.shape[0]
         if t.shape != (n, 3) or r.shape != (n, 3, 3) or a.shape != (n, 3):
             raise ValueError("inconsistent joint geometry arrays")
@@ -101,17 +105,10 @@ class KinematicChain:
                 raise ValueError(f"joint {i} axis is not unit norm")
         _check_rotation(self.tool_rotation, what="tool rotation")
         for nm in ("q_min", "q_max", "dq_max", "ddq_max", "jerk_max"):
-            v = np.asarray(getattr(self, nm), dtype=float)
-            if v.shape != (n,):
+            if getattr(self, nm).shape != (n,):
                 raise ValueError(f"{nm} must have shape ({n},)")
-            object.__setattr__(self, nm, v)
         if not np.all(self.q_min < self.q_max):
             raise ValueError("q_min must be below q_max elementwise")
-        object.__setattr__(self, "joint_translations", t)
-        object.__setattr__(self, "joint_rotations", r)
-        object.__setattr__(self, "joint_axes", a)
-        object.__setattr__(self, "tool_translation", np.asarray(self.tool_translation, dtype=float))
-        object.__setattr__(self, "tool_rotation", np.asarray(self.tool_rotation, dtype=float))
 
     @property
     def n_joints(self):
@@ -311,9 +308,16 @@ def chain_from_dict(spec):
 
 
 def load_chain(path):
-    """Load a chain description file (JSON)."""
+    """Load a chain description file (JSON).
+
+    Malformed JSON or an entry the chain rejects, such as a non-finite
+    number (``NaN``, ``Infinity``), raises a ``ValueError`` naming the file.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        return chain_from_dict(json.load(fh))
+        try:
+            return chain_from_dict(json.load(fh))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def planar_chain(link_lengths, q_max=3.0, dq_max=2.5, ddq_max=15.0, jerk_max=4000.0):

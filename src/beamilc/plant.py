@@ -9,15 +9,18 @@ measurement sample, and is decimated to the estimation grid.
 
 The arm tracks its reference exactly (ideal joint tracking), so the frame
 {b} motion along the whole experiment is precomputed in one batched pass
-and only the beam + sensing substate is integrated in the loop. The
-two-segment equation (:func:`two_segment_ode`, the only one) and its RK4
-loop run on plain Python floats, with explicit 2x2 products and the 2x2
-solve: thousands of steps on 2-vectors cost far less that way than as
-numpy calls. The frame's rotation enters both segments through the summed
-block ``m_rot`` and the velocity block ``m_w`` of
-:func:`~beamilc.dynamics.plane_frame_coeffs`. Each step reads its frame
-terms with one ``.tolist()`` per coefficient array, so the record is never
-copied whole.
+and only the beam + sensing substate is integrated in the loop. Once the
+arm has settled, its stage inputs repeat bit for bit from step to step, so
+the pass runs only over the record's distinct head, up to the first step
+from which every step's stage inputs equal the last step's; later steps
+read that step's frame terms. The two-segment equation
+(:func:`two_segment_ode`, the only one) and its RK4 loop run on plain
+Python floats, with explicit 2x2 products and the 2x2 solve: thousands of
+steps on 2-vectors cost far less that way than as numpy calls. The frame's
+rotation enters both segments through the summed block ``m_rot`` and the
+velocity block ``m_w`` of :func:`~beamilc.dynamics.plane_frame_coeffs`.
+The shared step's terms become floats once; each head step reads its own
+with one ``.tolist()`` per coefficient array.
 """
 from __future__ import annotations
 
@@ -95,6 +98,14 @@ class ExperimentResult:
     joints: Trajectory       # achieved joint positions/velocities, decimated
 
 
+def _segment_bias(r00, r01, r10, r11, w00, w01, w10, w11, c, s, dth):
+    """Bias acceleration of a unit segment along r = (c, s), r' = (-s, c), with
+    theta_ddot removed: M_rot r + 2 dth M_w r' - dth^2 r."""
+    two_d, d2 = 2.0 * dth, dth * dth
+    return (r00 * c + r01 * s + two_d * (w00 * -s + w01 * c) - d2 * c,
+            r10 * c + r11 * s + two_d * (w10 * -s + w11 * c) - d2 * s)
+
+
 def two_segment_ode(th1, th2, dth1, dth2, params, g2, m_rot, m_w):
     """Double-pendulum dynamics on the moving frame, from plane projections.
 
@@ -105,40 +116,33 @@ def two_segment_ode(th1, th2, dth1, dth2, params, g2, m_rot, m_w):
     ``((m00, m01), (m10, m11))``, one stage of :func:`plane_frame_coeffs`
     after ``.tolist()``. Returns ``(theta1_ddot, theta2_ddot)``.
     """
-    p = params
+    m1, l1, k1, c1 = params.m1, params.l1, params.k1, params.c1
+    m2, l2, k2, c2 = params.m2, params.l2, params.k2, params.c2
     (r00, r01), (r10, r11) = m_rot
     (w00, w01), (w10, w11) = m_w
     g0, g1 = g2
 
-    # bias acceleration of a unit segment along r = (c, s), r' = (-s, c), with
-    # theta_ddot removed: M_rot r + 2 dth M_w r' - dth^2 r
-    def seg_bias(c, s, dth):
-        two_d, d2 = 2.0 * dth, dth * dth
-        bx = r00 * c + r01 * s + two_d * (w00 * -s + w01 * c) - d2 * c
-        by = r10 * c + r11 * s + two_d * (w10 * -s + w11 * c) - d2 * s
-        return bx, by
-
-    s1, c1 = math.sin(th1), math.cos(th1)
-    s12, c12 = math.sin(th1 + th2), math.cos(th1 + th2)
+    sn1, cs1 = math.sin(th1), math.cos(th1)
+    sn12, cs12 = math.sin(th1 + th2), math.cos(th1 + th2)
     # angle Jacobians of the two mass positions (in-plane, frame {b}):
     # a11 = d p1 / d th1, a21 = d p2 / d th1, a22 = d p2 / d th2
-    a11x, a11y = p.l1 * -s1, p.l1 * c1
-    a22x, a22y = p.l2 * -s12, p.l2 * c12
+    a11x, a11y = l1 * -sn1, l1 * cs1
+    a22x, a22y = l2 * -sn12, l2 * cs12
     a21x, a21y = a11x + a22x, a11y + a22y
 
     # g2 already holds R^T (g - p_ddot_b); bias enters as (p_ddot_i - g)
-    bx, by = seg_bias(c1, s1, dth1)
-    b1x, b1y = p.l1 * bx, p.l1 * by
-    bx, by = seg_bias(c12, s12, dth1 + dth2)
-    b2x, b2y = b1x + p.l2 * bx, b1y + p.l2 * by
+    bx, by = _segment_bias(r00, r01, r10, r11, w00, w01, w10, w11, cs1, sn1, dth1)
+    b1x, b1y = l1 * bx, l1 * by
+    bx, by = _segment_bias(r00, r01, r10, r11, w00, w01, w10, w11, cs12, sn12, dth1 + dth2)
+    b2x, b2y = b1x + l2 * bx, b1y + l2 * by
     e1x, e1y, e2x, e2y = b1x - g0, b1y - g1, b2x - g0, b2y - g1
-    rhs1 = (-(p.m1 * (a11x * e1x + a11y * e1y) + p.m2 * (a21x * e2x + a21y * e2y))
-            - p.k1 * th1 - p.c1 * dth1)
-    rhs2 = -(p.m2 * (a22x * e2x + a22y * e2y)) - p.k2 * th2 - p.c2 * dth2
+    rhs1 = (-(m1 * (a11x * e1x + a11y * e1y) + m2 * (a21x * e2x + a21y * e2y))
+            - k1 * th1 - c1 * dth1)
+    rhs2 = -(m2 * (a22x * e2x + a22y * e2y)) - k2 * th2 - c2 * dth2
 
-    m11 = p.m1 * (a11x * a11x + a11y * a11y) + p.m2 * (a21x * a21x + a21y * a21y)
-    m12 = p.m2 * (a21x * a22x + a21y * a22y)
-    m22 = p.m2 * (a22x * a22x + a22y * a22y)
+    m11 = m1 * (a11x * a11x + a11y * a11y) + m2 * (a21x * a21x + a21y * a21y)
+    m12 = m2 * (a21x * a22x + a21y * a22y)
+    m22 = m2 * (a22x * a22x + a22y * a22y)
     det = m11 * m22 - m12 * m12
     return (m22 * rhs1 - m12 * rhs2) / det, (m11 * rhs2 - m12 * rhs1) / det
 
@@ -181,43 +185,61 @@ def truth_equilibrium(cfg, chain, q0, nominal):
 def _two_segment_trace(cfg, th_eq, coeffs, n_steps, h):
     """RK4 trace of the two-segment beam and the sensing path, settled filter.
 
-    Steps Python floats; each step reads its four stages' frame terms with
-    one ``.tolist()`` per coefficient array, so the record is never copied
-    whole.
+    ``coeffs`` holds the frame terms of the record's distinct head
+    (:func:`_distinct_head`): every step from its last row on reads that
+    row, made into floats once. Each earlier step reads its four stages
+    with one ``.tolist()`` per coefficient array, so the record is never
+    copied whole.
     """
     ts = cfg.two_segment
-    a_t, b_t = cfg.a_true, cfg.b_true
+    a_t, b_t, spring, damper = cfg.a_true, cfg.b_true, ts.k1, ts.c1
     frame = [coeffs[nm] for nm in ("g2", "m_rot", "m_w")]
+    last = len(frame[0]) - 1
+    shared = list(zip(*(c[last].tolist() for c in frame)))
 
-    def torque(th1, dth1):
-        return -ts.c1 * dth1 - ts.k1 * th1
-
-    def deriv(y, g2, m_rot, m_w):
-        th1, th2, dth1, dth2, tau_hat, tau_e = y
-        dd1, dd2 = two_segment_ode(th1, th2, dth1, dth2, ts, g2, m_rot, m_w)
+    def deriv(th1, th2, dth1, dth2, tau_hat, tau_e, stage):
+        dd1, dd2 = two_segment_ode(th1, th2, dth1, dth2, ts, *stage)
         return (dth1, dth2, dd1, dd2,
-                -a_t * tau_hat + a_t * (torque(th1, dth1) + tau_e), -b_t * tau_e)
+                -a_t * tau_hat + a_t * (-damper * dth1 - spring * th1 + tau_e), -b_t * tau_e)
 
-    # settled filter tracking the biased signal, bias decay starts at t=0
+    # settled filter tracking the biased rest torque, bias decay starts at t=0
     th1, th2 = float(th_eq[0]), float(th_eq[1])
     tau_e0 = cfg.tau_e0_true
-    y = (th1, th2, 0.0, 0.0, torque(th1, 0.0) + tau_e0, tau_e0)
-    trace = np.empty((n_steps, 6))
-    trace[0] = y
+    y = (th1, th2, 0.0, 0.0, -spring * th1 + tau_e0, tau_e0)
+    rows = [y]
     hh, h6 = 0.5 * h, h / 6.0
     try:
         for kk in range(n_steps - 1):
-            stages = list(zip(*(c[kk].tolist() for c in frame)))
-            f1 = deriv(y, *stages[0])
-            f2 = deriv([a + hh * b for a, b in zip(y, f1)], *stages[1])
-            f3 = deriv([a + hh * b for a, b in zip(y, f2)], *stages[2])
-            f4 = deriv([a + h * b for a, b in zip(y, f3)], *stages[3])
-            y = [a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-                 for a, b1, b2, b3, b4 in zip(y, f1, f2, f3, f4)]
-            trace[kk + 1] = y
+            s1, s2, s3, s4 = shared if kk >= last else zip(*(c[kk].tolist() for c in frame))
+            y0, y1, y2, y3, y4, y5 = y
+            a0, a1, a2, a3, a4, a5 = deriv(y0, y1, y2, y3, y4, y5, s1)
+            b0, b1, b2, b3, b4, b5 = deriv(y0 + hh * a0, y1 + hh * a1, y2 + hh * a2,
+                                           y3 + hh * a3, y4 + hh * a4, y5 + hh * a5, s2)
+            c0, c1, c2, c3, c4, c5 = deriv(y0 + hh * b0, y1 + hh * b1, y2 + hh * b2,
+                                           y3 + hh * b3, y4 + hh * b4, y5 + hh * b5, s3)
+            d0, d1, d2, d3, d4, d5 = deriv(y0 + h * c0, y1 + h * c1, y2 + h * c2,
+                                           y3 + h * c3, y4 + h * c4, y5 + h * c5, s4)
+            y = (y0 + h6 * (a0 + 2.0 * b0 + 2.0 * c0 + d0),
+                 y1 + h6 * (a1 + 2.0 * b1 + 2.0 * c1 + d1),
+                 y2 + h6 * (a2 + 2.0 * b2 + 2.0 * c2 + d2),
+                 y3 + h6 * (a3 + 2.0 * b3 + 2.0 * c3 + d3),
+                 y4 + h6 * (a4 + 2.0 * b4 + 2.0 * c4 + d4),
+                 y5 + h6 * (a5 + 2.0 * b5 + 2.0 * c5 + d5))
+            rows.append(y)
     except ValueError as exc:  # math.sin of an infinite angle
         raise IntegrationBlowupError("truth plant integration blew up") from exc
-    return trace
+    return np.array(rows)
+
+
+def _distinct_head(q_s, dq_s, u_s):
+    """Length of the head of a record's steps past which every step repeats the
+    last step's stage inputs, bit for bit (``-0.0`` and ``0.0`` differ).
+
+    From the head's last row on, every step's frame terms are that row's.
+    """
+    bits = np.concatenate([q_s, dq_s, u_s], axis=-1).reshape(len(q_s), -1).view(np.uint64)
+    moving = np.flatnonzero(np.any(bits != bits[-1], axis=1))
+    return int(moving[-1]) + 2 if moving.size else 1
 
 
 def steps_per_sample(cfg, dt_est):
@@ -252,7 +274,8 @@ def run_experiment(cfg, chain, q0, u, n_samples, dt_est, nominal_params, seed=No
     n = chain.n_joints
     arm0 = np.concatenate([q0, np.zeros(n)])
     q, dq, q_s, dq_s, u_s = arm_stage_states(arm0, u_hold, h)
-    coeffs = plane_frame_coeffs(chain, q_s, dq_s, u_s)
+    n_head = _distinct_head(q_s, dq_s, u_s)
+    coeffs = plane_frame_coeffs(chain, q_s[:n_head], dq_s[:n_head], u_s[:n_head])
 
     th_eq = truth_equilibrium(cfg, chain, q0, nominal_params)
     if cfg.truth_kind == "perturbed_single":
@@ -261,7 +284,9 @@ def run_experiment(cfg, chain, q0, u, n_samples, dt_est, nominal_params, seed=No
         pt = _true_single_params(cfg, nominal_params)
         tau_e0 = cfg.tau_e0_true
         y0 = (th_eq[0], 0.0, reaction_torque(th_eq[0], 0.0, pt) + tau_e0, tau_e0)
-        trace = np.array(_substate_rk4(y0, pt, coeffs, np.zeros(n_steps - 1), h))
+        rows = np.minimum(np.arange(n_steps - 1), n_head - 1)
+        trace = np.array(_substate_rk4(y0, pt, {nm: v[rows] for nm, v in coeffs.items()},
+                                       np.zeros(n_steps - 1), h))
     else:
         trace = _two_segment_trace(cfg, th_eq, coeffs, n_steps, h)
     if not np.all(np.isfinite(trace)):

@@ -9,6 +9,13 @@ REFERENCE_Q0_7DOF = np.array([-np.pi / 2, -np.pi / 6, 0.0, -2 * np.pi / 3, 0.0,
                           np.pi / 2, np.pi / 4])
 
 
+def assert_same_bits(got, ref):
+    """Equal shapes and bit patterns: unlike ``==``, ``-0.0`` and ``0.0`` differ."""
+    got, ref = np.asarray(got, dtype=float), np.asarray(ref, dtype=float)
+    assert got.shape == ref.shape
+    assert got.tobytes() == ref.tobytes(), np.argwhere(got.view(np.uint64) != ref.view(np.uint64))[:5]
+
+
 @pytest.fixture(scope="session")
 def reference_beam():
     # 60 x 6 x 0.1 cm stainless beam, rho = 6.3 g/cm^3, EI = 1.267 N m^2

@@ -7,18 +7,73 @@ arm stages the program steps with; batched and dual-transparent. The
 in-plane frame terms from 3x3 products, the two-segment truth plant on
 2-vectors and 2x2 blocks, and the parameter
 fit's output sensitivity by a rollout on duals. The model's full state at
-rest (``rest_state``, ``_model_init_state``), for the full-state
-``fast_rollout`` that the substate output path is checked against.
+rest (``rest_state``, ``_model_init_state``, through the structured view
+``SetupState`` and the equilibrium at a configuration,
+``pendulum_equilibrium``), for the full-state ``fast_rollout`` that the
+substate output path is checked against. The arm's states one step at a
+time (``arm_states_by_steps``), which ``arm_stage_states`` must reproduce
+bit for bit.
 """
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from beamilc import ad
-from beamilc.dynamics import (SetupState, _params_tuple, _substate_rk4, measurement_dynamics,
-                              pendulum_equilibrium, reaction_torque, state_dim)
+from beamilc.dynamics import (_params_tuple, _substate_rk4, equilibrium_for_rotation,
+                              measurement_dynamics, reaction_torque, state_dim)
 from beamilc.estimation import _rest_residual, _rest_substate
 from beamilc.kinematics import GRAVITY, forward_kinematics, frame_state
+
+
+@dataclass(frozen=True)
+class SetupState:
+    """Structured view of the combined arm+pendulum+sensing state."""
+
+    q: np.ndarray
+    theta: float
+    dq: np.ndarray
+    dtheta: float
+    tau_hat: float
+    tau_e: float
+
+    def as_array(self):
+        return np.concatenate([
+            np.asarray(self.q, dtype=float), [self.theta],
+            np.asarray(self.dq, dtype=float), [self.dtheta, self.tau_hat, self.tau_e],
+        ])
+
+    @staticmethod
+    def from_array(x, n_dof):
+        x = np.asarray(x, dtype=float)
+        if x.shape != (2 * (n_dof + 1) + 2,):
+            raise ValueError("state dimension mismatch")
+        if not np.all(np.isfinite(x)):
+            raise ValueError("non-finite state entries")
+        return SetupState(x[:n_dof].copy(), float(x[n_dof]), x[n_dof + 1:2 * n_dof + 1].copy(),
+                          float(x[2 * n_dof + 1]), float(x[2 * n_dof + 2]), float(x[2 * n_dof + 3]))
+
+
+def pendulum_equilibrium(chain, q, p, tol=1e-12):
+    """Equilibrium pendulum angle for the arm held at configuration ``q``."""
+    pose = forward_kinematics(chain, np.asarray(q, dtype=float))
+    return equilibrium_for_rotation(pose.rotation, p, tol=tol)
+
+
+def arm_states_by_steps(q0, u_seq, dt):
+    """``(q, dq)`` of the double-integrator arm at every step start and at the
+    end, (N+1, n) each, one step at a time; ``q0`` is ``q`` or ``(q, dq)``."""
+    u_seq = np.atleast_2d(np.asarray(u_seq, dtype=float))
+    n_steps, n = u_seq.shape
+    q0 = np.asarray(q0, dtype=float)
+    dq = np.zeros((n_steps + 1, n))
+    q = np.zeros((n_steps + 1, n))
+    q[0] = q0[:n]
+    dq[0] = q0[n:] if q0.shape[0] == 2 * n else 0.0
+    for k in range(n_steps):
+        dq[k + 1] = dq[k] + dt * u_seq[k]
+        q[k + 1] = q[k] + dt * dq[k] + 0.5 * dt * dt * u_seq[k]
+    return q, dq
 
 
 def vector_pendulum_accel(chain, q, dq, ddq, theta, dtheta, p):

@@ -15,7 +15,7 @@ import pytest
 from beamilc import ad
 from beamilc.cli import main
 from beamilc.config import RunConfig
-from beamilc.dynamics import BeamParams, fast_rollout, pendulum_equilibrium, state_dim
+from beamilc.dynamics import BeamParams, fast_rollout, state_dim
 from beamilc.estimation import (EstimationConfig, Record, _model_output,
                                 estimate_disturbance, estimate_parameters)
 from beamilc.ilc import run_ilc, vibration_metric
@@ -25,7 +25,7 @@ from beamilc.ocp import TaskDefinition, _terminal_pose_group, solve_ptp_ocp
 from beamilc.trajectory import Trajectory
 from conftest import REFERENCE_Q0_7DOF
 from derivative_check import check_derivatives
-from reference_model import _model_init_state, rest_state
+from reference_model import _model_init_state, pendulum_equilibrium, rest_state
 from test_dynamics import accel_on_chain, vertical_plane_chain
 from test_ocp import _ocp_problem
 

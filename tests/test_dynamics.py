@@ -3,13 +3,15 @@ import pytest
 
 from beamilc import ad
 from beamilc.dynamics import (NO_ROTATION, BeamGeometry, BeamParams, EquilibriumError,
-                              SetupState, _params_tuple, analytic_init_params, arm_rk4_stages,
+                              _params_tuple, analytic_init_params, arm_rk4_stages,
                               arm_stage_states, fast_rollout, pendulum_accel,
-                              pendulum_equilibrium, plane_frame_coeffs, reaction_torque,
-                              measurement_dynamics, state_dim, substate_rk4_step)
+                              plane_frame_coeffs, reaction_torque, measurement_dynamics,
+                              state_dim, substate_rk4_step)
 from beamilc.kinematics import GRAVITY, KinematicChain, forward_kinematics
 from beamilc.trajectory import Trajectory
-from reference_model import frame_blocks, rest_state, rk4_step, rollout
+from conftest import assert_same_bits
+from reference_model import (SetupState, arm_states_by_steps, frame_blocks,
+                             pendulum_equilibrium, rest_state, rk4_step, rollout)
 
 
 def vertical_plane_chain():
@@ -293,6 +295,21 @@ def test_fast_rollout_matches_canonical(chain3, free_params):
     xs_b, ys_b = fast_rollout(chain3, x0, u, free_params, d, 6e-3)
     np.testing.assert_allclose(xs_a, xs_b, atol=1e-12)
     np.testing.assert_allclose(ys_a, ys_b, atol=1e-12)
+
+
+@pytest.mark.parametrize("n, with_dq", [(3, True), (7, False)])
+def test_arm_stage_states_match_step_loop(n, with_dq):
+    # the running sums add in the step loop's order, so the states are
+    # bit-identical over a long record that moves, then rests
+    rng = np.random.default_rng(n)
+    u = 5.0 * rng.standard_normal((3000, n))
+    u[2000:] = 0.0
+    q0 = rng.uniform(-1, 1, n)
+    arm0 = np.concatenate([q0, rng.uniform(-1, 1, n)]) if with_dq else q0
+    q, dq, _, _, _ = arm_stage_states(arm0, u, 1e-3)
+    q_ref, dq_ref = arm_states_by_steps(arm0, u, 1e-3)
+    assert_same_bits(q, q_ref)
+    assert_same_bits(dq, dq_ref)
 
 
 def test_substate_step_matches_full_state_step(chain7, free_params):

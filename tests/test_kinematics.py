@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -249,6 +251,20 @@ def test_chain_file_round_trip(tmp_path, chain7):
                                forward_kinematics(chain7, q).position, atol=1e-12)
     np.testing.assert_allclose(loaded.q_min, chain7.q_min)
     np.testing.assert_allclose(loaded.jerk_max, chain7.jerk_max)
+
+
+@pytest.mark.parametrize("entry, value", [("translation", "NaN"), ("dq_max", "Infinity")])
+def test_chain_file_rejects_non_finite(tmp_path, chain3, entry, value):
+    path = tmp_path / "chain.json"
+    save_chain(chain3, path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    joint = doc["joints"][1]
+    joint[entry] = [float(value), 0.0, 0.0] if entry == "translation" else float(value)
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert value in path.read_text(encoding="utf-8")
+    with pytest.raises(ValueError, match="non-finite") as err:
+        load_chain(path)
+    assert str(path) in str(err.value)
 
 
 def test_chain_from_dict_quaternion():

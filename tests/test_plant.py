@@ -1,14 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from beamilc import plant
 from beamilc.config import RunConfig
 from beamilc.dynamics import BeamParams, arm_stage_states, fast_rollout, plane_frame_coeffs
 from beamilc.kinematics import GRAVITY, forward_kinematics
 from beamilc.ocp import solve_ptp_ocp
-from beamilc.plant import (PlantConfig, TwoSegmentParams, run_experiment,
-                           truth_equilibrium, two_segment_ode)
+from beamilc.plant import (TRUTH_KINDS, PlantConfig, TwoSegmentParams, run_experiment,
+                           steps_per_sample, truth_equilibrium, two_segment_ode)
 from beamilc.trajectory import Trajectory
-from conftest import REFERENCE_Q0_7DOF
+from conftest import REFERENCE_Q0_7DOF, assert_same_bits
 from reference_model import (frame_blocks, rest_state, two_segment_equilibrium,
                              two_segment_trace)
 from test_dynamics import vertical_plane_chain
@@ -181,17 +184,22 @@ def assert_matches_reference(got, ref):
     assert np.all(err <= 1e-12 * np.max(np.abs(ref), axis=0)), err
 
 
-def test_two_segment_truth_matches_reference_default_plan():
+@pytest.fixture(scope="module")
+def default_plan_experiment():
+    """``run_experiment``'s arguments for the default config's entry plan."""
     cfg = RunConfig.default()
     chain = cfg.chain()
     task = cfg.task(chain)
     p0 = cfg.prior_params()
     plan = solve_ptp_ocp(chain, task, p0, None, None, cfg.ocp_weights())
-    plant = cfg.plant_config()
-    est = cfg.estimation_config(p0)
-    n_meas = cfg.ilc_config().n_meas
-    res = run_experiment(plant, chain, task.q0, plan.u, n_meas, est.dt, p0)
-    ref, _ = reference_truth(plant, chain, task.q0, plan.u, n_meas, est.dt)
+    return (cfg.plant_config(), chain, task.q0, plan.u, cfg.ilc_config().n_meas,
+            cfg.estimation_config(p0).dt, p0)
+
+
+def test_two_segment_truth_matches_reference_default_plan(default_plan_experiment):
+    cfg, chain, q0, u, n_meas, dt, p0 = default_plan_experiment
+    res = run_experiment(cfg, chain, q0, u, n_meas, dt, p0)
+    ref, _ = reference_truth(cfg, chain, q0, u, n_meas, dt)
     assert_matches_reference(res.truth_states, ref)
 
 
@@ -209,6 +217,54 @@ def test_two_segment_truth_matches_reference_spatial(chain7, free_params,
     assert np.max(np.abs(coeffs["m_w"])) > 1e-1
     assert np.min(np.abs(ref[0, :2])) > 1e-2
     assert_matches_reference(res.truth_states, ref)
+
+
+# ---------------------------------------------------------------------------
+# frame terms shared past the record's distinct head
+
+
+@pytest.mark.parametrize("kind", TRUTH_KINDS)
+@pytest.mark.parametrize("case", ["coasting", "rest", "default_plan"])
+def test_shared_frame_terms_match_every_steps_own(case, kind, monkeypatch, chain3, free_params,
+                                                  mismatch_two_segment, default_plan_experiment):
+    # the arm still coasts at the end (no step shares), rests throughout
+    # (every step shares step 0's terms) or settles after the default plan
+    # (the tail shares): each run equals, bit for bit, one whose frame terms
+    # are made for every step
+    if case == "default_plan":
+        cfg, chain, q0, u, n_samples, dt, p = default_plan_experiment
+    else:
+        cfg, chain, q0, p = PlantConfig(two_segment=mismatch_two_segment), chain3, \
+            np.array([0.5, -0.9, 0.6]), free_params
+        accel = 1.0 if case == "coasting" else 0.0
+        u, n_samples, dt = make_u(chain, lambda t, j: accel * (t < 0.3), 60), 200, 0.006
+    cfg = replace(cfg, truth_kind=kind, param_factors=(1.3, 1.0, 0.9, 1.0))
+    h = 1.0 / cfg.rate
+    n_steps = (n_samples - 1) * steps_per_sample(cfg, dt) + 1
+    u_hold = u.sample_hold(np.arange(n_steps) * h)
+    _, _, q_s, dq_s, u_s = arm_stage_states(np.concatenate([q0, 0.0 * q0]), u_hold, h)
+    n_head = plant._distinct_head(q_s, dq_s, u_s)
+    expected = {"coasting": n_head == n_steps, "rest": n_head == 1,
+                "default_plan": 1 < n_head < n_steps // 5}
+    assert expected[case], (n_head, n_steps)
+
+    got = run_experiment(cfg, chain, q0, u, n_samples, dt, p)
+    monkeypatch.setattr(plant, "_distinct_head", lambda q_s, dq_s, u_s: len(q_s))
+    ref = run_experiment(cfg, chain, q0, u, n_samples, dt, p)
+    assert_same_bits(got.truth_states, ref.truth_states)
+    assert_same_bits(got.y.data, ref.y.data)
+    assert_same_bits(got.joints.data, ref.joints.data)
+
+
+@pytest.mark.parametrize("which", range(3))
+def test_signed_zero_stage_inputs_are_not_shared(which):
+    # -0.0 == 0.0, yet the two can round differently downstream: a step whose
+    # stage inputs differ from the last step's only in a zero's sign keeps
+    # its own frame terms
+    stages = np.zeros((3, 10, 4, 3))
+    assert plant._distinct_head(*stages) == 1
+    stages[which, 6, 2, 1] = -0.0
+    assert plant._distinct_head(*stages) == 8
 
 
 # ---------------------------------------------------------------------------
