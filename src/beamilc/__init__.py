@@ -13,8 +13,7 @@ from .config import RunConfig
 from .dynamics import BeamGeometry, BeamParams, analytic_init_params
 from .estimation import EstimationConfig, LearnedModel
 from .ilc import IlcConfig, IlcRecord, run_ilc, vibration_metric
-from .kinematics import (FrameMotion, FramePose, KinematicChain, builtin_chain,
-                         forward_kinematics, frame_motion, geometric_jacobian,
+from .kinematics import (FramePose, KinematicChain, builtin_chain, forward_kinematics,
                          orientation_error)
 from .ocp import OcpWeights, PlannedMotion, TaskDefinition, solve_ptp_ocp
 from .plant import ExperimentResult, PlantConfig, TwoSegmentParams, run_experiment
@@ -22,11 +21,9 @@ from .trajectory import Trajectory
 
 __all__ = [
     "BeamGeometry", "BeamParams", "EstimationConfig", "ExperimentResult",
-    "FrameMotion", "FramePose", "IlcConfig", "IlcRecord", "KinematicChain",
-    "LearnedModel", "OcpWeights", "PlannedMotion", "PlantConfig", "RunConfig",
-    "TaskDefinition", "Trajectory", "TwoSegmentParams",
-    "analytic_init_params", "builtin_chain", "forward_kinematics",
-    "frame_motion", "geometric_jacobian", "orientation_error",
-    "run_experiment", "run_ilc", "solve_ptp_ocp",
-    "vibration_metric",
+    "FramePose", "IlcConfig", "IlcRecord", "KinematicChain", "LearnedModel",
+    "OcpWeights", "PlannedMotion", "PlantConfig", "RunConfig", "TaskDefinition",
+    "Trajectory", "TwoSegmentParams", "analytic_init_params", "builtin_chain",
+    "forward_kinematics", "orientation_error", "run_experiment", "run_ilc",
+    "solve_ptp_ocp", "vibration_metric",
 ]

@@ -71,12 +71,6 @@ class EstimationConfig:
         if not self.dt > 0:
             raise ValueError("dt must be positive")
 
-    @staticmethod
-    def default(p0, **kw):
-        """Scale-invariant defaults anchored at the prior parameters."""
-        v1, v2 = prior_scaled_weights(p0)
-        return EstimationConfig(v1=v1, v2=v2, **kw)
-
 
 def prior_scaled_weights(p0, v1_scale=1e-6, v2_scale=1e-2):
     """Tikhonov and iteration-change diagonals relative to the prior magnitudes."""

@@ -45,23 +45,6 @@ class FramePose:
 
 
 @dataclass(frozen=True)
-class FrameMotion:
-    """First and second order motion of frame {b} in the base frame."""
-
-    lin_vel: np.ndarray
-    ang_vel: np.ndarray
-    lin_acc: np.ndarray
-    ang_acc: np.ndarray
-
-    def __post_init__(self):
-        for name in ("lin_vel", "ang_vel", "lin_acc", "ang_acc"):
-            v = np.asarray(getattr(self, name), dtype=float)
-            if not np.all(np.isfinite(v)):
-                raise ValueError(f"non-finite {name}")
-            object.__setattr__(self, name, v)
-
-
-@dataclass(frozen=True)
 class KinematicChain:
     """Geometry and limits of a serial arm with revolute joints.
 
@@ -127,13 +110,13 @@ def _rot_about_axis(axis, angle):
     return ad.tail(c, 2) * eye + ad.tail(s, 2) * k + ad.tail(one - c, 2) * aat
 
 
-def _chain_pass(chain, q, dq=None, ddq=None):
-    """Outward recursion over the chain.
+def frame_state(chain, q, dq=None, ddq=None):
+    """Outward recursion over the chain to frame {b}.
 
-    Returns a dict with the frame {b} pose, plus its motion when dq/ddq are
-    given and otherwise the per-joint world axes and origins the Jacobian
-    uses.
-    Inputs are batched over leading axes; q[..., i] is joint i.
+    Returns a dict with the pose ``p`` and ``R`` of {b}, plus its linear
+    acceleration ``a``, angular velocity ``w`` and angular acceleration
+    ``dw`` when dq/ddq are given. Inputs are plain arrays batched over
+    leading axes, or duals; q[..., i] is joint i.
     """
     n = chain.n_joints
     if ad.value(q).shape[-1] != n:
@@ -152,74 +135,34 @@ def _chain_pass(chain, q, dq=None, ddq=None):
     o_cur = zeros3
     w_cur = zeros3
     dw_cur = zeros3
-    v_cur = zeros3
     a_cur = zeros3
-    axes_world = []
-    origins = []
 
     for i in range(n):
         r_pre = ad.matmat(r_cur, chain.joint_rotations[i])
-        z_i = ad.matvec(r_pre, chain.joint_axes[i])
         o_i = o_cur + ad.matvec(r_cur, chain.joint_translations[i])
-        qi = ad.comp(q, i)
         if want_motion:
+            z_i = ad.matvec(r_pre, chain.joint_axes[i])
             rel = o_i - o_cur
-            v_i = v_cur + ad.cross(w_cur, rel)
-            a_i = a_cur + ad.cross(dw_cur, rel) + ad.cross(w_cur, ad.cross(w_cur, rel))
-            dqi = ad.comp(dq, i)
-            ddqi = ad.comp(ddq, i)
-            dw_i = dw_cur + ad.cross(w_cur, z_i) * ad.tail(dqi, 1) + z_i * ad.tail(ddqi, 1)
-            w_i = w_cur + z_i * ad.tail(dqi, 1)
-            v_cur, a_cur, w_cur, dw_cur = v_i, a_i, w_i, dw_i
-        r_cur = ad.matmat(r_pre, _rot_about_axis(chain.joint_axes[i], qi))
+            a_cur = a_cur + ad.cross(dw_cur, rel) + ad.cross(w_cur, ad.cross(w_cur, rel))
+            dqi = ad.tail(ad.comp(dq, i), 1)
+            dw_cur = dw_cur + ad.cross(w_cur, z_i) * dqi + z_i * ad.tail(ad.comp(ddq, i), 1)
+            w_cur = w_cur + z_i * dqi
+        r_cur = ad.matmat(r_pre, _rot_about_axis(chain.joint_axes[i], ad.comp(q, i)))
         o_cur = o_i
-        if not want_motion:
-            axes_world.append(z_i)
-            origins.append(o_i)
 
     tool = ad.matvec(r_cur, chain.tool_translation)
-    p_b = o_cur + tool
-    r_b = ad.matmat(r_cur, chain.tool_rotation)
-    out = {"p": p_b, "R": r_b}
+    out = {"p": o_cur + tool, "R": ad.matmat(r_cur, chain.tool_rotation)}
     if want_motion:
-        out["v"] = v_cur + ad.cross(w_cur, tool)
         out["a"] = a_cur + ad.cross(dw_cur, tool) + ad.cross(w_cur, ad.cross(w_cur, tool))
         out["w"] = w_cur
         out["dw"] = dw_cur
-    else:
-        out["axes"], out["origins"] = axes_world, origins
     return out
 
 
 def forward_kinematics(chain, q):
     """Pose of frame {b} for joint configuration ``q``."""
-    res = _chain_pass(chain, np.asarray(q, dtype=float))
+    res = frame_state(chain, np.asarray(q, dtype=float))
     return FramePose(res["p"], res["R"])
-
-
-def frame_motion(chain, q, dq, ddq):
-    """Velocity and acceleration of frame {b} by outward recursion."""
-    res = _chain_pass(chain, np.asarray(q, dtype=float), np.asarray(dq, dtype=float),
-                      np.asarray(ddq, dtype=float))
-    return FrameMotion(res["v"], res["w"], res["a"], res["dw"])
-
-
-def frame_state(chain, q, dq, ddq):
-    """Raw pose+motion pass for batched or dual inputs (no dataclass wrap)."""
-    return _chain_pass(chain, q, dq, ddq)
-
-
-def geometric_jacobian(chain, q):
-    """Body-frame geometric Jacobian of {b}: stacked [linear; angular], 6 x n."""
-    q = np.asarray(q, dtype=float)
-    res = _chain_pass(chain, q)
-    p_b, r_b = res["p"], res["R"]
-    cols = []
-    for z_i, o_i in zip(res["axes"], res["origins"]):
-        lin = r_b.T @ np.cross(z_i, p_b - o_i)
-        angv = r_b.T @ z_i
-        cols.append(np.concatenate([lin, angv]))
-    return np.stack(cols, axis=1)
 
 
 def orientation_error(r, r_des):

@@ -169,7 +169,7 @@ def _pose_error(chain, goal_pos, goal_rot):
     The function takes plain arrays and duals alike, and returns six entries.
     """
     def error(q):
-        res = frame_state(chain, q, None, None)
+        res = frame_state(chain, q)
         return ad.concat_last([res["p"] - goal_pos, orientation_error(res["R"], goal_rot)])
 
     return error
@@ -232,7 +232,7 @@ def _rest_to_rest_input(chain, task, weights, q_goal):
 
 def _rest_gravity(chain, q, m=None):
     """In-plane gravity ``(R(q)^T g)[:2]`` of the frame resting at ``q``; dual in q if ``m``."""
-    rb = frame_state(chain, q if m is None else ad.seed(q, m, 0), None, None)["R"]
+    rb = frame_state(chain, q if m is None else ad.seed(q, m, 0))["R"]
     return ad.sub(ad.matvec(ad.mtranspose(rb), GRAVITY), slice(0, 2))
 
 

@@ -57,13 +57,6 @@ class TwoSegmentParams:
         if self.c1 < 0 or self.c2 < 0:
             raise ValueError("dampers must be nonnegative")
 
-    def mass_matrix_small_angle(self):
-        """Analytic 2-dof mass matrix at theta = 0 (used as a test oracle)."""
-        m11 = self.m1 * self.l1**2 + self.m2 * (self.l1 + self.l2) ** 2
-        m12 = self.m2 * (self.l2**2 + self.l1 * self.l2)
-        m22 = self.m2 * self.l2**2
-        return np.array([[m11, m12], [m12, m22]])
-
 
 @dataclass(frozen=True)
 class PlantConfig:

@@ -80,7 +80,6 @@ class QpSolution:
     x: np.ndarray
     eq_duals: np.ndarray
     ineq_duals: np.ndarray
-    objective: float
     duality_gap: float
     primal_infeasibility: float
     status: str                  # converged | max-iter | factorization-failed | infeasible
@@ -230,16 +229,15 @@ def _scaled(p_mat, q, a_eq, b_eq, g_ineq, h_ineq):
 
 
 def _solution(scaled, x, nu, mu, status, it, active):
-    """The solution at ``x`` with the duals unscaled, and its objective,
-    primal infeasibility and duality gap ``|mu'(Gx-h)| + |nu'(Ax-b)|``."""
-    cost_scale, p_mat, q, a_eq, b_eq, g_ineq, h_ineq = scaled
+    """The solution at ``x`` with the duals unscaled, and its primal
+    infeasibility and duality gap ``|mu'(Gx-h)| + |nu'(Ax-b)|``."""
+    cost_scale, _, _, a_eq, b_eq, g_ineq, h_ineq = scaled
     nu, mu = nu * cost_scale, mu * cost_scale
     r_eq = a_eq @ x - b_eq
     slack = g_ineq @ x - h_ineq
     p_inf = max(float(np.max(np.abs(r_eq), initial=0.0)), float(np.max(slack, initial=0.0)))
     gap = abs(float(mu @ slack)) + abs(float(nu @ r_eq))
-    obj = cost_scale * (0.5 * float(x @ (p_mat @ x)) + float(q @ x))
-    return QpSolution(x, nu, mu, obj, gap, p_inf, status, it, active)
+    return QpSolution(x, nu, mu, gap, p_inf, status, it, active)
 
 
 def solve_qp(p_mat, q, a_eq=None, b_eq=None, g_ineq=None, h_ineq=None, *,
@@ -308,7 +306,7 @@ def solve_qp(p_mat, q, a_eq=None, b_eq=None, g_ineq=None, h_ineq=None, *,
     for it in range(1, max_iter + 1):
         sol = kkt_solve(active)
         if sol is None:
-            return QpSolution(x, nu, mu, np.inf, np.inf, np.inf,
+            return QpSolution(x, nu, mu, np.inf, np.inf,
                               "factorization-failed", it, active)
         x = sol[:n]
         nu = sol[n:n + me]
@@ -483,7 +481,7 @@ def solve_qp_ipm(p_mat, q, a_eq=None, b_eq=None, g_ineq=None, h_ineq=None, *, wo
         try:
             kkt.factor(w)
         except RuntimeError:
-            return QpSolution(x, nu, mu, np.inf, np.inf, np.inf,
+            return QpSolution(x, nu, mu, np.inf, np.inf,
                               "factorization-failed", it, np.zeros(mi, dtype=bool))
 
         def solve_dir(sig_mu, ds_prod):

@@ -43,13 +43,6 @@ class Trajectory:
     def times(self):
         return self.t0 + self.dt * np.arange(len(self))
 
-    @property
-    def duration(self):
-        return self.dt * (len(self) - 1)
-
-    def column(self, label):
-        return self.data[:, self.labels.index(label)]
-
     def sample_hold(self, t):
         """Zero-order-hold values at times ``t`` (zero outside the horizon)."""
         t = np.asarray(t, dtype=float)

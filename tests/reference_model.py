@@ -183,6 +183,14 @@ def array_two_segment_ode(theta, dtheta, params, g2, m_dw, m_ww, m_w):
     return dd1, dd2
 
 
+def two_segment_mass_matrix(ts):
+    """Analytic 2-dof mass matrix of the two-segment beam ``ts`` at theta = 0."""
+    m11 = ts.m1 * ts.l1**2 + ts.m2 * (ts.l1 + ts.l2) ** 2
+    m12 = ts.m2 * (ts.l2**2 + ts.l1 * ts.l2)
+    m22 = ts.m2 * ts.l2**2
+    return np.array([[m11, m12], [m12, m22]])
+
+
 def two_segment_equilibrium(ts, g2):
     """Rest angles of the two-segment beam under the in-plane gravity ``g2``, by Newton."""
     th = np.zeros(2)

@@ -409,7 +409,7 @@ def test_ocp_zero_displacement_zero_u(tmp_path):
     assert rc == 0
     plan = Trajectory.from_csv(out / "planned_motion.csv")
     for lbl in ("u1", "u2", "u3"):
-        np.testing.assert_allclose(plan.column(lbl), 0.0, atol=1e-9)
+        np.testing.assert_allclose(plan.data[:, plan.labels.index(lbl)], 0.0, atol=1e-9)
     with open(out / "plan_summary.json") as fh:
         summary = json.load(fh)
     assert summary["status"] == "converged"

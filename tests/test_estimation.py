@@ -6,7 +6,7 @@ from beamilc import nlp
 from beamilc.dynamics import BeamParams, IntegrationBlowupError, fast_rollout
 from beamilc.estimation import (DEFAULT_PARAM_BOX, EstimationConfig, Record,
                                 disturbance_response, estimate_disturbance,
-                                estimate_parameters, learn_iteration,
+                                estimate_parameters, learn_iteration, prior_scaled_weights,
                                 _model_output, _output_sensitivity, _record_coeffs)
 from beamilc.kinematics import forward_kinematics
 from beamilc.trajectory import Trajectory
@@ -309,7 +309,8 @@ def test_fit_never_worsens(chain3, mismatch_two_segment, free_params):
 
 def test_learned_model_serializable(chain3, free_params):
     y, u = synth_record(chain3, free_params)
-    cfg = EstimationConfig.default(free_params, horizon=N, dt=DT)
+    v1, v2 = prior_scaled_weights(free_params)
+    cfg = EstimationConfig(v1=v1, v2=v2, horizon=N, dt=DT)
     model = learn_iteration(chain3, y, u, free_params, None, Q0, cfg)
     doc = model.as_dict()
     assert set(doc["params"]) == {"k", "c", "m", "l", "a", "b", "tau_e0"}

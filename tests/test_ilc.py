@@ -3,7 +3,7 @@ import pytest
 
 from beamilc.config import RunConfig
 from beamilc.dynamics import BeamParams, fast_rollout
-from beamilc.estimation import EstimationConfig
+from beamilc.estimation import EstimationConfig, prior_scaled_weights
 from beamilc.ilc import (IlcConfig, _rollout_prediction, metric_window_samples, run_ilc,
                          vibration_metric)
 from beamilc.ocp import OcpWeights, TaskDefinition
@@ -18,7 +18,8 @@ Q0 = np.array([0.5, -0.9, 0.6])
 def small_setup(chain3, nominal_params, plant_cfg, i_max=2):
     task = TaskDefinition.from_goal_joints(chain3, Q0, [0.8, -1.05, 0.5],
                                            n_ctrl=40, n_pred=100, dt=0.01)
-    est_cfg = EstimationConfig.default(nominal_params, horizon=150, dt=6e-3)
+    v1, v2 = prior_scaled_weights(nominal_params)
+    est_cfg = EstimationConfig(v1=v1, v2=v2, horizon=150, dt=6e-3)
     ilc_cfg = IlcConfig(i_max=i_max, metric_window=1.5, n_meas=450)
     return task, est_cfg, OcpWeights(), plant_cfg, ilc_cfg
 

@@ -5,8 +5,7 @@ import pytest
 from scipy.linalg import expm
 
 from beamilc.kinematics import (KinematicChain, chain_from_dict, forward_kinematics,
-                                frame_motion, geometric_jacobian, load_chain,
-                                orientation_error)
+                                frame_state, load_chain, orientation_error)
 from chain_file import save_chain
 from conftest import REFERENCE_Q0_7DOF
 
@@ -93,78 +92,67 @@ def test_fk_dimension_mismatch(chain2):
 
 
 def test_frame_motion_stationary(chain7):
-    fm = frame_motion(chain7, REFERENCE_Q0_7DOF, np.zeros(7), np.zeros(7))
-    for v in (fm.lin_vel, fm.ang_vel, fm.lin_acc, fm.ang_acc):
-        np.testing.assert_allclose(v, 0.0, atol=1e-15)
+    fr = frame_state(chain7, REFERENCE_Q0_7DOF, np.zeros(7), np.zeros(7))
+    for key in ("a", "w", "dw"):
+        np.testing.assert_allclose(fr[key], 0.0, atol=1e-15)
 
 
 def test_frame_motion_single_revolute():
     ch = single_joint_chain(radius=0.7)
     w = 1.3
-    fm = frame_motion(ch, [0.4], [w], [0.0])
-    np.testing.assert_allclose(fm.ang_vel, [0, 0, w], atol=1e-14)
-    assert np.linalg.norm(fm.lin_vel) == pytest.approx(w * 0.7, abs=1e-12)
+    fr = frame_state(ch, np.array([0.4]), np.array([w]), np.array([0.0]))
+    np.testing.assert_allclose(fr["w"], [0, 0, w], atol=1e-14)
+    np.testing.assert_allclose(fr["dw"], 0.0, atol=1e-14)
+    # uniform rotation: centripetal acceleration toward the axis
+    radial = 0.7 * np.array([np.cos(0.4), np.sin(0.4), 0.0])
+    np.testing.assert_allclose(fr["a"], -w * w * radial, atol=1e-14)
+
+
+def random_path(seed):
+    """Joint path ``q + t dq + t^2/2 ddq`` on the 7-DOF arm, with its rates at ``t``."""
+    rng = np.random.default_rng(seed)
+    q, dq, ddq = (rng.uniform(-1, 1, 7) for _ in range(3))
+    return lambda t: (q + dq * t + 0.5 * ddq * t * t, dq + ddq * t, ddq)
 
 
 def test_frame_motion_matches_finite_differences(chain7):
-    rng = np.random.default_rng(5)
-    q = rng.uniform(-1, 1, 7)
-    dq = rng.uniform(-1, 1, 7)
-    ddq = rng.uniform(-1, 1, 7)
-    fm = frame_motion(chain7, q, dq, ddq)
+    path = random_path(5)
+    fr = frame_state(chain7, *path(0.0))
 
     def pos(t):
-        return forward_kinematics(chain7, q + dq * t + 0.5 * ddq * t * t).position
+        return forward_kinematics(chain7, path(t)[0]).position
 
-    h = 1e-6
-    v_fd = (pos(h) - pos(-h)) / (2 * h)
-    assert np.max(np.abs(fm.lin_vel - v_fd)) / max(np.max(np.abs(v_fd)), 1.0) < 1e-4
     h = 1e-5
     a_fd = (pos(h) - 2 * pos(0) + pos(-h)) / h**2
-    assert np.max(np.abs(fm.lin_acc - a_fd)) / max(np.max(np.abs(a_fd)), 1.0) < 1e-5
+    assert np.max(np.abs(fr["a"] - a_fd)) / max(np.max(np.abs(a_fd)), 1.0) < 1e-5
 
 
-# ---------------------------------------------------------------------------
-# geometric jacobian
+@pytest.mark.parametrize("seed", [5, 8, 13])
+def test_frame_angular_velocity_matches_rotation_rate(chain7, seed):
+    path = random_path(seed)
+    fr = frame_state(chain7, *path(0.0))
 
+    def rot(t):
+        return forward_kinematics(chain7, path(t)[0]).rotation
 
-def test_jacobian_zero_velocity(chain7):
-    j = geometric_jacobian(chain7, REFERENCE_Q0_7DOF)
-    np.testing.assert_allclose(j @ np.zeros(7), 0.0)
-
-
-def test_jacobian_single_revolute_column():
-    ch = single_joint_chain(radius=0.7)
-    j = geometric_jacobian(ch, [0.9])
-    np.testing.assert_allclose(j[:, 0], [0.0, 0.7, 0.0, 0.0, 0.0, 1.0], atol=1e-14)
-
-
-def test_jacobian_consistent_with_frame_motion(chain7):
-    rng = np.random.default_rng(6)
-    for _ in range(5):
-        q = rng.uniform(-1.5, 1.5, 7)
-        dq = rng.uniform(-1, 1, 7)
-        fm = frame_motion(chain7, q, dq, np.zeros(7))
-        pose = forward_kinematics(chain7, q)
-        twist = np.concatenate([pose.rotation.T @ fm.lin_vel,
-                                pose.rotation.T @ fm.ang_vel])
-        j = geometric_jacobian(chain7, q)
-        assert np.max(np.abs(j @ dq - twist)) < 1e-10
-
-
-def test_jacobian_matches_pose_sensitivity(chain7):
-    rng = np.random.default_rng(7)
-    q = rng.uniform(-1, 1, 7)
-    j = geometric_jacobian(chain7, q)
-    pose = forward_kinematics(chain7, q)
     h = 1e-6
-    for i in range(7):
-        dq = np.zeros(7)
-        dq[i] = h
-        dp = (forward_kinematics(chain7, q + dq).position
-              - forward_kinematics(chain7, q - dq).position) / (2 * h)
-        fd_col = pose.rotation.T @ dp
-        assert np.max(np.abs(j[:3, i] - fd_col)) / max(np.max(np.abs(fd_col)), 1.0) < 1e-5
+    omega = (rot(h) - rot(-h)) / (2 * h) @ fr["R"].T   # dR/dt R^T = S(w)
+    w_fd = np.array([omega[2, 1], omega[0, 2], omega[1, 0]])
+    np.testing.assert_allclose(omega + omega.T, 0.0, atol=1e-8)
+    assert np.max(np.abs(fr["w"] - w_fd)) / max(np.max(np.abs(w_fd)), 1.0) < 1e-8
+
+
+@pytest.mark.parametrize("seed", [5, 8, 13])
+def test_frame_angular_acceleration_matches_finite_differences(chain7, seed):
+    path = random_path(seed)
+    fr = frame_state(chain7, *path(0.0))
+
+    def ang_vel(t):
+        return frame_state(chain7, *path(t))["w"]
+
+    h = 1e-6
+    dw_fd = (ang_vel(h) - ang_vel(-h)) / (2 * h)
+    assert np.max(np.abs(fr["dw"] - dw_fd)) / max(np.max(np.abs(dw_fd)), 1.0) < 1e-8
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from beamilc import nlp, qp
 from beamilc.dynamics import BeamParams, equilibrium_for_rotation, fast_rollout, state_dim
 from beamilc.kinematics import (KinematicChain, forward_kinematics,
                                 orientation_error)
-from beamilc.ocp import (OcpWeights, TaskDefinition, resample_disturbance,
+from beamilc.ocp import (OcpWeights, TaskDefinition, _rest_gravity, resample_disturbance,
                          solve_ptp_ocp)
 from beamilc.trajectory import Trajectory
 
@@ -169,6 +169,24 @@ def test_tail_transcription_is_exact(chain3, nominal_params, monkeypatch):
     n_c, n_p = task.n_ctrl, task.n_pred
     assert {b.name: b.dim for b in problem.blocks} == {
         "x": (n_c + 1) * state_dim(3), "u": (n_c - 1) * 3, "y": (n_p - n_c + 1) * 6}
+
+
+def test_tail_transcription_holds_on_the_rollout(chain3, nominal_params, plan3, monkeypatch):
+    # wherever the SQP stopped, the rollout of the plan's own input is a
+    # point at which the transcription's gaps and junction vanish exactly
+    task, plan = plan3
+    n, n_x, n_c = 3, state_dim(3), task.n_ctrl
+    xs, _ = fast_rollout(chain3, plan.states[0], plan.u.data, nominal_params, None, task.dt)
+    sub = np.array([n, 2 * n + 1, 2 * n + 2, 2 * n + 3])
+    g2 = _rest_gravity(chain3, xs[n_c, :n])
+    problem = _ocp_problem(chain3, task, nominal_params, monkeypatch)
+    z = np.concatenate([xs[:n_c + 1].ravel(), plan.u.data[:n_c - 1].ravel(),
+                        np.hstack([xs[n_c:, sub], np.tile(g2, (task.n_pred - n_c + 1, 1))]).ravel()])
+    assert z.size == problem.n
+    # the two gap groups and the junction (order as in test_ocp_layout)
+    gaps = np.concatenate([group.eval(z) for group in problem.eq_groups[:3]])
+    assert gaps.size == n_c * n_x + (task.n_pred - n_c) * 6 + 6
+    assert np.max(np.abs(gaps)) <= 1e-14
 
 
 def test_ocp_layout(chain3, nominal_params, monkeypatch):

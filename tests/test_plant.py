@@ -13,7 +13,7 @@ from beamilc.plant import (TRUTH_KINDS, PlantConfig, TwoSegmentParams, run_exper
 from beamilc.trajectory import Trajectory
 from conftest import REFERENCE_Q0_7DOF, assert_same_bits
 from reference_model import (frame_blocks, rest_state, two_segment_equilibrium,
-                             two_segment_trace)
+                             two_segment_mass_matrix, two_segment_trace)
 from test_dynamics import vertical_plane_chain
 
 
@@ -70,7 +70,7 @@ def test_two_segment_residual_spectrum(chain3, free_params, mismatch_two_segment
     freqs = np.fft.rfftfreq(resid.size, 0.002) * 2 * np.pi
     spec = np.abs(np.fft.rfft(resid))
     # the two linearized modes of the truth model
-    m_mat = mismatch_two_segment.mass_matrix_small_angle()
+    m_mat = two_segment_mass_matrix(mismatch_two_segment)
     k_mat = np.diag([mismatch_two_segment.k1, mismatch_two_segment.k2])
     w_modes = np.sort(np.sqrt(np.linalg.eigvals(np.linalg.solve(m_mat, k_mat)).real))
     floor = np.median(spec)
@@ -154,7 +154,7 @@ def test_two_segment_linearized_modes(mismatch_two_segment):
         dn = np.array(two_segment_ode(-e[0], -e[1], 0.0, 0.0, ts, g2, zm, zm))
         k_lin[:, j] = (up - dn) / (2 * eps)
     num_modes = np.sort(np.sqrt(np.linalg.eigvals(-k_lin).real))
-    m_mat = ts.mass_matrix_small_angle()
+    m_mat = two_segment_mass_matrix(ts)
     ana_modes = np.sort(np.sqrt(np.linalg.eigvals(
         np.linalg.solve(m_mat, np.diag([ts.k1, ts.k2]))).real))
     np.testing.assert_allclose(num_modes, ana_modes, rtol=0.01)
