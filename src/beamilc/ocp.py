@@ -9,10 +9,11 @@ angle, its rate and the predicted reaction torque onto their equilibrium
 values as early as possible.
 
 The nodes up to the end of the control horizon carry the full state.
-Past it the arm rests at ``q(n_ctrl)``, so the tail nodes carry only the
-beam-and-sensing substate ``(theta, dtheta, tau_hat, tau_e)`` and the
-resting frame's in-plane gravity ``g2 = (R(q(n_ctrl))^T g)[:2]``, held
-constant along the tail and tied to ``q(n_ctrl)`` at its first node.
+Past it the arm rests at ``q(n_ctrl)``, whose frame the terminal pose
+fixes to the goal orientation, so the tail nodes carry only the
+beam-and-sensing substate ``(theta, dtheta, tau_hat, tau_e)``, tied to
+the substate of ``x`` at its first node. The tail's frame terms are data:
+the goal frame's in-plane gravity ``(R_goal^T g)[:2]`` and no rotation.
 
 Both gap groups step the model as the rollout and the fits do: one
 :func:`~beamilc.dynamics.substate_rk4_step` of the substate over the frame
@@ -230,34 +231,6 @@ def _rest_to_rest_input(chain, task, weights, q_goal):
     return u
 
 
-def _rest_gravity(chain, q, m=None):
-    """In-plane gravity ``(R(q)^T g)[:2]`` of the frame resting at ``q``; dual in q if ``m``."""
-    rb = frame_state(chain, q if m is None else ad.seed(q, m, 0))["R"]
-    return ad.sub(ad.matvec(ad.mtranspose(rb), GRAVITY), slice(0, 2))
-
-
-def _junction_group(problem, chain, node, sub_entries, n, n_x):
-    """Six equality rows: the tail's first node is the substate of x at ``node``
-    plus the in-plane gravity of the frame resting at its q."""
-    x_node = problem.block("x").offset + node * n_x
-    q_cols = x_node + np.arange(n)
-    sub_cols = x_node + sub_entries
-    y_cols = problem.block("y").offset + np.arange(6)
-
-    def eval_(z):
-        return z[y_cols] - np.concatenate([z[sub_cols], _rest_gravity(chain, z[q_cols])])
-
-    def eval_jac(z):
-        g2 = _rest_gravity(chain, z[q_cols], m=n)
-        rows = np.concatenate([np.arange(6), np.arange(4), np.repeat([4, 5], n)])
-        cols = np.concatenate([y_cols, sub_cols, np.tile(q_cols, 2)])
-        vals = np.concatenate([np.ones(6), -np.ones(4), -g2.dot.ravel()])
-        jac = sp.csr_matrix((vals, (rows, cols)), shape=(6, problem.n))
-        return z[y_cols] - np.concatenate([z[sub_cols], g2.val]), jac
-
-    return nlp.CallableGroup(6, eval_, eval_jac)
-
-
 def solve_ptp_ocp(chain, task, params, d=None, u_prev=None, weights=None, opts=None):
     """Plan the feedforward joint accelerations for one task execution.
 
@@ -273,8 +246,8 @@ def solve_ptp_ocp(chain, task, params, d=None, u_prev=None, weights=None, opts=N
 
     Variable blocks: ``"x"`` holds the full state at nodes 0..n_ctrl,
     ``"u"`` the inputs of nodes 0..n_ctrl-2 (node 0's pinned to zero), and
-    ``"y"`` the tail nodes n_ctrl..n_pred as ``(theta, dtheta, tau_hat,
-    tau_e, g2)``, six entries each.
+    ``"y"`` the substate ``(theta, dtheta, tau_hat, tau_e)`` of the tail
+    nodes n_ctrl..n_pred, four entries each.
     """
     weights = weights or OcpWeights()
     n = chain.n_joints
@@ -314,10 +287,11 @@ def solve_ptp_ocp(chain, task, params, d=None, u_prev=None, weights=None, opts=N
         y = substate_rk4_step(tuple(ad.comp(x, i) for i in sub), params, frame, d_arr[:n_c], dt)
         return ad.concat_last([q_s[3], ad.stack_last(y[:1]), dq_s[3], ad.stack_last(y[1:])])
 
+    tail_frame = {"g2": [(task.goal_rotation.T @ GRAVITY)[:2]] * 4, "m_rot": [NO_ROTATION] * 4}
+
     def tail_dyn(y, _u, _p):
-        y = tuple(ad.comp(y, i) for i in range(6))
-        frame = {"g2": [y[4:]] * 4, "m_rot": [NO_ROTATION] * 4}
-        return ad.stack_last(substate_rk4_step(y[:4], params, frame, d_arr[n_c:], dt) + y[4:])
+        y = tuple(ad.comp(y, i) for i in range(4))
+        return ad.stack_last(substate_rk4_step(y, params, tail_frame, d_arr[n_c:], dt))
 
     state_lb = np.full(n_x, -np.inf)
     state_ub = np.full(n_x, np.inf)
@@ -337,20 +311,21 @@ def solve_ptp_ocp(chain, task, params, d=None, u_prev=None, weights=None, opts=N
     u_lb, u_ub = np.tile(-chain.ddq_max, n_un), np.tile(chain.ddq_max, n_un)
     u_lb[:n] = u_ub[:n] = 0.0
     n_tail = n_p - n_c + 1
-    tail_ub = np.r_[np.pi / 2, np.full(5, np.inf)]   # theta bounds only
+    tail_ub = np.r_[np.pi / 2, np.full(3, np.inf)]   # theta bounds only
 
     problem = nlp.NlpProblem()
     x_off = problem.add_block("x", (n_c + 1) * n_x, x_lb, x_ub).offset
     u_off = problem.add_block("u", n_un * n, u_lb, u_ub).offset
-    y_off = problem.add_block("y", n_tail * 6, np.tile(-tail_ub, n_tail),
+    y_off = problem.add_block("y", n_tail * 4, np.tile(-tail_ub, n_tail),
                               np.tile(tail_ub, n_tail)).offset
     # the gaps of the control horizon and of the tail, the junction, and the
     # terminal rest: pose at the goal, joint velocities zero at node n_ctrl
     problem.eq_groups += [
         nlp.ShootingGapGroup(problem, dyn, n_x, n_c, n_u=n,
                              control_map=np.append(np.arange(n_un), -1)),
-        nlp.ShootingGapGroup(problem, tail_dyn, 6, n_tail - 1, block="y"),
-        _junction_group(problem, chain, n_c, sub, n, n_x),
+        nlp.ShootingGapGroup(problem, tail_dyn, 4, n_tail - 1, block="y"),
+        nlp.LinearGroup(problem.select(y_off + np.arange(4))
+                        - problem.select(x_off + n_c * n_x + sub), np.zeros(4)),
         _terminal_pose_group(problem, chain, n_c, task.goal_position, task.goal_rotation, n, n_x),
         nlp.LinearGroup(problem.select(x_off + n_c * n_x + n + 1 + np.arange(n)), np.zeros(n))]
 
@@ -379,7 +354,7 @@ def solve_ptp_ocp(chain, task, params, d=None, u_prev=None, weights=None, opts=N
     # prediction-horizon l1 terms with exponentially increasing weights
     ks = np.arange(n_c, n_p)
     gam = weights.gamma ** ks
-    th_cols = y_off + (ks - n_c) * 6
+    th_cols = y_off + (ks - n_c) * 4
     a1 = problem.select(th_cols)
     a2 = problem.select(th_cols + 1)
     if weights.rho1 > 0:
@@ -402,8 +377,7 @@ def solve_ptp_ocp(chain, task, params, d=None, u_prev=None, weights=None, opts=N
         u_guess[:n_un] = _rest_to_rest_input(chain, task, weights, _goal_configuration(chain, task))
     xs_guess, _ = fast_rollout(chain, x0, u_guess, params, d_arr, dt)
     problem.set_initial_guess("x", xs_guess[:n_c + 1])
-    g2_guess = np.tile(_rest_gravity(chain, xs_guess[n_c, :n]), (n_tail, 1))
-    problem.set_initial_guess("y", np.hstack([xs_guess[n_c:, sub], g2_guess]))
+    problem.set_initial_guess("y", xs_guess[n_c:, sub])
     problem.set_initial_guess("u", u_guess[:n_un].ravel())
 
     sol = nlp.solve(problem, nlp.SolverOptions(**{"max_iter": 150, **(opts or {})}))
@@ -421,7 +395,7 @@ def solve_ptp_ocp(chain, task, params, d=None, u_prev=None, weights=None, opts=N
         xs = np.zeros((n_p + 1, n_x))
         xs[:n_c + 1] = sol.variables["x"].reshape(n_c + 1, n_x)
         xs[n_c + 1:, :n] = xs[n_c, :n]
-        xs[n_c + 1:, sub] = sol.variables["y"].reshape(n_tail, 6)[1:, :4]
+        xs[n_c + 1:, sub] = sol.variables["y"].reshape(n_tail, 4)[1:]
 
     tau = reaction_torque(xs[:n_p, n], xs[:n_p, 2 * n + 1], params, d_arr)
     u_traj = Trajectory(dt, u_full, tuple(f"u{i+1}" for i in range(n)))

@@ -56,6 +56,30 @@ def test_qp_matches_ipm():
     np.testing.assert_allclose(s1.x, s2.x, atol=1e-6)
 
 
+@pytest.mark.parametrize("with_eq", [True, False], ids=["equality-only", "unconstrained"])
+def test_qp_ipm_without_inequality_rows(with_eq):
+    # with no inequality rows there is no barrier: the interior point solves
+    # the cost-scaled QP by the active set and returns its answer, duals
+    # unscaled; |q| in the hundreds makes the cost scale exceed 1
+    rng = np.random.default_rng(11)
+    p_mat, q, a_eq, b_eq, _, _ = random_strictly_convex_qp(rng, mi=0)
+    q = 300.0 * q
+    assert np.max(np.abs(q)) / 10.0 > 1.0
+    if not with_eq:
+        a_eq, b_eq = np.zeros((0, q.size)), np.zeros(0)
+    args = (sp.csc_matrix(p_mat), q, sp.csr_matrix(a_eq), b_eq)
+    ref = solve_qp(*args)
+    sol = solve_qp_ipm(*args)
+    assert sol.status == ref.status == "converged"
+    assert sol.ineq_duals.size == 0
+    kkt = p_mat @ sol.x + q + a_eq.T @ sol.eq_duals
+    assert np.max(np.abs(kkt)) < 1e-12 * np.max(np.abs(q))
+    assert np.max(np.abs(a_eq @ sol.x - b_eq), initial=0.0) < 1e-12
+    np.testing.assert_allclose(sol.x, ref.x, rtol=0, atol=1e-12 * np.max(np.abs(ref.x)))
+    np.testing.assert_allclose(sol.eq_duals, ref.eq_duals, rtol=0,
+                               atol=1e-12 * np.max(np.abs(ref.eq_duals), initial=1.0))
+
+
 def test_qp_warm_start_reuses_active_set():
     rng = np.random.default_rng(9)
     p_mat, q, a_eq, b_eq, g, h = random_strictly_convex_qp(rng)

@@ -4,13 +4,13 @@ import scipy.sparse as sp
 
 from conftest import REFERENCE_Q0_7DOF
 from derivative_check import check_derivatives
+from test_dynamics import vertical_plane_chain
 
 from beamilc import nlp, qp
 from beamilc.dynamics import BeamParams, equilibrium_for_rotation, fast_rollout, state_dim
-from beamilc.kinematics import (KinematicChain, forward_kinematics,
+from beamilc.kinematics import (GRAVITY, KinematicChain, forward_kinematics,
                                 orientation_error)
-from beamilc.ocp import (OcpWeights, TaskDefinition, _rest_gravity, resample_disturbance,
-                         solve_ptp_ocp)
+from beamilc.ocp import OcpWeights, TaskDefinition, resample_disturbance, solve_ptp_ocp
 from beamilc.trajectory import Trajectory
 
 Q0 = np.array([0.5, -0.9, 0.6])
@@ -34,8 +34,8 @@ def _ocp_problem(chain, task, params, monkeypatch):
     def capture(problem, opts=None):
         raise _Captured(problem)
 
-    monkeypatch.setattr(nlp, "solve", capture)
-    with pytest.raises(_Captured) as exc:
+    with monkeypatch.context() as m, pytest.raises(_Captured) as exc:
+        m.setattr(nlp, "solve", capture)
         solve_ptp_ocp(chain, task, params)
     return exc.value.args[0]
 
@@ -153,40 +153,54 @@ def test_disturbance_off_the_ocp_grid_rejected(chain3, nominal_params, dt, n, ma
         solve_ptp_ocp(chain3, task, nominal_params, d)
 
 
-def test_tail_transcription_is_exact(chain3, nominal_params, monkeypatch):
-    # the tail carries only the substate and g2, yet the plan's full-state
-    # trace is what the model does under the planned input; the plan is
-    # solved to gaps below the bound checked here
-    task = TaskDefinition.from_goal_joints(chain3, Q0, Q_GOAL, n_ctrl=48, n_pred=144, dt=0.01)
-    plan = solve_ptp_ocp(chain3, task, nominal_params, opts={"tol_feas": 1e-12})
-    xs, ys = fast_rollout(chain3, plan.states[0], plan.u.data, nominal_params, None, task.dt)
-    assert plan.states.shape == (task.n_pred + 1, state_dim(3))
-    np.testing.assert_allclose(plan.states, xs, rtol=0, atol=1e-9)
-    np.testing.assert_allclose(plan.tau_hat, ys, rtol=0, atol=1e-9)
+def _vertical_plane_task():
+    """A task on the one-joint vertical-plane arm: its goal frame's in-plane
+    gravity is about (8.6, 0) m/s^2, where planar3's, in the horizontal
+    plane, is zero."""
+    chain = vertical_plane_chain()
+    task = TaskDefinition.from_goal_joints(chain, [0.2], [0.5], n_ctrl=48, n_pred=144, dt=0.01)
+    assert np.linalg.norm((task.goal_rotation.T @ GRAVITY)[:2]) > 8.0
+    return chain, task
 
-    # no q or dq entries past node n_ctrl: six tail entries a node
-    problem = _ocp_problem(chain3, task, nominal_params, monkeypatch)
-    n_c, n_p = task.n_ctrl, task.n_pred
-    assert {b.name: b.dim for b in problem.blocks} == {
-        "x": (n_c + 1) * state_dim(3), "u": (n_c - 1) * 3, "y": (n_p - n_c + 1) * 6}
+
+def test_tail_transcription_is_exact(chain3, nominal_params, monkeypatch):
+    # the tail carries only the substate, yet the plan's full-state trace is
+    # what the model does under the planned input; each plan is solved to
+    # gaps below the bound checked here
+    planar = chain3, TaskDefinition.from_goal_joints(chain3, Q0, Q_GOAL, n_ctrl=48, n_pred=144,
+                                                     dt=0.01)
+    for chain, task in (planar, _vertical_plane_task()):
+        n = chain.n_joints
+        plan = solve_ptp_ocp(chain, task, nominal_params, opts={"tol_feas": 1e-12})
+        xs, ys = fast_rollout(chain, plan.states[0], plan.u.data, nominal_params, None, task.dt)
+        assert plan.states.shape == (task.n_pred + 1, state_dim(n))
+        np.testing.assert_allclose(plan.states, xs, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(plan.tau_hat, ys, rtol=0, atol=1e-9)
+
+        # no q or dq entries past node n_ctrl: four tail entries a node
+        problem = _ocp_problem(chain, task, nominal_params, monkeypatch)
+        n_c, n_p = task.n_ctrl, task.n_pred
+        assert {b.name: b.dim for b in problem.blocks} == {
+            "x": (n_c + 1) * state_dim(n), "u": (n_c - 1) * n, "y": (n_p - n_c + 1) * 4}
 
 
 def test_tail_transcription_holds_on_the_rollout(chain3, nominal_params, plan3, monkeypatch):
     # wherever the SQP stopped, the rollout of the plan's own input is a
     # point at which the transcription's gaps and junction vanish exactly
-    task, plan = plan3
-    n, n_x, n_c = 3, state_dim(3), task.n_ctrl
-    xs, _ = fast_rollout(chain3, plan.states[0], plan.u.data, nominal_params, None, task.dt)
-    sub = np.array([n, 2 * n + 1, 2 * n + 2, 2 * n + 3])
-    g2 = _rest_gravity(chain3, xs[n_c, :n])
-    problem = _ocp_problem(chain3, task, nominal_params, monkeypatch)
-    z = np.concatenate([xs[:n_c + 1].ravel(), plan.u.data[:n_c - 1].ravel(),
-                        np.hstack([xs[n_c:, sub], np.tile(g2, (task.n_pred - n_c + 1, 1))]).ravel()])
-    assert z.size == problem.n
-    # the two gap groups and the junction (order as in test_ocp_layout)
-    gaps = np.concatenate([group.eval(z) for group in problem.eq_groups[:3]])
-    assert gaps.size == n_c * n_x + (task.n_pred - n_c) * 6 + 6
-    assert np.max(np.abs(gaps)) <= 1e-14
+    vertical, task_v = _vertical_plane_task()
+    cases = [(chain3, *plan3), (vertical, task_v, solve_ptp_ocp(vertical, task_v, nominal_params))]
+    for chain, task, plan in cases:
+        n, n_c = chain.n_joints, task.n_ctrl
+        xs, _ = fast_rollout(chain, plan.states[0], plan.u.data, nominal_params, None, task.dt)
+        sub = np.array([n, 2 * n + 1, 2 * n + 2, 2 * n + 3])
+        problem = _ocp_problem(chain, task, nominal_params, monkeypatch)
+        z = np.concatenate([xs[:n_c + 1].ravel(), plan.u.data[:n_c - 1].ravel(),
+                            xs[n_c:, sub].ravel()])
+        assert z.size == problem.n
+        # the two gap groups and the junction (order as in test_ocp_layout)
+        gaps = np.concatenate([group.eval(z) for group in problem.eq_groups[:3]])
+        assert gaps.size == n_c * state_dim(n) + (task.n_pred - n_c) * 4 + 4
+        assert np.max(np.abs(gaps)) <= 1e-14
 
 
 def test_ocp_layout(chain3, nominal_params, monkeypatch):
@@ -208,9 +222,9 @@ def test_ocp_layout(chain3, nominal_params, monkeypatch):
     np.testing.assert_array_equal(lb[u_off:u_off + n], 0.0)
     assert not np.any(np.signbit(np.r_[lb[u_off:u_off + n], ub[u_off:u_off + n]]))
     assert [type(g) for g in problem.eq_groups] == [
-        nlp.ShootingGapGroup, nlp.ShootingGapGroup, nlp.CallableGroup, nlp.CallableGroup,
+        nlp.ShootingGapGroup, nlp.ShootingGapGroup, nlp.LinearGroup, nlp.CallableGroup,
         nlp.LinearGroup]
-    assert [g.dim for g in problem.eq_groups] == [20 * n_x, 30 * 6, 6, 6, n]
+    assert [g.dim for g in problem.eq_groups] == [20 * n_x, 30 * 4, 4, 6, n]
 
 
 @pytest.mark.parametrize("arm", ["planar3", "seven_dof"])
@@ -238,9 +252,7 @@ def test_cold_guess_rests_at_the_goal(arm, chain3, chain7, nominal_params, monke
 
 @pytest.mark.parametrize("arm", ["planar3", "seven_dof"])
 def test_junction_and_tail_jacobians(arm, chain3, chain7, nominal_params, monkeypatch):
-    # away from rest: dq(n_ctrl) != 0, q(n_ctrl) off the goal, g2 off R(q)^T g.
-    # planar3 swings in the horizontal plane, where g2 = 0 for every q, so
-    # only the 7-DOF arm exercises the junction's q(n_ctrl) columns
+    # away from rest: dq(n_ctrl) != 0 and q(n_ctrl) off the goal
     if arm == "planar3":
         chain = chain3
         task = TaskDefinition.from_goal_joints(chain, Q0, Q_GOAL, n_ctrl=48, n_pred=144, dt=0.01)
@@ -255,8 +267,8 @@ def test_junction_and_tail_jacobians(arm, chain3, chain7, nominal_params, monkey
     x_node = problem.block("x").offset + n_c * n_x
     y_off = problem.block("y").offset
     cols = np.concatenate([x_node + np.arange(n_x),            # q, theta, dq, ... at n_ctrl
-                           y_off + np.arange(18),              # tail nodes 0..2
-                           y_off + problem.block("y").dim - 6 + np.arange(6)])  # last node
+                           y_off + np.arange(12),              # tail nodes 0..2
+                           y_off + problem.block("y").dim - 4 + np.arange(4)])  # last node
     assert np.max(np.abs(z0[x_node + n + 1:x_node + 2 * n + 1])) > 1e-3
 
     def full(zs):
@@ -315,7 +327,7 @@ def test_equality_jacobian_pattern_is_fixed(chain7, nominal_params, monkeypatch)
     z1 = z0 + 0.05 * np.random.default_rng(7).standard_normal(problem.n)
     j0, j1 = (sp.vstack([g.eval_with_jac(z)[1] for g in problem.eq_groups], format="csr")
               for z in (z0, z1))
-    assert j0.nnz == j1.nnz == 26443
+    assert j0.nnz == j1.nnz == 24315
     np.testing.assert_array_equal(j0.indptr, j1.indptr)
     np.testing.assert_array_equal(j0.indices, j1.indices)
 
@@ -349,7 +361,6 @@ def test_interior_point_kkt_refill_matches_assembly(chain7, nominal_params, monk
     task = TaskDefinition.from_displacement(chain7, REFERENCE_Q0_7DOF, [0.20, 0.0, -0.20],
                                             n_ctrl=48, n_pred=144, dt=0.01)
     problem = _ocp_problem(chain7, task, nominal_params, monkeypatch)
-    monkeypatch.undo()
 
     def capture(*args, **kwargs):
         raise _Captured(args)
@@ -370,7 +381,7 @@ def test_interior_point_kkt_refill_matches_assembly(chain7, nominal_params, monk
         if it:
             # the second factorization works on the reordered pattern
             ref = ref[:, np.argsort(kkt.perm)]
-        assert ref.nnz == kkt.mat.nnz == 59641
+        assert ref.nnz == kkt.mat.nnz == 54997
         np.testing.assert_array_equal(kkt.mat.indptr, ref.indptr)
         np.testing.assert_array_equal(kkt.mat.indices, ref.indices)
         np.testing.assert_allclose(kkt.mat.data, ref.data, rtol=1e-15, atol=0)
