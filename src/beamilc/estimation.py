@@ -2,10 +2,12 @@
 
 An experiment's joint input is data, so the arm's motion is known in closed
 form: a learning step builds the frame terms of every RK4 stage once, in its
-:class:`Record`. Both fits, the step's RMSEs and the loop's prediction carry
-only the beam-and-sensing substate ``(theta, dtheta, tau_hat, tau_e)``. The
-parameter step fits the lumped model to the record with the disturbance
-ignored, as multiple-shooting nonlinear least squares over that substate.
+:class:`Record`. Both fits and the step's three RMSEs carry only the
+beam-and-sensing substate ``(theta, dtheta, tau_hat, tau_e)``. The prior
+model's output on the record, which ``rmse_before`` reads, is also the
+loop's prediction of that experiment. The parameter step fits the lumped
+model to the record with the disturbance ignored, as multiple-shooting
+nonlinear least squares over that substate.
 
 The disturbance step then freezes the parameters and absorbs what is left
 of the output error into a per-sample torque disturbance. The pendulum
@@ -110,6 +112,7 @@ class LearnedModel:
     rmse_before: float
     rmse_params_only: float
     rmse_after: float
+    y_before: np.ndarray         # the prior model's output on the record (not in as_dict)
     statuses: dict = field(default_factory=dict)
 
     def as_dict(self):
@@ -125,10 +128,12 @@ class LearnedModel:
         }
 
 
-def _on_grid(name, traj, cfg):
-    """The first ``cfg.horizon`` rows of ``traj``, which must lie on the estimation grid."""
+def _on_grid(name, traj, cfg, n_cols=1):
+    """The first ``cfg.horizon`` rows of ``traj``: ``n_cols`` columns on the estimation grid."""
     if not isinstance(traj, Trajectory):
         raise TypeError(f"{name} must be a Trajectory")
+    if traj.n_channels != n_cols:
+        raise ValueError(f"{name} has {traj.n_channels} columns, not {n_cols}")
     if abs(traj.dt - cfg.dt) > 1e-12:
         raise ValueError(f"{name} is sampled every {traj.dt:g} s, not every {cfg.dt:g} s")
     if len(traj) < cfg.horizon:
@@ -149,7 +154,7 @@ class Record:
     def from_experiment(chain, y, u, q0, cfg):
         """Check ``y`` and ``u`` against the grid of ``cfg``; build the frame terms once."""
         y_data = _on_grid("y", y, cfg)[:, 0]
-        u_data = _on_grid("u", u, cfg)[:, :chain.n_joints]
+        u_data = _on_grid("u", u, cfg, chain.n_joints)
         q0 = np.asarray(q0, dtype=float)
         return Record(y_data, forward_kinematics(chain, q0).rotation,
                       _record_coeffs(chain, q0, u_data, cfg.dt), cfg.dt)
@@ -367,7 +372,8 @@ def learn_iteration(chain, y, u, p_prev, d_prev, q0, cfg, include_disturbance=Tr
     def rmse(ys):
         return float(np.sqrt(np.mean((ys - rec.y) ** 2)))
 
-    rmse_before = rmse(_model_output(rec.rb0, rec.coeffs, rec.dt, p_prev, d_prev_data))
+    y_before = _model_output(rec.rb0, rec.coeffs, rec.dt, p_prev, d_prev_data)
+    rmse_before = rmse(y_before)
 
     est = estimate_parameters(rec, p_prev, cfg, opts=opts)
     y0 = (est.theta0, 0.0, est.tau_hat0, est.tau_e0)
@@ -394,4 +400,4 @@ def learn_iteration(chain, y, u, p_prev, d_prev, q0, cfg, include_disturbance=Tr
     rmse_after = rmse(_model_output(rec.rb0, rec.coeffs, rec.dt, est.params,
                                     d_traj.data[:, 0], y0))
     return LearnedModel(est.params, est.theta0, est.tau_hat0, est.tau_e0, d_traj,
-                        rmse_before, rmse_params, rmse_after, statuses)
+                        rmse_before, rmse_params, rmse_after, y_before, statuses)

@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import fast_rollout  # noqa: F401  (perfbench's _layer_table wraps this name)
-from .estimation import _model_output, _record_coeffs, learn_iteration
-from .kinematics import forward_kinematics
+from .estimation import learn_iteration
 from .ocp import resample_disturbance, solve_ptp_ocp
 from .plant import run_experiment
 from .trajectory import Trajectory
@@ -96,53 +95,35 @@ def metric_window_samples(task, est_cfg, ilc_cfg):
     return motion_end, n_window
 
 
-def _rollout_prediction(chain, q0, params, d_est, u_traj, horizon, dt):
-    """Model-predicted measurement for the next experiment, on the est grid.
-
-    Past its last sample, ``d_est`` is held at the mean of its last tenth.
-    """
-    d = d_est.data[:horizon, 0] if d_est is not None else np.zeros(horizon)
-    tail = np.mean(d[-max(1, d.shape[0] // 10):])
-    d = np.concatenate([d, np.full(horizon - d.shape[0], tail)])
-    coeffs = _record_coeffs(chain, q0, u_traj.sample_hold(np.arange(horizon) * dt), dt)
-    ys = _model_output(forward_kinematics(chain, q0).rotation, coeffs, dt, params, d)
-    return Trajectory(dt, ys[:, None], ("tau_hat",))
-
-
 def _ocp_status(plan):
     """A plan's status, fallback flag and QP effort counts, for the artifacts."""
     return {"status": plan.solution.status, **plan.solution.qp_effort,
             "fell_back": plan.fell_back}
 
 
-def run_ilc(chain, task, p0, est_cfg, ocp_weights, plant_cfg, ilc_cfg, d0=None,
-            nominal_for_plant=None, solver_opts=None):
+def run_ilc(chain, task, p0, est_cfg, ocp_weights, plant_cfg, ilc_cfg, solver_opts=None):
     """Execute the full learning loop and return one record per iteration.
 
-    ``d0`` defaults to the zero disturbance. The plant draws an independent
-    noise stream per iteration, derived deterministically from its seed.
+    The loop starts from the prior ``p0`` and the zero disturbance, and the
+    plant's nominal model is ``p0``. A record's prediction is the model from
+    before its experiment rolled out on the record's input: the learning
+    step's output of its prior model, which its ``rmse_before`` reads. The
+    plant draws an independent noise stream per iteration, derived
+    deterministically from its seed.
     """
     n_est = est_cfg.horizon
     dt_est = est_cfg.dt
     motion_end, n_window = metric_window_samples(task, est_cfg, ilc_cfg)
 
-    if d0 is None:
-        d0 = Trajectory(dt_est, np.zeros((n_est, 1)), ("d",))
-    nominal_for_plant = nominal_for_plant or p0
-
-    p_cur = p0
-    d_cur = d0
-    d_ocp = resample_disturbance(d_cur, task.dt, task.n_pred)
-    plan = solve_ptp_ocp(chain, task, p_cur, d_ocp, None, ocp_weights,
-                         opts=solver_opts)
-    y_pred = _rollout_prediction(chain, task.q0, p_cur, d_cur, plan.u, n_est, dt_est)
+    p_cur, d_cur = p0, None
+    plan = solve_ptp_ocp(chain, task, p0, None, None, ocp_weights, opts=solver_opts)
     u_cur = plan.u
     ocp_status = _ocp_status(plan)
 
     records = []
     for i in range(1, ilc_cfg.i_max + 1):
         exp = run_experiment(plant_cfg, chain, task.q0, u_cur, ilc_cfg.n_meas,
-                             dt_est, nominal_for_plant, seed=plant_cfg.seed + 7919 * i)
+                             dt_est, p0, seed=plant_cfg.seed + 7919 * i)
         y_meas = exp.y
         u_est = Trajectory(dt_est, u_cur.sample_hold(np.arange(n_est) * dt_est),
                            u_cur.labels)
@@ -153,7 +134,7 @@ def run_ilc(chain, task, p0, est_cfg, ocp_weights, plant_cfg, ilc_cfg, d0=None,
                                 opts=solver_opts)
 
         v_i = vibration_metric(y_meas, motion_end, n_window)
-        pred_err = float(np.linalg.norm(y_meas.data[:n_est, 0] - y_pred.data[:n_est, 0]))
+        pred_err = float(np.linalg.norm(y_meas.data[:n_est, 0] - model.y_before))
 
         d_ocp = resample_disturbance(model.disturbance, task.dt, task.n_pred)
         plan_next = solve_ptp_ocp(chain, task, model.params, d_ocp, u_cur.data,
@@ -165,7 +146,8 @@ def run_ilc(chain, task, p0, est_cfg, ocp_weights, plant_cfg, ilc_cfg, d0=None,
                    or model.statuses.get("disturbance_fell_back", False))
         records.append(IlcRecord(
             iteration=i, u=u_cur, y_meas=y_meas, params=model.params,
-            disturbance=model.disturbance, y_pred=y_pred,
+            disturbance=model.disturbance,
+            y_pred=Trajectory(dt_est, model.y_before[:, None], ("tau_hat",)),
             prediction_error=pred_err, metric=v_i,
             rmse_before=model.rmse_before, rmse_params_only=model.rmse_params_only,
             rmse_after=model.rmse_after, statuses=statuses, flagged=flagged))
@@ -173,8 +155,6 @@ def run_ilc(chain, task, p0, est_cfg, ocp_weights, plant_cfg, ilc_cfg, d0=None,
                  i, v_i, pred_err, model.rmse_before, model.rmse_params_only,
                  model.rmse_after)
 
-        y_pred = _rollout_prediction(chain, task.q0, model.params, model.disturbance,
-                                     plan_next.u, n_est, dt_est)
         u_cur = plan_next.u
         p_cur = model.params
         d_cur = model.disturbance

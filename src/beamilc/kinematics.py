@@ -263,7 +263,11 @@ def load_chain(path):
             raise ValueError(f"{path}: {exc}") from None
 
 
-def planar_chain(link_lengths, q_max=3.0, dq_max=2.5, ddq_max=15.0, jerk_max=4000.0):
+# every joint of a planar chain has the same limits
+_PLANAR_LIMITS = {"q_max": 3.0, "dq_max": 2.5, "ddq_max": 15.0, "jerk_max": 4000.0}
+
+
+def planar_chain(link_lengths):
     """Planar arm in the xy-plane, all joints about +z, links along local x.
 
     The tool frame sits at the tip of the last link with identity rotation,
@@ -276,11 +280,11 @@ def planar_chain(link_lengths, q_max=3.0, dq_max=2.5, ddq_max=15.0, jerk_max=400
         trans[i, 0] = lengths[i - 1]
     rots = np.broadcast_to(np.eye(3), (n, 3, 3)).copy()
     axes = np.tile([0.0, 0.0, 1.0], (n, 1))
-    ones = np.ones(n)
+    lim = {k: np.full(n, v) for k, v in _PLANAR_LIMITS.items()}
     return KinematicChain(
         trans, rots, axes,
         np.array([lengths[-1], 0.0, 0.0]), np.eye(3),
-        -q_max * ones, q_max * ones, dq_max * ones, ddq_max * ones, jerk_max * ones,
+        -lim["q_max"], lim["q_max"], lim["dq_max"], lim["ddq_max"], lim["jerk_max"],
         name=f"planar{n}",
     )
 
@@ -305,9 +309,10 @@ _SEVEN_DOF_LIMITS = {
     "ddq_max": [15.0, 7.5, 10.0, 12.5, 15.0, 20.0, 20.0],
     "jerk_max": [7500.0, 3750.0, 5000.0, 6250.0, 7500.0, 10000.0, 10000.0],
 }
+_SEVEN_DOF_TOOL_OFFSET = 0.11   # m
 
 
-def seven_dof_chain(tool_offset=0.11):
+def seven_dof_chain():
     """Built-in 7R spatial arm with a tool plate offset along the flange z."""
     n = 7
     trans = np.zeros((n, 3))
@@ -321,7 +326,7 @@ def seven_dof_chain(tool_offset=0.11):
     lim = {k: np.asarray(v, dtype=float) for k, v in _SEVEN_DOF_LIMITS.items()}
     return KinematicChain(
         trans, rots, axes,
-        np.array([0.0, 0.0, tool_offset]), np.eye(3),
+        np.array([0.0, 0.0, _SEVEN_DOF_TOOL_OFFSET]), np.eye(3),
         lim["q_min"], lim["q_max"], lim["dq_max"], lim["ddq_max"], lim["jerk_max"],
         name="seven_dof",
     )

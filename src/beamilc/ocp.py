@@ -155,6 +155,8 @@ def resample_disturbance(d, dt_new, n_new):
     """
     if not isinstance(d, Trajectory) or len(d) < 1:
         raise ValueError("d must be a non-empty Trajectory")
+    if d.n_channels != 1:
+        raise ValueError(f"d has {d.n_channels} columns, not 1")
     src = d.data[:, 0]
     n_tail = max(1, len(src) // 10)
     tail = float(np.mean(src[-n_tail:]))

@@ -28,8 +28,9 @@ residual stops halving, at most ``REFINE_MAX`` times. It is kept only if
 it is finite and its normwise backward error is at most ``BACKWARD_TOL``.
 Otherwise the system is factored again with partial pivoting and refined
 ``REFINE_STEPS`` times, and the rest of that ``solve_qp`` call uses partial
-pivoting: diagonal pivots break down on the OCP's active-set KKT, and one
-wasted factorization per call is cheaper than one per iteration.
+pivoting: diagonal pivots break down on the active-set KKT of an OCP
+without l1 terms (one with them goes to ``solve_qp_ipm``), and one wasted
+factorization per call is cheaper than one per iteration.
 ``solve_qp_ipm`` always uses partial pivoting, refined ``REFINE_STEPS``
 times against the unregularized reduced KKT.
 

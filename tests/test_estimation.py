@@ -9,6 +9,7 @@ from beamilc.estimation import (DEFAULT_PARAM_BOX, EstimationConfig, Record,
                                 estimate_parameters, learn_iteration, prior_scaled_weights,
                                 _model_output, _output_sensitivity, _record_coeffs)
 from beamilc.kinematics import forward_kinematics
+from beamilc.ocp import resample_disturbance
 from beamilc.trajectory import Trajectory
 from conftest import REFERENCE_Q0_7DOF
 from derivative_check import check_derivatives
@@ -212,10 +213,26 @@ def test_parameter_fit_layout(chain7, free_params, monkeypatch):
 
 
 def test_grid_mismatch_rejected(chain3, free_params):
+    # an input off the estimation grid, shorter than the horizon or with the
+    # wrong number of columns is an error that names it
     y, u = synth_record(chain3, free_params)
-    bad = Trajectory(0.01, u.data, u.labels)
-    with pytest.raises(ValueError):
-        Record.from_experiment(chain3, y, bad, Q0, zero_reg_config())
+    d = Trajectory(DT, np.zeros((N, 1)), ("d",))
+
+    def columns(traj, n):
+        return Trajectory(traj.dt, np.tile(traj.data[:, :1], (1, n)),
+                          tuple(f"c{j}" for j in range(n)))
+
+    for name, y_in, u_in, d_in, why in [
+            ("u", y, Trajectory(0.01, u.data, u.labels), None, "is sampled every 0.01 s"),
+            ("y", columns(y, 2), u, None, "has 2 columns, not 1"),
+            ("u", y, columns(u, 5), None, "has 5 columns, not 3"),
+            ("u", y, columns(u, 2), None, "has 2 columns, not 3"),
+            ("d_prev", y, u, columns(d, 2), "has 2 columns, not 1"),
+            ("d_prev", y, u, Trajectory(DT, d.data[:N - 1], ("d",)), "has 239 samples")]:
+        with pytest.raises(ValueError, match=f"^{name} {why}"):
+            learn_iteration(chain3, y_in, u_in, free_params, d_in, Q0, zero_reg_config())
+    with pytest.raises(ValueError, match="^d has 2 columns, not 1$"):
+        resample_disturbance(columns(d, 2), 0.01, 144)
 
 
 # ---------------------------------------------------------------------------

@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 
 from beamilc.config import RunConfig
-from beamilc.dynamics import BeamParams, fast_rollout
+from beamilc.dynamics import fast_rollout
 from beamilc.estimation import EstimationConfig, prior_scaled_weights
-from beamilc.ilc import (IlcConfig, _rollout_prediction, metric_window_samples, run_ilc,
-                         vibration_metric)
+from beamilc.ilc import IlcConfig, metric_window_samples, run_ilc, vibration_metric
 from beamilc.ocp import OcpWeights, TaskDefinition
 from beamilc.plant import PlantConfig
 from beamilc.trajectory import Trajectory
-from conftest import REFERENCE_Q0_7DOF
+from conftest import assert_same_bits
 from reference_model import _model_init_state
 
 Q0 = np.array([0.5, -0.9, 0.6])
@@ -22,36 +21,6 @@ def small_setup(chain3, nominal_params, plant_cfg, i_max=2):
     est_cfg = EstimationConfig(v1=v1, v2=v2, horizon=150, dt=6e-3)
     ilc_cfg = IlcConfig(i_max=i_max, metric_window=1.5, n_meas=450)
     return task, est_cfg, OcpWeights(), plant_cfg, ilc_cfg
-
-
-# ---------------------------------------------------------------------------
-# prediction
-
-
-@pytest.mark.parametrize("record, n_d", [("planar", None), ("planar", 150), ("planar", 97),
-                                         ("spatial", 97)])
-def test_rollout_prediction_matches_full_state_rollout(chain3, chain7, record, n_d):
-    # the loop's prediction equals the full-state reference rollout to the
-    # last bit; a disturbance shorter than the horizon is extended by the
-    # mean of its last tenth
-    horizon, dt = 150, 6e-3
-    tilted = REFERENCE_Q0_7DOF - np.pi / 4 * np.eye(7)[5]
-    chain, q0 = (chain7, tilted) if record == "spatial" else (chain3, Q0)
-    t = np.arange(60)[:, None] * 0.01
-    u = Trajectory(0.01, np.sin(4.0 * t + np.arange(chain.n_joints)) * np.exp(-t),
-                   tuple(f"u{j + 1}" for j in range(chain.n_joints)))
-    p = BeamParams(k=5.2, c=0.006, m=0.10, l=0.38, a=55.0, b=2.2, tau_e0=0.03)
-    d_ref = np.zeros(horizon)
-    d = None
-    if n_d is not None:
-        d = Trajectory(dt, 0.1 * np.sin(0.05 * np.arange(n_d))[:, None] + 0.02, ("d",))
-        d_ref[:n_d] = d.data[:, 0]
-        d_ref[n_d:] = np.mean(d.data[n_d - n_d // 10:, 0])
-    x0, _ = _model_init_state(chain, q0, p, d0=d_ref[0])
-    _, ref = fast_rollout(chain, x0, u.sample_hold(np.arange(horizon) * dt), p, d_ref, dt)
-    got = _rollout_prediction(chain, q0, p, d, u, horizon, dt)
-    assert got.dt == dt and got.labels == ("tau_hat",)
-    np.testing.assert_array_equal(got.data[:, 0], ref)
 
 
 # ---------------------------------------------------------------------------
@@ -117,6 +86,20 @@ def test_loop_produces_one_record_per_iteration(tiny_run):
         assert len(r.u) == 100
         assert len(r.disturbance) == 150
         assert r.metric > 0
+
+
+def test_prediction_uses_the_model_from_before_its_experiment(chain3, nominal_params, tiny_run):
+    # each record's prediction is the full-state reference rollout, to the
+    # last bit, of the model its experiment ran on: the prior with zero
+    # disturbance, then the parameters and disturbance learned from record 1
+    recs, (task, est_cfg, *_) = tiny_run
+    n, dt = est_cfg.horizon, est_cfg.dt
+    models = [(nominal_params, np.zeros(n)), (recs[0].params, recs[0].disturbance.data[:, 0])]
+    for rec, (p, d) in zip(recs, models, strict=True):
+        x0, _ = _model_init_state(chain3, task.q0, p, d0=d[0])
+        _, ref = fast_rollout(chain3, x0, rec.u.sample_hold(np.arange(n) * dt), p, d, dt)
+        assert rec.y_pred.dt == dt and rec.y_pred.labels == ("tau_hat",)
+        assert_same_bits(rec.y_pred.data[:, 0], ref)
 
 
 def test_loop_learning_improves_prediction(tiny_run):

@@ -3,10 +3,13 @@ from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
-from paired_bench import METRICS, paired_rule, summary  # noqa: E402
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tools"))
+from paired_bench import end_to_end, no_worse, paired_rule, summary  # noqa: E402
 
+METRICS = end_to_end(ROOT / "BENCHMARK.json")
 PARENT = [2.0, 2.1, 2.2, 2.3, 2.4, 2.5, 2.6, 2.7, 2.8, 2.9]   # median 2.45, IQR 0.45
+WIDE = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0]     # median 5.5, IQR 4.5
 
 
 def runs(parent, change, workload="w"):
@@ -21,7 +24,7 @@ def runs(parent, change, workload="w"):
 
 def test_paired_rule_holds_on_a_clear_gain():
     change = [p - 0.5 for p in PARENT]
-    rule = summary(runs(PARENT, change))["w"]["wall_s"]["paired_rule"]
+    rule = summary(runs(PARENT, change), METRICS)["w"]["wall_s"]["paired_rule"]
     assert rule == {"holds": True, "wins": 10, "ties": 0, "pairs": 10,
                     "median_gap": pytest.approx(0.5), "parent_iqr": pytest.approx(0.45)}
 
@@ -47,3 +50,23 @@ def test_paired_rule_needs_a_median_gap_past_the_parents_iqr():
     assert rule["median_gap"] == pytest.approx(0.4) and rule["parent_iqr"] == pytest.approx(0.45)
     assert not rule["holds"]
     assert paired_rule(PARENT, [p - 0.46 for p in PARENT])["holds"]
+
+
+@pytest.mark.parametrize("metric, parent, change, verdict", [
+    ("wall_s", PARENT, [p + 0.3 for p in PARENT], "not worse"),     # +12%, bound 25%
+    ("wall_s", PARENT, [p + 0.7 for p in PARENT], "worse"),         # +29%
+    ("wall_s", WIDE, WIDE, "unresolved"),                           # IQR 82% of the median
+    ("wall_s", WIDE, [0.5] * 10, "not worse"),                      # beats every parent run
+    ("converged_frac", [0.9] * 10, [0.85] * 10, "not worse"),       # -5.6%, bound 10%
+    ("converged_frac", [0.9] * 10, [0.8] * 10, "worse"),            # -11%
+    ("converged_frac", [0.9] * 10, [1.0] * 10, "not worse"),
+    ("converged_frac", [0.5, 1.0] * 5, [0.9] * 10, "unresolved"),   # IQR 67% of the median
+    ("converged_frac", [0.5, 0.9] * 5, [1.0] * 10, "not worse"),    # beats every parent run
+])
+def test_no_worse_verdict_by_the_benchmarks_bound(metric, parent, change, verdict):
+    # higher is better for converged_frac, lower for wall_s; the summary
+    # carries the verdict of every end-to-end metric
+    assert no_worse(parent, change, *METRICS[metric])["verdict"] == verdict
+    entry = summary(runs(parent, change), METRICS)["w"]
+    assert all("no_worse" in entry[m] for m in METRICS)
+    assert entry[metric]["no_worse"]["verdict"] == verdict

@@ -12,8 +12,11 @@ the change first in odd ones. Workloads run in the order given, seeds in
 order within each. The traced runs (``--seconds 1 --trace 1``) follow, one
 at a time, parent before change. The output keeps every run's last report
 line, and per workload the median and quartiles of each end-to-end metric
-on both sides, in how many pairs the change's ``wall_s`` was lower, and the
-verdict of the paired rule on ``wall_s`` (:func:`paired_rule`).
+on both sides, in how many pairs the change's ``wall_s`` was lower, the
+verdict of the paired rule on ``wall_s`` (:func:`paired_rule`), and for
+each end-to-end metric that the change checkout's ``BENCHMARK.json``
+declares, whether the change is no worse by that metric's bound
+(:func:`no_worse`).
 """
 from __future__ import annotations
 
@@ -24,7 +27,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-METRICS = ("wall_s", "setup_s", "peak_rss_mb", "converged_frac")
 MACHINE_KEYS = ("nproc", "cpu", "python", "numpy", "scipy", "blas")
 
 
@@ -82,15 +84,53 @@ def paired_rule(parent, change):
             "pairs": len(parent), "median_gap": gap, "parent_iqr": iqr}
 
 
-def summary(runs):
+def end_to_end(path):
+    """``{name: (better, bound)}`` of each end-to-end metric that a ``BENCHMARK.json`` declares."""
+    return {m["name"]: (m["better"], m["bound"])
+            for m in json.loads(Path(path).read_text())["end_to_end"]}
+
+
+def no_worse(parent, change, better, bound):
+    """Whether ``change`` is worse than ``parent`` on one end-to-end metric, with the figures.
+
+    ``parent`` and ``change`` hold the metric's runs, ``better`` is
+    ``"lower"`` or ``"higher"`` and ``bound`` the relative worsening the
+    benchmark allows. The verdict is ``unresolved`` when the parent's
+    interquartile range exceeds ``bound`` times its median and not every
+    change run beats every parent run: the runs spread too widely to tell.
+    Otherwise it is ``worse`` when the change's median is worse than the
+    parent's by more than ``bound`` times the parent's median, and ``not
+    worse`` if not.
+    """
+    sign = {"lower": 1.0, "higher": -1.0}[better]
+    par, chg = spread(parent), spread(change)
+    allowed, iqr = bound * abs(par["median"]), par["q3"] - par["q1"]
+    worsening = sign * (chg["median"] - par["median"])
+    beats_all = max(sign * c for c in change) < min(sign * p for p in parent)
+    if iqr > allowed and not beats_all:
+        verdict = "unresolved"
+    else:
+        verdict = "worse" if worsening > allowed else "not worse"
+    return {"verdict": verdict, "better": better, "bound": bound, "median_worsening": worsening,
+            "allowed": allowed, "parent_iqr": iqr, "change_beats_all": beats_all}
+
+
+def summary(runs, metrics):
+    """Per workload, each metric's spread on both sides and its :func:`no_worse` verdict.
+
+    ``metrics`` maps each end-to-end metric to its ``(better, bound)``, as
+    :func:`end_to_end` reads them.
+    """
     out = {}
     for name in dict.fromkeys(r["workload"] for r in runs):
         mine = [r for r in runs if r["workload"] == name]
         side = {s: [r["line"] for r in mine if r["side"] == s] for s in ("parent", "change")}
         entry = {}
-        for metric in METRICS:
-            entry[metric] = {s: spread([ln["metrics"][metric]["value"] for ln in lines])
-                             for s, lines in side.items()}
+        for metric, (better, bound) in metrics.items():
+            values = {s: [ln["metrics"][metric]["value"] for ln in lines]
+                      for s, lines in side.items()}
+            entry[metric] = {s: spread(v) for s, v in values.items()}
+            entry[metric]["no_worse"] = no_worse(values["parent"], values["change"], better, bound)
         walls = {(r["pair"], r["side"]): r["line"]["metrics"]["wall_s"]["value"] for r in mine}
         pairs = sorted({p for p, _ in walls})
         entry["wall_s"]["change_faster_pairs"] = sum(
@@ -106,6 +146,7 @@ def summary(runs):
 def main(argv=None):
     args = parse_args(argv)
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    metrics = end_to_end(sides["change"] / "BENCHMARK.json")
     runs, traced, machine = [], [], {}
     for workload, seeds in args.workload:
         for pair, seed in enumerate(seeds):
@@ -136,7 +177,7 @@ def main(argv=None):
                     + ", ".join(w for w, _ in args.workload) + " and seed order within each; "
                     "the traced runs ran one at a time after them, parent before change",
         "seeds": {**{w: s for w, s in args.workload}, "traced": {w: s for w, s in args.traced}},
-        "summary": summary(runs),
+        "summary": summary(runs, metrics),
         "runs": runs,
         "traced": traced,
     }
@@ -146,6 +187,11 @@ def main(argv=None):
         print(f"{name}: paired rule {'holds' if rule['holds'] else 'does not hold'}: faster in "
               f"{rule['wins']} of {rule['pairs']} pairs ({rule['ties']} ties), median gap "
               f"{rule['median_gap']:.4g} s against the parent's IQR {rule['parent_iqr']:.4g} s")
+        for metric in metrics:
+            v = entry[metric]["no_worse"]
+            print(f"{name}: {metric} {v['verdict']}: median worse by {v['median_worsening']:.4g} "
+                  f"against {v['allowed']:.4g} allowed ({v['better']} is better, bound "
+                  f"{v['bound']:g}); the parent's IQR {v['parent_iqr']:.4g}")
 
 
 if __name__ == "__main__":
