@@ -321,6 +321,16 @@ def equilibrium_for_rotation(rb, p, tol=1e-12):
     raise EquilibriumError("equilibrium refinement did not converge")
 
 
+def rest_substate(rb0, p, d0=0.0):
+    """Rest ``(theta, dtheta, tau_hat, tau_e)`` in the frame orientation ``rb0``.
+
+    The filter has settled on the biased torque under the disturbance
+    ``d0``; the bias decay starts now.
+    """
+    th = equilibrium_for_rotation(rb0, p)
+    return th, 0.0, -p.k * th + d0 + p.tau_e0, p.tau_e0
+
+
 def analytic_init_params(geom, zeta=0.01, a=50.0, b=2.0, tau_e0=0.0):
     """Analytic parameter prior from the beam material properties.
 

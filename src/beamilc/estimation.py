@@ -31,8 +31,8 @@ from scipy.linalg import toeplitz
 
 from . import ad, nlp
 from .dynamics import (NO_ROTATION, PARAM_NAMES, BeamParams, IntegrationBlowupError,
-                       _params_tuple, _substate_rk4, arm_stage_states, equilibrium_for_rotation,
-                       pendulum_accel, plane_frame_coeffs, substate_rk4_step)
+                       _params_tuple, _substate_rk4, arm_stage_states, pendulum_accel,
+                       plane_frame_coeffs, rest_substate, substate_rk4_step)
 from .dynamics import fast_rollout  # noqa: F401  (perfbench's _layer_table wraps this name)
 from .kinematics import GRAVITY, forward_kinematics
 from .trajectory import Trajectory
@@ -160,15 +160,6 @@ class Record:
                       _record_coeffs(chain, q0, u_data, cfg.dt), cfg.dt)
 
 
-def _rest_substate(rb0, p, d0=0.0):
-    """Rest ``(theta, dtheta, tau_hat, tau_e)`` in the frame orientation ``rb0``.
-
-    The filter has settled on the biased torque; the bias decay starts now.
-    """
-    th = equilibrium_for_rotation(rb0, p)
-    return th, 0.0, -p.k * th + d0 + p.tau_e0, p.tau_e0
-
-
 def _rest_residual(rb0, theta, p):
     """The pendulum equation at rest in the frame orientation ``rb0``; zero at equilibrium."""
     k, c, m, l, _, _ = _params_tuple(p)
@@ -215,7 +206,7 @@ def _model_output(rb0, coeffs, dt, p, d, y0=None):
     It starts from ``y0``, or at rest in ``rb0`` with the filter settled on ``d[0]``.
     """
     if y0 is None:
-        y0 = _rest_substate(rb0, p, float(d[0]))
+        y0 = rest_substate(rb0, p, float(d[0]))
     ys = np.array(_substate_rk4(y0, p, coeffs, d, dt))
     if not np.all(np.isfinite(ys)):
         raise IntegrationBlowupError("non-finite state in the model rollout")
@@ -265,7 +256,7 @@ def estimate_parameters(rec, p_prev, cfg, opts=None):
         lambda v: _rest_residual(rb0, ad.comp(v, 0), ad.sub(v, slice(1, 8)))))
 
     # feasible initial guess: rollout at the previous parameters
-    y0 = _rest_substate(rb0, p_prev)
+    y0 = rest_substate(rb0, p_prev)
     problem.set_initial_guess("x", _substate_rk4(y0, p_prev, coeffs, np.zeros(horizon), dt))
     problem.set_initial_guess("p", p_prev.as_array())
 
@@ -292,7 +283,7 @@ def _output_sensitivity(rb0, p, coeffs, dt):
     Jacobian. Output k is the ``tau_hat`` row of ``S_k``.
     """
     p_arr = p.as_array()
-    y0 = _rest_substate(rb0, p)
+    y0 = rest_substate(rb0, p)
     th = y0[0]
     r = _rest_residual(rb0, ad.Dual(np.asarray(th), np.eye(8)[0]), ad.seed(p_arr, 8, 1))
     dth = -r.dot[1:] / r.dot[0]

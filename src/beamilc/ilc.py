@@ -96,9 +96,9 @@ def metric_window_samples(task, est_cfg, ilc_cfg):
 
 
 def _ocp_status(plan):
-    """A plan's status, fallback flag and QP effort counts, for the artifacts."""
-    return {"status": plan.solution.status, **plan.solution.qp_effort,
-            "fell_back": plan.fell_back}
+    """A plan's status, fallback flag, SQP iterations and QP effort counts, for the artifacts."""
+    return {"status": plan.solution.status, "iterations": plan.solution.iterations,
+            **plan.solution.qp_effort, "fell_back": plan.fell_back}
 
 
 def run_ilc(chain, task, p0, est_cfg, ocp_weights, plant_cfg, ilc_cfg, solver_opts=None):

@@ -22,15 +22,16 @@ refill values. A shooting gap group maps each node's seed directions
 Jacobian's CSR pattern and the order in which each stored entry is
 gathered from the dual's derivative. :func:`dual_group` seeds a fixed
 column list, stores every entry of its dense block and fixes its pattern
-the same way. :func:`solve` stacks the groups' Jacobians in a pattern made
-at its first iteration, and makes the QP's constraint matrices there too:
-the linearized constraints over the constant rows (pinned variables and l1
-links; finite bounds and slack signs), each iteration refilling them. It
-makes them again once if elastic mode widens them, or if a group's
-Jacobian changes its pattern. One :class:`beamilc.qp.KktWorkspace` per
-solve carries the QPs' KKT maps from one QP to the next. The explicit
-zeros of the dual Jacobians are kept: they fix the KKT pattern, and with it
-the LU's fill and pivots.
+the same way. :func:`solve` builds the stacked group Jacobians, and the
+QP's constraint matrices from the linearized constraints over the constant
+rows (pinned variables and l1 links; finite bounds and slack signs), by one
+kind of stack of CSR parts: its pattern is made at the first iteration,
+and later iterations only concatenate the parts' values. A stack is made
+again when one of its parts changes its pattern: once when elastic mode
+widens the QP's rows, and when a group's Jacobian changes its pattern.
+One :class:`beamilc.qp.KktWorkspace` per solve carries the QPs' KKT maps
+from one QP to the next. The explicit zeros of the dual Jacobians are
+kept: they fix the KKT pattern, and with it the LU's fill and pivots.
 """
 from __future__ import annotations
 
@@ -257,57 +258,34 @@ def _eval_groups(groups, z):
                                            for g in groups])
 
 
+def _linearized(groups, stack, z):
+    """The stacked values of ``groups`` at ``z``, and their Jacobians stacked by ``stack``."""
+    if not groups:
+        return np.zeros(0), sp.csr_matrix((0, z.size))
+    vals, jacs = zip(*(g.eval_with_jac(z) for g in groups))
+    return (np.concatenate([np.asarray(v, dtype=float).ravel() for v in vals]),
+            stack([sp.csr_matrix(j) for j in jacs]))
+
+
 class _Stacked:
-    """The stacked values and CSR Jacobian of one list of groups, for one solve.
+    """One CSR matrix stacked from parts, for one solve.
 
-    The stack's pattern is made at the first call and kept while each group's
-    Jacobian keeps its pattern, so a call only concatenates the groups' data.
+    The stack's pattern is made by the first call and kept while each part
+    keeps its pattern, so a later call only concatenates the parts' data.
     """
 
-    def __init__(self, groups):
-        self.groups = groups
-        self.parts = None            # the patterns of the groups' Jacobians at the last call
-        self.jac = None
+    def __init__(self):
+        self.parts = None            # the patterns of the parts at the last call
+        self.mat = None
 
-    def eval_with_jac(self, z):
-        if not self.groups:
-            return np.zeros(0), sp.csr_matrix((0, z.size))
-        vals, jacs = [], []
-        for g in self.groups:
-            r, j = g.eval_with_jac(z)
-            vals.append(np.asarray(r, dtype=float).ravel())
-            jacs.append(sp.csr_matrix(j))
-        if self.parts is None or not all(map(same_pattern, jacs, self.parts)):
-            self.jac = sp.vstack(jacs, format="csr")
+    def __call__(self, parts):
+        if self.parts is None or not all(map(same_pattern, parts, self.parts)):
+            self.mat = sp.vstack(parts, format="csr")
         else:
-            self.jac = sp.csr_matrix((np.concatenate([j.data for j in jacs]), self.jac.indices,
-                                      self.jac.indptr), shape=self.jac.shape)
-        self.parts = [pattern_of(j) for j in jacs]
-        return np.concatenate(vals), self.jac
-
-
-class _Refilled:
-    """The sparse matrix ``build(part)`` for new values of a ``part`` of fixed pattern.
-
-    Built once with ``part``'s entries zero and once with them numbered
-    1, 2, ...: the stored entries that differ are ``part``'s, and a refill
-    writes its data there. ``build`` only places ``part``'s entries, next to
-    entries of its own.
-    """
-
-    def __init__(self, build, part):
-        blank = build(sp.csr_matrix((np.zeros(part.nnz), part.indices, part.indptr), part.shape))
-        tagged = build(sp.csr_matrix((np.arange(1.0, part.nnz + 1), part.indices, part.indptr),
-                                     part.shape)).data
-        self.pattern, self.blank = pattern_of(part), blank
-        self.slots = np.flatnonzero(tagged != blank.data).astype(np.int32)
-        self.src = tagged[self.slots].astype(np.int32) - 1
-
-    def __call__(self, part):
-        data = self.blank.data.copy()
-        data[self.slots] = part.data[self.src]
-        return type(self.blank)((data, self.blank.indices, self.blank.indptr),
-                                shape=self.blank.shape)
+            self.mat = sp.csr_matrix((np.concatenate([p.data for p in parts]), self.mat.indices,
+                                      self.mat.indptr), shape=self.mat.shape)
+        self.parts = [pattern_of(p) for p in parts]
+        return self.mat
 
 
 def _l1_value(problem, z):
@@ -359,42 +337,23 @@ def solve(problem, opts=None):
     g_fixed = sp.vstack([picks(free_fin_ub, 1.0), picks(free_fin_lb, -1.0),
                          picks(n + np.arange(n_sl), -1.0)], format="csr")
 
-    def eq_rows(jac, elastic):
-        """The QP's equality rows: ``jac``'s over its constant rows.
-
-        Elastic ones give each linearized equality a pair ``v+ - v-``, ``v >= 0``,
-        whose columns follow the l1 slacks'.
-        """
-        if not elastic:
-            return sp.vstack([widened(jac), a_fixed], format="csr")
-        pairs = sp.identity(m_eq, format="csr")
-        width = n + n_sl + 2 * m_eq
-        lin = sp.hstack([jac, sp.csr_matrix((m_eq, n_sl)), -pairs, pairs], format="csr")
-        return sp.vstack([lin, widened(a_fixed, width)], format="csr")
-
-    def ineq_rows(jac, elastic):
-        """The QP's inequality rows: ``jac``'s over its constant rows, and the elastic signs."""
-        n_v = 2 * m_eq if elastic else 0
-        width = n + n_sl + n_v
-        return sp.vstack([widened(jac, width), widened(g_fixed, width),
-                          picks(n + n_sl + np.arange(n_v), -1.0, width)], format="csr")
-
-    # the QP's constraint matrices of this solve, refilled from the stacked
-    # Jacobians; made at the first iteration, again if the solve turns
-    # elastic, and whenever a group's Jacobian changes its pattern
-    refills = {}
+    # the QP's constraint matrices, stacked from the linearized constraints over
+    # the constant rows; elastic ones give each linearized equality a pair
+    # v+ - v-, v >= 0, whose columns follow the l1 slacks', and its sign rows
+    a_stack, g_stack = _Stacked(), _Stacked()
 
     def qp_rows(elastic):
         """The QP's constraints ``(A, b, G, h)`` at the current iterate."""
-        for key, jac, rows in (("eq", jc, eq_rows), ("ineq", jg, ineq_rows)):
-            kept = refills.get(key)
-            if kept is None or kept[0] != elastic or not same_pattern(jac, kept[1].pattern):
-                refills[key] = (elastic,
-                                _Refilled(lambda part, rows=rows: rows(part, elastic), jac))
         n_v = 2 * m_eq if elastic else 0
-        return (refills["eq"][1](jc),
+        width = n + n_sl + n_v
+        lin = widened(jc)
+        if elastic:
+            pairs = sp.identity(m_eq, format="csr")
+            lin = sp.hstack([jc, sp.csr_matrix((m_eq, n_sl)), -pairs, pairs], format="csr")
+        return (a_stack([lin, widened(a_fixed, width)]),
                 np.concatenate([-c, lb[fixed_idx] - z[fixed_idx], -e0]),
-                refills["ineq"][1](jg),
+                g_stack([widened(jg, width), widened(g_fixed, width),
+                         picks(n + n_sl + np.arange(n_v), -1.0, width)]),
                 np.concatenate([-g, ub[free_fin_ub] - z[free_fin_ub],
                                 z[free_fin_lb] - lb[free_fin_lb], np.zeros(n_sl + n_v)]))
 
@@ -415,12 +374,12 @@ def solve(problem, opts=None):
     n_iter = 0
     diagnostics = dict.fromkeys(QP_EFFORT, 0)
 
-    stacks = [_Stacked(groups) for groups in (problem.residual_groups, problem.eq_groups,
-                                              problem.ineq_groups)]
+    stacks = [(groups, _Stacked()) for groups in (problem.residual_groups, problem.eq_groups,
+                                                  problem.ineq_groups)]
     workspace = KktWorkspace()
 
     for n_iter in range(1, opts.max_iter + 1):
-        (r, jr), (c, jc), (g, jg) = (stack.eval_with_jac(z) for stack in stacks)
+        (r, jr), (c, jc), (g, jg) = (_linearized(groups, stack, z) for groups, stack in stacks)
         e0 = l1_a @ z - l1_b
         f_val = 0.5 * float(r @ r) + float(l1_w @ np.abs(e0))
         viol_inf = 0.0

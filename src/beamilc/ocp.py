@@ -38,7 +38,8 @@ import scipy.sparse as sp
 
 from . import ad, nlp
 from .dynamics import (NO_ROTATION, arm_rk4_stages, equilibrium_for_rotation, fast_rollout,
-                       plane_frame_coeffs, reaction_torque, state_dim, substate_rk4_step)
+                       plane_frame_coeffs, reaction_torque, rest_substate, state_dim,
+                       substate_rk4_step)
 from .kinematics import (GRAVITY, _check_rotation, forward_kinematics, frame_state,
                          orientation_error)
 from .trajectory import Trajectory
@@ -262,9 +263,11 @@ def solve_ptp_ocp(chain, task, params, d=None, u_prev=None, weights=None, opts=N
             raise ValueError("disturbance must be resampled to the OCP grid")
         if len(d) < n_p:
             raise ValueError("disturbance shorter than the prediction horizon")
+        if d.n_channels != 1:
+            raise ValueError(f"d has {d.n_channels} columns, not 1")
         d_arr = d.data[:n_p, 0].copy()
 
-    theta_0 = equilibrium_for_rotation(forward_kinematics(chain, task.q0).rotation, params)
+    rest = rest_substate(forward_kinematics(chain, task.q0).rotation, params, d_arr[0])
     theta_f = equilibrium_for_rotation(task.goal_rotation, params)
     tau_f = -params.k * theta_f + float(np.mean(d_arr[n_c:]))
 
@@ -303,8 +306,7 @@ def solve_ptp_ocp(chain, task, params, d=None, u_prev=None, weights=None, opts=N
     state_ub[n] = np.pi / 2
     state_lb[n + 1:2 * n + 1] = -chain.dq_max
     state_ub[n + 1:2 * n + 1] = chain.dq_max
-    x0 = np.concatenate([task.q0, [theta_0], np.zeros(n + 1),
-                         [-params.k * theta_0 + d_arr[0], 0.0]])
+    x0 = np.concatenate([task.q0, rest[:1], np.zeros(n), rest[1:]])
     x_lb, x_ub = np.tile(state_lb, n_c + 1), np.tile(state_ub, n_c + 1)
     x_lb[:n_x] = x_ub[:n_x] = x0                      # node 0 pinned to the start
     # controls exist on nodes 0..n_ctrl-2; the first is pinned to zero and

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import (BeamParams, IntegrationBlowupError, _substate_rk4, arm_stage_states,
-                       equilibrium_for_rotation, plane_frame_coeffs, reaction_torque)
+                       equilibrium_for_rotation, plane_frame_coeffs, rest_substate)
 from .kinematics import GRAVITY, forward_kinematics
 from .trajectory import Trajectory
 
@@ -270,18 +270,17 @@ def run_experiment(cfg, chain, q0, u, n_samples, dt_est, nominal_params, seed=No
     n_head = _distinct_head(q_s, dq_s, u_s)
     coeffs = plane_frame_coeffs(chain, q_s[:n_head], dq_s[:n_head], u_s[:n_head])
 
-    th_eq = truth_equilibrium(cfg, chain, q0, nominal_params)
     if cfg.truth_kind == "perturbed_single":
-        # the nominal model's substate integrator, run at the true parameters;
-        # the filter starts settled on the biased torque
+        # the nominal model's substate integrator, run at the true parameters
+        # from their rest substate
         pt = _true_single_params(cfg, nominal_params)
-        tau_e0 = cfg.tau_e0_true
-        y0 = (th_eq[0], 0.0, reaction_torque(th_eq[0], 0.0, pt) + tau_e0, tau_e0)
+        y0 = rest_substate(forward_kinematics(chain, q0).rotation, pt)
         rows = np.minimum(np.arange(n_steps - 1), n_head - 1)
         trace = np.array(_substate_rk4(y0, pt, {nm: v[rows] for nm, v in coeffs.items()},
                                        np.zeros(n_steps - 1), h))
     else:
-        trace = _two_segment_trace(cfg, th_eq, coeffs, n_steps, h)
+        trace = _two_segment_trace(cfg, truth_equilibrium(cfg, chain, q0, nominal_params),
+                                   coeffs, n_steps, h)
     if not np.all(np.isfinite(trace)):
         raise IntegrationBlowupError("truth plant integration blew up")
 

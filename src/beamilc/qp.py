@@ -34,14 +34,18 @@ factorization per call is cheaper than one per iteration.
 ``solve_qp_ipm`` always uses partial pivoting, refined ``REFINE_STEPS``
 times against the unregularized reduced KKT.
 
-No KKT is assembled block by block per solve. A :class:`KktWorkspace`,
+No KKT is assembled block by block per solve. Both solvers' KKTs have one
+form and one structure (:class:`_Kkt`): ``[[P + G' W G, B'], [B, -REG I]]``
+with B = [A; Gw] and no G for the active set's working set w, and B = A
+and the barrier weights W for the interior point. A :class:`KktWorkspace`,
 one per SQP solve, keeps each KKT's pattern and index map while the QPs
 keep the patterns of P, A and G: the active set's KKT of its last working
-set, refilled by one gather, and the interior point's reduced KKT, whose
-values each barrier weight refills through its map, stored in the column
-order (COLAMD) that its first factorization picked; every later
-factorization, in this QP and the solve's later ones, reuses that order.
-A QP solved without a workspace makes a fresh one.
+set, stored in the natural order and refilled through its map, and the
+interior point's reduced KKT, whose values each barrier weight refills
+through its map, stored in the column order (COLAMD) that its first
+factorization picked; every later factorization, in this QP and the
+solve's later ones, reuses that order. A QP solved without a workspace
+makes a fresh one.
 """
 from __future__ import annotations
 
@@ -100,67 +104,20 @@ def same_pattern(mat, pattern):
         x is y or np.array_equal(x, y) for x, y in ((mat.indptr, indptr), (mat.indices, indices)))
 
 
-def _csc_map(dim, rows, cols, src):
-    """The CSC pattern of entries ``(rows, cols)``, which must be distinct, and the
-    ``src`` of each stored entry, in storage order."""
-    keys = cols.astype(np.int64) * dim + rows
-    order = np.argsort(keys, kind="stable")
-    if np.any(keys[order[1:]] == keys[order[:-1]]):
-        raise ValueError("a QP matrix stores an entry twice")
-    mat = sp.csc_matrix((np.zeros(order.size), rows[order],
-                         np.searchsorted(cols[order], np.arange(dim + 1))), shape=(dim, dim))
-    return mat, src[order]
-
-
-class _ActiveKkt:
-    """The active set's KKT ``[[P, A', Gw'], [A, -REG I, 0], [Gw, 0, -REG I]]`` for one
-    working set w, with Gw the rows of G in w.
-
-    Its CSC pattern is the one a block assembly gives, explicit zeros
-    included, and each stored entry maps to its value's position in
-    ``P.data``, ``A.data``, ``G.data`` and ``-REG``, concatenated. A refill
-    for new values of P, A and G is one gather.
-    """
-
-    def __init__(self, p_mat, a_eq, g_ineq, active):
-        n, me = p_mat.shape[0], a_eq.shape[0]
-        g_rows = np.flatnonzero(active)
-        # the working set's rows of G, as offsets into its data
-        counts = np.diff(g_ineq.indptr)[g_rows]
-        g_src = (np.repeat(g_ineq.indptr[g_rows] - np.cumsum(counts) + counts, counts)
-                 + np.arange(counts.sum()))
-        g_row = n + me + np.repeat(np.arange(g_rows.size), counts)
-        g_col = g_ineq.indices[g_src]
-        p, a = p_mat.tocoo(), a_eq.tocoo()
-        a_src = p.nnz + np.arange(a.nnz)
-        g_src = p.nnz + a.nnz + g_src
-        diag = n + np.arange(me + g_rows.size)
-        self.mat, self.src = _csc_map(
-            n + me + g_rows.size,
-            np.concatenate([p.row, n + a.row, a.col, g_row, g_col, diag]),
-            np.concatenate([p.col, a.col, n + a.row, g_col, g_row, diag]),
-            np.concatenate([np.arange(p.nnz), a_src, a_src, g_src, g_src,
-                            np.full(diag.size, p.nnz + a.nnz + g_ineq.nnz)]))
-
-    def fill(self, p_mat, a_eq, g_ineq):
-        self.mat.data = np.concatenate([p_mat.data, a_eq.data, g_ineq.data, [-REG]])[self.src]
-        return self.mat
-
-
 class KktWorkspace:
     """The KKT structures of one SQP solve's QPs, kept while the QPs keep their patterns.
 
-    The active set keeps the KKT map of its last working set
-    (:class:`_ActiveKkt`), the interior point its reduced KKT with the
-    column order of that KKT's first factorization (:class:`_ReducedKkt`).
-    Both are dropped when a QP's P, A or G stores its entries elsewhere than
-    the last QP's. A QP solved without a workspace makes a fresh one.
+    Both solvers' KKTs are :class:`_Kkt`. The active set keeps the one of
+    its last working set, the interior point its reduced KKT with the column
+    order of that KKT's first factorization. Both are dropped when a QP's
+    P, A or G stores its entries elsewhere than the last QP's. A QP solved
+    without a workspace makes a fresh one.
     """
 
     def __init__(self):
         self.patterns = None         # those of the last QP's P, A and G
-        self.active = None           # (working set, _ActiveKkt)
-        self.reduced = None          # _ReducedKkt
+        self.active = None           # (working set, its _Kkt)
+        self.reduced = None          # the interior point's _Kkt
 
     def keep(self, p_mat, a_eq, g_ineq):
         """Take the next QP's matrices, dropping the structures their patterns no longer fit."""
@@ -171,15 +128,18 @@ class KktWorkspace:
 
     def active_kkt(self, p_mat, a_eq, g_ineq, active):
         """The active-set KKT of working set ``active``, filled from P, A and G."""
-        key = active.tobytes()
+        key, no_g = active.tobytes(), g_ineq[:0]
+        b_mat = sp.vstack([a_eq, g_ineq[active]], format="csr")
         if self.active is None or self.active[0] != key:
-            self.active = (key, _ActiveKkt(p_mat, a_eq, g_ineq, active))
-        return self.active[1].fill(p_mat, a_eq, g_ineq)
+            self.active = (key, _Kkt(p_mat, b_mat, no_g))
+        else:
+            self.active[1].refill(p_mat, b_mat, no_g)
+        return self.active[1].matrix(np.zeros(0))
 
     def reduced_kkt(self, p_mat, a_eq, g_ineq):
         """The interior point's reduced KKT, refilled from P, A and G."""
         if self.reduced is None:
-            self.reduced = _ReducedKkt(p_mat, a_eq, g_ineq)
+            self.reduced = _Kkt(p_mat, a_eq, g_ineq)
         else:
             self.reduced.refill(p_mat, a_eq, g_ineq)
         return self.reduced
@@ -330,22 +290,27 @@ def solve_qp(p_mat, q, a_eq=None, b_eq=None, g_ineq=None, h_ineq=None, *,
     return _solution(scaled, x, nu, np.maximum(mu, 0.0), status, it, active)
 
 
-class _ReducedKkt:
-    """The interior point's reduced KKT ``[[P + G' W G, A'], [A, -REG I]]`` for every W.
+class _Kkt:
+    """The KKT ``[[P + G' W G, B'], [B, -REG I]]`` for every W.
 
-    Its pattern is the structural union of P, the pairs of stored entries of
-    each row of G, A', A and the -REG diagonal, explicit zeros included. It
-    is assembled once, with index maps from the entries of P and A, and from
-    the products ``G_ij W_i G_ik``, to the stored entries: new values of P,
-    A and G refill the part without W (:meth:`refill`), and each W adds the
-    products with one ``bincount``. The first factorization keeps SuperLU's
-    COLAMD column order; the pattern is then stored in that order, and
-    later factorizations, of this QP and of later ones, take it as it is.
-    Between QPs it holds only its pattern and maps (:meth:`release`).
+    The interior point's reduced KKT has B = A, the QP's G and its barrier
+    weights W. The active set's KKT of working set w,
+    ``[[P, A', Gw'], [A, -REG I, 0], [Gw, 0, -REG I]]``, has B = [A; Gw]
+    and no G. The pattern is the structural union of P, the pairs of stored
+    entries of each row of G, B', B and the -REG diagonal, explicit zeros
+    included. It is assembled once, with index maps from the entries of P
+    and B, and from the products ``G_ij W_i G_ik``, to the stored entries:
+    new values of P, B and G refill the part without W (:meth:`refill`),
+    and each W adds the products with one ``bincount`` (:meth:`matrix`).
+    The interior point's first factorization (:meth:`factor`) keeps
+    SuperLU's COLAMD column order; the pattern is then stored in that order,
+    and later factorizations, of this QP and of later ones, take it as it
+    is. Between QPs it holds only its pattern and maps (:meth:`release`).
+    The active set factors :meth:`matrix` itself, in the natural order.
     """
 
-    def __init__(self, p_mat, a_eq, g_ineq):
-        n, me = p_mat.shape[0], a_eq.shape[0]
+    def __init__(self, p_mat, b_mat, g_ineq):
+        n, mb = p_mat.shape[0], b_mat.shape[0]
         self.n = n
         # the pairs (a, b) of stored entries of each row of G, as offsets into its data:
         # entry a pairs with every entry of its row, from the row's first on
@@ -356,31 +321,39 @@ class _ReducedKkt:
         self.pair_b = (np.repeat(np.repeat(g_ineq.indptr[:-1], counts) - starts, reps)
                        + np.arange(self.pair_a.size)).astype(np.int32)
         self.pair_row = np.repeat(np.repeat(np.arange(counts.size, dtype=np.int32), counts), reps)
-        # every entry's position: P's, A's, A''s, the diagonal's, then the pairs'
-        p, a = p_mat.tocoo(), a_eq.tocoo()
-        diag = n + np.arange(me)
-        rows = np.concatenate([p.row, n + a.row, a.col, diag, g_ineq.indices[self.pair_a]])
-        cols = np.concatenate([p.col, a.col, n + a.row, diag, g_ineq.indices[self.pair_b]])
-        keys, slots = np.unique(cols.astype(np.int64) * (n + me) + rows, return_inverse=True)
+        # every entry's position: P's, B's, B''s, the diagonal's, then the pairs'
+        p, b = p_mat.tocoo(), b_mat.tocoo()
+        diag = n + np.arange(mb)
+        rows = np.concatenate([p.row, n + b.row, b.col, diag, g_ineq.indices[self.pair_a]])
+        cols = np.concatenate([p.col, b.col, n + b.row, diag, g_ineq.indices[self.pair_b]])
+        keys, slots = np.unique(cols.astype(np.int64) * (n + mb) + rows, return_inverse=True)
         n_base = rows.size - self.pair_a.size
         slots = slots.astype(np.int32)
         self.base_slots, self.slots = slots[:n_base], slots[n_base:]
-        self.dim = n + me
+        self.dim = n + mb
         ptr = np.searchsorted(keys, np.arange(self.dim + 1) * self.dim)
         pattern = sp.csc_matrix((np.zeros(keys.size), keys % self.dim, ptr),
                                 shape=(self.dim, self.dim))
         self.pattern = pattern.indices, pattern.indptr
         self.perm = None     # the column order of the stored pattern, None while natural
         self.mat = self.lu = None
-        self.refill(p_mat, a_eq, g_ineq)
+        self.refill(p_mat, b_mat, g_ineq)
 
-    def refill(self, p_mat, a_eq, g_ineq):
-        """Take new values of P, A and G, in the patterns the map was made for."""
+    def refill(self, p_mat, b_mat, g_ineq):
+        """Take new values of P, B and G, in the patterns the map was made for."""
         self.g = g_ineq
         self.base = np.bincount(
-            self.base_slots, np.concatenate([p_mat.data, a_eq.data, a_eq.data,
-                                             np.full(a_eq.shape[0], -REG)]),
+            self.base_slots, np.concatenate([p_mat.data, b_mat.data, b_mat.data,
+                                             np.full(b_mat.shape[0], -REG)]),
             minlength=self.pattern[0].size)
+
+    def matrix(self, w):
+        """The KKT with barrier weights ``w``, in the stored column order."""
+        gd = self.g.data
+        products = gd[self.pair_a] * (gd[self.pair_b] * w[self.pair_row])
+        return sp.csc_matrix(
+            (self.base + np.bincount(self.slots, products, minlength=self.base.size),
+             *self.pattern), shape=(self.dim, self.dim))
 
     def _take_order(self):
         """Once factored in the natural order, store column j at position ``perm_c[j]``
@@ -406,11 +379,7 @@ class _ReducedKkt:
     def factor(self, w):
         """Refill with the barrier weights ``w`` and factor (partial pivoting)."""
         self._take_order()
-        gd = self.g.data
-        products = gd[self.pair_a] * (gd[self.pair_b] * w[self.pair_row])
-        self.mat = sp.csc_matrix(
-            (self.base + np.bincount(self.slots, products, minlength=self.base.size),
-             *self.pattern), shape=(self.dim, self.dim))
+        self.mat = self.matrix(w)
         self.lu = None       # freed before the next one is made
         self.lu = splu(self.mat) if self.perm is None else splu(self.mat, permc_spec="NATURAL")
 
@@ -436,7 +405,7 @@ def solve_qp_ipm(p_mat, q, a_eq=None, b_eq=None, g_ineq=None, h_ineq=None, *, wo
     block, so the factorized system stays at ``n + m_eq``; its barrier
     weights ``mu / s`` are not clipped, and each Newton solve is refined.
     The reduced KKT keeps one pattern and column order for the whole call,
-    and for later calls through the same ``workspace`` (:class:`_ReducedKkt`);
+    and for later calls through the same ``workspace`` (:class:`_Kkt`);
     the call's first factorization serves the affine-scaling start (module
     docstring). Stops when the dual, equality and inequality
     residuals (max-norm) and the mean complementarity ``s'mu / m_ineq`` are

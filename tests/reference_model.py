@@ -21,8 +21,8 @@ import numpy as np
 
 from beamilc import ad
 from beamilc.dynamics import (_params_tuple, _substate_rk4, equilibrium_for_rotation,
-                              measurement_dynamics, reaction_torque, state_dim)
-from beamilc.estimation import _rest_residual, _rest_substate
+                              measurement_dynamics, reaction_torque, rest_substate, state_dim)
+from beamilc.estimation import _rest_residual
 from beamilc.kinematics import GRAVITY, forward_kinematics, frame_state
 
 
@@ -137,7 +137,7 @@ def rest_state(chain, q0, params, d0=0.0, theta=None):
 
 def _model_init_state(chain, q0, p, d0=0.0):
     """Full state at rest at ``q0`` with the filter settled on ``d0``, and the rest angle."""
-    th, _, tau_hat, tau_e = _rest_substate(forward_kinematics(chain, q0).rotation, p, d0)
+    th, _, tau_hat, tau_e = rest_substate(forward_kinematics(chain, q0).rotation, p, d0)
     x0 = rest_state(chain, q0, p, theta=th)
     x0[-2] = tau_hat
     x0[-1] = tau_e
@@ -274,7 +274,7 @@ def dual_output_sensitivity(rb0, p, coeffs, dt):
     equilibrium, by the implicit-function theorem.
     """
     p_arr = p.as_array()
-    th, _, tau_hat, tau_e = _rest_substate(rb0, p)
+    th, _, tau_hat, tau_e = rest_substate(rb0, p)
     r = _rest_residual(rb0, ad.Dual(np.asarray(th), np.eye(8)[0]), ad.seed(p_arr, 8, 1))
     dth = -r.dot[1:] / r.dot[0]
     e_k, e_taue = np.eye(7)[0], np.eye(7)[6]

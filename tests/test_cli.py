@@ -553,7 +553,8 @@ def test_ilc_run_artifacts(ilc_run_dir):
 
 def test_ilc_summary_reports_fit_effort(ilc_run_dir):
     # next to the bare status strings, each record carries both fits' SQP
-    # iterations and QP effort, and the conditioning of the parameter fit
+    # iterations and QP effort, and the conditioning of the parameter fit;
+    # each OCP status carries its solve's SQP iterations and QP effort
     with open(ilc_run_dir / "summary.json") as fh:
         its = json.load(fh)["iterations"]
     for it in its:
@@ -568,6 +569,12 @@ def test_ilc_summary_reports_fit_effort(ilc_run_dir):
             assert effort["qp_calls"] >= effort["qp_ipm_calls"] >= 0
         cond = st["parameters_condition"]
         assert cond is None or cond >= 1.0
+        for plan in ("ocp_entry", "ocp_next"):
+            effort = st[plan]
+            assert set(effort) == {"status", "fell_back", "iterations", *nlp.QP_EFFORT}
+            assert all(type(effort[key]) is int for key in ("iterations", *nlp.QP_EFFORT))
+            assert effort["iterations"] >= 1
+            assert effort["qp_calls"] >= effort["qp_ipm_calls"] >= 0
 
 
 def test_plot_outputs_parse(ilc_run_dir, tmp_path):

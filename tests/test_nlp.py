@@ -9,7 +9,7 @@ from beamilc import ad, qp
 from beamilc.dynamics import state_dim
 from beamilc import nlp
 from beamilc.nlp import (CallableGroup, L1Term, LinearGroup, NlpProblem, ShootingGapGroup,
-                         SolverOptions, _Stacked, dual_group, solve)
+                         SolverOptions, _linearized, _Stacked, dual_group, solve)
 from beamilc.qp import pattern_of, same_pattern
 from beamilc.qp import solve_qp, solve_qp_ipm
 from derivative_check import check_derivatives
@@ -562,11 +562,11 @@ def test_stacked_jacobian_refill_matches_assembly():
     prob.add_block("z", 3)
     groups = [LinearGroup(np.array([[1.0, 0.0, 2.0], [0.0, 3.0, 0.0]]), np.ones(2)),
               CallableGroup(1, lambda z: circle(z)[0], circle)]
-    stack = _Stacked(groups)
+    stack = _Stacked()
     points = np.array([[0.5, 1.0, 0.0], [0.7, -1.0, 0.0], [0.0, 2.0, 0.0], [0.3, 1.0, 0.0]])
     prev, held = None, []
     for z in points:
-        _, jac = stack.eval_with_jac(z)
+        _, jac = _linearized(groups, stack, z)
         assert_same_matrix(jac, sp.vstack([g.eval_with_jac(z)[1] for g in groups], format="csr"))
         if prev is not None:
             # the stack keeps its index arrays while each group keeps its pattern
@@ -574,48 +574,55 @@ def test_stacked_jacobian_refill_matches_assembly():
             assert np.shares_memory(jac.indices, prev.indices) == held[-1]
         prev = jac
     assert held == [True, False, False]               # z0 = 0 drops an entry, and back
-    assert _Stacked([]).eval_with_jac(np.zeros(3))[1].shape == (0, 3)
+    assert _linearized([], _Stacked(), np.zeros(3))[1].shape == (0, 3)
 
 
-def recorded_refills(monkeypatch):
-    """Checks every QP-row refill of the solves it is active for against a fresh build."""
+def recorded_stacks(monkeypatch):
+    """Checks every stack of the solves it is active for against a fresh assembly of its
+    parts, and records the stacked shape and whether the stack kept its index arrays."""
     seen = []
-    init, call = nlp._Refilled.__init__, nlp._Refilled.__call__
+    call = nlp._Stacked.__call__
 
-    def recording_init(self, build, part):
-        init(self, build, part)
-        self.build = build
-
-    def checking_call(self, part):
-        got = call(self, part)
-        assert_same_matrix(got, self.build(part))
-        seen.append(got.shape)
+    def checking_call(self, parts):
+        prev = self.mat
+        got = call(self, parts)
+        assert_same_matrix(got, sp.vstack(parts, format="csr"))
+        seen.append((got.shape, prev is not None and np.shares_memory(got.indices, prev.indices)))
         return got
 
-    monkeypatch.setattr(nlp._Refilled, "__init__", recording_init)
-    monkeypatch.setattr(nlp._Refilled, "__call__", checking_call)
+    monkeypatch.setattr(nlp._Stacked, "__call__", checking_call)
     return seen
 
 
 def test_qp_rows_refill_matches_assembly(chain3, nominal_params, monkeypatch):
     from beamilc.ocp import TaskDefinition, solve_ptp_ocp
 
-    seen = recorded_refills(monkeypatch)
+    seen = recorded_stacks(monkeypatch)
+
+    def qp_rows(sol):
+        # the QP's rows are wider than the decision vector by the l1 slacks;
+        # the groups' Jacobians are not
+        n = sum(v.size for v in sol.variables.values())
+        return [(shape, kept) for shape, kept in seen if shape[1] > n]
+
     # plain rows: a planar plan with bounds, inequalities and l1 terms, over
-    # several SQP iterations
+    # several SQP iterations; after the first, each only refills its values
     task = TaskDefinition.from_goal_joints(chain3, [0.5, -0.9, 0.6], [0.9, -1.1, 0.5],
                                            n_ctrl=48, n_pred=144, dt=0.01)
     sol = solve_ptp_ocp(chain3, task, nominal_params).solution
     assert sol.iterations >= 3 and sol.qp_effort["qp_elastic_calls"] == 0
-    assert len(set(seen)) == 2 and len(seen) == 2 * sol.iterations
+    rows = qp_rows(sol)
+    assert len({shape for shape, _ in rows}) == 2 and len(rows) == 2 * sol.iterations
+    assert [kept for _, kept in rows] == [False, False] + [True] * (len(rows) - 2)
     # elastic rows, wider by a slack pair per linearized equality, over the
     # iterations after the first QP turned out infeasible
     seen.clear()
     sol = solve(elastic_problem())
     assert sol.converged and sol.qp_effort["qp_elastic_calls"] >= 3
-    widths = sorted({shape[1] for shape in seen})
+    rows = qp_rows(sol)
+    widths = sorted({shape[1] for shape, _ in rows})
     assert widths == [4, 6]                           # z and l1 slacks; and an elastic pair
-    assert sum(shape[1] == 6 for shape in seen) >= 2 * 3
+    assert sum(shape[1] == 6 for shape, _ in rows) >= 2 * 3
 
 
 def active_kkt_assembly(p_mat, a_eq, g_ineq, act):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -145,12 +147,29 @@ def test_cold_infeasible_task_falls_back_to_rest(chain3, nominal_params):
     np.testing.assert_array_equal(plan.states[:, :3], np.tile(Q0, (101, 1)))
 
 
-@pytest.mark.parametrize("dt, n, match", [(0.006, 100, "OCP grid"), (0.01, 99, "shorter")])
+@pytest.mark.parametrize("dt, n, match", [(0.006, 100, "OCP grid"), (0.01, 99, "shorter"),
+                                          (0.01, (100, 2), "2 columns")])
 def test_disturbance_off_the_ocp_grid_rejected(chain3, nominal_params, dt, n, match):
+    # n is the sample count of a one-column record, or the shape of a wider one
     task = TaskDefinition.from_goal_joints(chain3, Q0, Q_GOAL, n_ctrl=40, n_pred=100, dt=0.01)
-    d = Trajectory(dt, np.zeros((n, 1)), ("d",))
+    data = np.zeros(n if isinstance(n, tuple) else (n, 1))
+    d = Trajectory(dt, data, tuple(f"d{i}" for i in range(data.shape[1])))
     with pytest.raises(ValueError, match=match):
         solve_ptp_ocp(chain3, task, nominal_params, d)
+
+
+def test_plan_starts_from_the_models_rest_state(chain3, nominal_params):
+    # the plan's predicted output is the model's own under the planned input,
+    # from rest with the filter settled on the disturbed and biased torque
+    params = dataclasses.replace(nominal_params, tau_e0=0.05)
+    task = TaskDefinition.from_goal_joints(chain3, Q0, Q_GOAL, n_ctrl=48, n_pred=144, dt=0.01)
+    d = Trajectory(0.01, np.full((144, 1), 0.02), ("d",))
+    plan = solve_ptp_ocp(chain3, task, params, d)
+    assert plan.solution.converged
+    th = equilibrium_for_rotation(forward_kinematics(chain3, Q0).rotation, params)
+    x0 = np.concatenate([Q0, [th], np.zeros(4), [-params.k * th + 0.02 + 0.05, 0.05]])
+    _, ys = fast_rollout(chain3, x0, plan.u.data, params, d.data[:, 0], task.dt)
+    np.testing.assert_allclose(plan.tau_hat, ys, rtol=0, atol=1e-6)
 
 
 def _vertical_plane_task():
@@ -372,7 +391,7 @@ def test_interior_point_kkt_refill_matches_assembly(chain7, nominal_params, monk
     _, p_mat, _, a_eq, _, g_ineq, _ = qp._scaled(*exc.value.args[0])
     n, me = p_mat.shape[0], a_eq.shape[0]
     rng = np.random.default_rng(3)
-    kkt = qp._ReducedKkt(p_mat, a_eq, g_ineq)
+    kkt = qp._Kkt(p_mat, a_eq, g_ineq)
     for it in range(2):
         w = np.exp(rng.uniform(-5, 5, g_ineq.shape[0]))
         p_aug = p_mat + g_ineq.T @ g_ineq.multiply(w[:, None])
@@ -411,7 +430,7 @@ def test_interior_point_kkt_kept_across_one_solves_calls(chain3, nominal_params,
     assert kept is not None and kept.perm is not None
     assert all(held is kept for _, held in calls[2:])
     _, p_mat, _, a_eq, _, g_ineq, _ = qp._scaled(*calls[1][0])
-    fresh = qp._ReducedKkt(p_mat, a_eq, g_ineq)
+    fresh = qp._Kkt(p_mat, a_eq, g_ineq)
     kept.refill(p_mat, a_eq, g_ineq)
     w = np.exp(np.random.default_rng(5).uniform(-5, 5, g_ineq.shape[0]))
     kept.factor(w)

@@ -5,7 +5,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tools"))
-from paired_bench import end_to_end, no_worse, paired_rule, summary  # noqa: E402
+from paired_bench import count_changes, end_to_end, no_worse, paired_rule, summary  # noqa: E402
 
 METRICS = end_to_end(ROOT / "BENCHMARK.json")
 PARENT = [2.0, 2.1, 2.2, 2.3, 2.4, 2.5, 2.6, 2.7, 2.8, 2.9]   # median 2.45, IQR 0.45
@@ -70,3 +70,25 @@ def test_no_worse_verdict_by_the_benchmarks_bound(metric, parent, change, verdic
     entry = summary(runs(parent, change), METRICS)["w"]
     assert all("no_worse" in entry[m] for m in METRICS)
     assert entry[metric]["no_worse"]["verdict"] == verdict
+
+
+def test_count_changes_lists_each_differing_count():
+    # per traced workload and seed: the counts that differ, with both
+    # sides' values; seconds are not counts, and a seed whose counts all
+    # repeat lists none
+    def traced(workload, seed, side, **counts):
+        metrics = {name: {"value": v, "unit": "count"} for name, v in counts.items()}
+        metrics["qp.lu.busy_s"] = {"value": {"parent": 1.0, "change": 2.0}[side], "unit": "s"}
+        return {"workload": workload, "seed": seed, "side": side, "line": {"metrics": metrics}}
+
+    runs = [traced("a", 1, "parent", **{"qp.lu.calls": 37, "nlp.sqp_iters": 6}),
+            traced("a", 1, "change", **{"qp.lu.calls": 36, "nlp.sqp_iters": 6}),
+            traced("a", 2, "parent", **{"qp.lu.calls": 37}),
+            traced("a", 2, "change", **{"qp.lu.calls": 37}),
+            traced("b", 1, "parent", **{"qp.as.calls": 4}),
+            traced("b", 1, "change", **{"qp.as.calls": 4, "qp.ipm.calls": 2})]
+    assert count_changes(runs) == [
+        {"workload": "a", "seed": 1, "differs": {"qp.lu.calls": {"parent": 37, "change": 36}}},
+        {"workload": "a", "seed": 2, "differs": {}},
+        {"workload": "b", "seed": 1,
+         "differs": {"qp.ipm.calls": {"parent": None, "change": 2}}}]

@@ -16,7 +16,10 @@ on both sides, in how many pairs the change's ``wall_s`` was lower, the
 verdict of the paired rule on ``wall_s`` (:func:`paired_rule`), and for
 each end-to-end metric that the change checkout's ``BENCHMARK.json``
 declares, whether the change is no worse by that metric's bound
-(:func:`no_worse`).
+(:func:`no_worse`). For each traced workload and seed it also lists every
+per-layer ``count`` metric whose value differs between the two sides
+(:func:`count_changes`), the deterministic evidence where a verdict reads
+``unresolved``.
 """
 from __future__ import annotations
 
@@ -143,6 +146,28 @@ def summary(runs, metrics):
     return out
 
 
+def count_changes(traced):
+    """Per traced workload and seed, each ``count`` metric whose value differs between the sides.
+
+    ``traced`` holds the traced runs as :func:`main` records them. Each
+    entry names its workload and seed, and maps each differing metric to its
+    parent and change values (None on a side that does not report it); an
+    empty ``differs`` means that every count repeated.
+    """
+    out = []
+    for workload, seed in dict.fromkeys((r["workload"], r["seed"]) for r in traced):
+        side = {r["side"]: r["line"]["metrics"] for r in traced
+                if (r["workload"], r["seed"]) == (workload, seed)}
+        names = sorted({name for metrics in side.values() for name, m in metrics.items()
+                        if m["unit"] == "count"})
+        values = {name: {s: side.get(s, {}).get(name, {}).get("value")
+                         for s in ("parent", "change")} for name in names}
+        out.append({"workload": workload, "seed": seed,
+                    "differs": {name: v for name, v in values.items()
+                                if v["parent"] != v["change"]}})
+    return out
+
+
 def main(argv=None):
     args = parse_args(argv)
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
@@ -178,6 +203,7 @@ def main(argv=None):
                     "the traced runs ran one at a time after them, parent before change",
         "seeds": {**{w: s for w, s in args.workload}, "traced": {w: s for w, s in args.traced}},
         "summary": summary(runs, metrics),
+        "count_changes": count_changes(traced),
         "runs": runs,
         "traced": traced,
     }
@@ -192,6 +218,12 @@ def main(argv=None):
             print(f"{name}: {metric} {v['verdict']}: median worse by {v['median_worsening']:.4g} "
                   f"against {v['allowed']:.4g} allowed ({v['better']} is better, bound "
                   f"{v['bound']:g}); the parent's IQR {v['parent_iqr']:.4g}")
+    for entry in doc["count_changes"]:
+        where = f"{entry['workload']} seed {entry['seed']} traced"
+        if not entry["differs"]:
+            print(f"{where}: every count repeats")
+        for name, v in entry["differs"].items():
+            print(f"{where}: {name} {v['parent']} on the parent, {v['change']} on the change")
 
 
 if __name__ == "__main__":
