@@ -3,13 +3,19 @@
 Block-structured NLPs, the multiple-shooting gap group, and a Gauss-Newton
 SQP with an exact-l1 merit line search, Levenberg damping and slack-exact
 handling of linear l1 cost terms. The QP subproblems go through
-:mod:`beamilc.qp`: every QP of a problem with l1 terms to the interior
-point, the others to the active set until it ends at its budget. An
-infeasible QP is re-solved in elastic form, with an l1 slack pair of weight
-``mu_merit`` on each linearized equality (Fletcher's Sl1QP, 1985; SNOPT's
-elastic mode), and the rest of that solve stays elastic; the predicted
-decrease then counts only the linearized violation the step removes. A
-caller lays out its own blocks with :meth:`NlpProblem.add_block`, pins
+:mod:`beamilc.qp`. A problem without l1 terms sends them to the active set
+until one ends at its budget, then to the interior point. On a problem with
+l1 terms, whose degenerate slack pairs can make the active set cycle, the
+interior point solves each QP, unless one active-set iteration on the
+working set of the solve's last converged QP, from either solver, converges
+first: that is the QP's exact KKT point (solution polishing; Stellato et
+al., Math. Prog. Comp. 12, 2020, §5.2). The check runs when that set has
+the QP's number of inequality rows, so not on a solve's first QP or on its
+first elastic one. An infeasible QP is re-solved in elastic form, with an
+l1 slack pair of weight ``mu_merit`` on each linearized equality
+(Fletcher's Sl1QP, 1985; SNOPT's elastic mode), and the rest of that solve
+stays elastic; the predicted decrease then counts only the linearized
+violation the step removes. A caller lays out its own blocks with :meth:`NlpProblem.add_block`, pins
 variables through ``lb == ub`` in their bound arrays, and appends its own
 groups, gap groups included.
 
@@ -47,7 +53,8 @@ from .qp import KktWorkspace, pattern_of, same_pattern, solve_qp, solve_qp_ipm
 log = logging.getLogger("beamilc.nlp")
 
 # deterministic QP effort counts in every NlpSolution.diagnostics
-QP_EFFORT = ("qp_calls", "qp_as_at_budget", "qp_ipm_calls", "qp_elastic_calls")
+QP_EFFORT = ("qp_calls", "qp_as_at_budget", "qp_ipm_calls", "qp_elastic_calls",
+             "qp_factorizations")
 
 ARMIJO = 1e-4          # sufficient-decrease fraction of the line search
 ALPHA_MIN = 1e-8       # smallest step length tried
@@ -218,10 +225,12 @@ class NlpSolution:
     status: str                      # converged | max-iter | line-search-failure
     qp_gap_max: float = 0.0
     merit_history: list = field(default_factory=list)
-    # the QP_EFFORT counts: qp_calls (active-set and interior-point solves),
+    # the QP_EFFORT counts: qp_calls (QPs answered, by either solver),
     # qp_as_at_budget (active-set solves that ended at max-iter, at most 1),
-    # qp_ipm_calls and qp_elastic_calls (QPs solved in elastic form); plus
-    # the worst equality rows when an elastic QP was infeasible
+    # qp_ipm_calls, qp_elastic_calls (QPs solved in elastic form) and
+    # qp_factorizations (KKT factorizations of every QP solve, checks that
+    # fell through included); plus the worst equality rows when an elastic
+    # QP was infeasible
     diagnostics: dict = field(default_factory=dict)
 
     @property
@@ -426,15 +435,30 @@ def solve(problem, opts=None):
                 qp = solve_qp(p_qp, q_qp, a_eq, b_eq, g_qp, h_qp,
                               working_set=working_set, max_iter=QP_MAX_ITER, workspace=workspace)
                 diagnostics["qp_calls"] += 1
+                diagnostics["qp_factorizations"] += qp.factorizations
                 ipm_only = qp.status == "max-iter"
                 diagnostics["qp_as_at_budget"] += ipm_only
                 if qp.status == "converged":
                     working_set = qp.working_set
                 if qp.status not in ("max-iter", "factorization-failed"):
                     return qp
+            elif problem.l1_terms and working_set is not None and working_set.size == g_qp.shape[0]:
+                # one active-set iteration on the last converged QP's working
+                # set: converged, it is this QP's KKT point and keeps that set;
+                # else the interior point solves the QP
+                qp = solve_qp(p_qp, q_qp, a_eq, b_eq, g_qp, h_qp,
+                              working_set=working_set, max_iter=1, workspace=workspace)
+                diagnostics["qp_factorizations"] += qp.factorizations
+                if qp.status == "converged":
+                    diagnostics["qp_calls"] += 1
+                    return qp
             diagnostics["qp_calls"] += 1
             diagnostics["qp_ipm_calls"] += 1
-            return solve_qp_ipm(p_qp, q_qp, a_eq, b_eq, g_qp, h_qp, workspace=workspace)
+            qp = solve_qp_ipm(p_qp, q_qp, a_eq, b_eq, g_qp, h_qp, workspace=workspace)
+            diagnostics["qp_factorizations"] += qp.factorizations
+            if problem.l1_terms and qp.status == "converged":
+                working_set = qp.working_set
+            return qp
 
         for bump in range(6):
             # quadratic model: H on the decision part

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import (BeamParams, IntegrationBlowupError, _substate_rk4, arm_stage_states,
-                       equilibrium_for_rotation, plane_frame_coeffs, rest_substate)
+                       plane_frame_coeffs, rest_substate)
 from .kinematics import GRAVITY, forward_kinematics
 from .trajectory import Trajectory
 
@@ -147,12 +147,9 @@ def _true_single_params(cfg, nominal):
                       tau_e0=cfg.tau_e0_true)
 
 
-def truth_equilibrium(cfg, chain, q0, nominal):
-    """Rest angles of the configured truth model at configuration q0."""
+def truth_equilibrium(cfg, chain, q0):
+    """Rest angles of the two-segment truth plant at configuration q0."""
     rb = forward_kinematics(chain, q0).rotation
-    if cfg.truth_kind == "perturbed_single":
-        pt = _true_single_params(cfg, nominal)
-        return (equilibrium_for_rotation(rb, pt),)
     ts = cfg.two_segment
     g2 = (rb.T @ GRAVITY)[:2].tolist()
     zmat = ((0.0, 0.0), (0.0, 0.0))
@@ -279,7 +276,7 @@ def run_experiment(cfg, chain, q0, u, n_samples, dt_est, nominal_params, seed=No
         trace = np.array(_substate_rk4(y0, pt, {nm: v[rows] for nm, v in coeffs.items()},
                                        np.zeros(n_steps - 1), h))
     else:
-        trace = _two_segment_trace(cfg, truth_equilibrium(cfg, chain, q0, nominal_params),
+        trace = _two_segment_trace(cfg, truth_equilibrium(cfg, chain, q0),
                                    coeffs, n_steps, h)
     if not np.all(np.isfinite(trace)):
         raise IntegrationBlowupError("truth plant integration blew up")

@@ -11,7 +11,11 @@ past ``TOL_EQ`` ends the call ``infeasible``. On degenerate QPs the method
 has no convergence guarantee and may cycle; ``max_iter`` ends such a call
 with status ``max-iter``, and the caller hands the QP to ``solve_qp_ipm``.
 Warm starting with a previous working set makes repeated solves (SQP,
-learning iterations) cheap.
+learning iterations) cheap. With ``max_iter=1`` a call is one KKT solve on
+the given set, and it converges only if that set is the QP's optimal one:
+``nlp.solve`` answers a QP of a problem with l1 terms this way from the
+last converged QP's set, and calls ``solve_qp_ipm`` only when it does not
+converge.
 
 ``solve_qp_ipm`` starts from one affine-scaling step away from a fixed
 point (Nocedal & Wright, Numerical Optimization, 2nd ed., §16.6): x and
@@ -29,8 +33,9 @@ it is finite and its normwise backward error is at most ``BACKWARD_TOL``.
 Otherwise the system is factored again with partial pivoting and refined
 ``REFINE_STEPS`` times, and the rest of that ``solve_qp`` call uses partial
 pivoting: diagonal pivots break down on the active-set KKT of an OCP
-without l1 terms (one with them goes to ``solve_qp_ipm``), and one wasted
-factorization per call is cheaper than one per iteration.
+without l1 terms (one with them reaches the active set only through that
+one-iteration check), and one wasted factorization per call is cheaper
+than one per iteration. Each solution counts its factorizations.
 ``solve_qp_ipm`` always uses partial pivoting, refined ``REFINE_STEPS``
 times against the unregularized reduced KKT.
 
@@ -90,6 +95,7 @@ class QpSolution:
     status: str                  # converged | max-iter | factorization-failed | infeasible
     iterations: int
     working_set: np.ndarray      # boolean mask over inequality rows
+    factorizations: int          # KKT factorizations (splu calls) the solve made
 
 
 def pattern_of(mat):
@@ -189,7 +195,7 @@ def _scaled(p_mat, q, a_eq, b_eq, g_ineq, h_ineq):
     return cost_scale, p_mat, q / cost_scale, a_eq, b_eq, g_ineq, h_ineq
 
 
-def _solution(scaled, x, nu, mu, status, it, active):
+def _solution(scaled, x, nu, mu, status, it, active, n_lu):
     """The solution at ``x`` with the duals unscaled, and its primal
     infeasibility and duality gap ``|mu'(Gx-h)| + |nu'(Ax-b)|``."""
     cost_scale, _, _, a_eq, b_eq, g_ineq, h_ineq = scaled
@@ -198,7 +204,7 @@ def _solution(scaled, x, nu, mu, status, it, active):
     slack = g_ineq @ x - h_ineq
     p_inf = max(float(np.max(np.abs(r_eq), initial=0.0)), float(np.max(slack, initial=0.0)))
     gap = abs(float(mu @ slack)) + abs(float(nu @ r_eq))
-    return QpSolution(x, nu, mu, gap, p_inf, status, it, active)
+    return QpSolution(x, nu, mu, gap, p_inf, status, it, active, n_lu)
 
 
 def solve_qp(p_mat, q, a_eq=None, b_eq=None, g_ineq=None, h_ineq=None, *,
@@ -226,11 +232,12 @@ def solve_qp(p_mat, q, a_eq=None, b_eq=None, g_ineq=None, h_ineq=None, *,
     mu = np.zeros(mi)
 
     diag_pivots = True
+    n_lu = 0
 
     a_t = a_eq.T
 
     def kkt_solve(act):
-        nonlocal diag_pivots
+        nonlocal diag_pivots, n_lu
         g_act = g_ineq[act]
         g_t, ma = g_act.T, g_act.shape[0]
         kkt = workspace.active_kkt(p_mat, a_eq, g_ineq, act)
@@ -247,10 +254,12 @@ def solve_qp(p_mat, q, a_eq=None, b_eq=None, g_ineq=None, h_ineq=None, *,
             return np.concatenate([r1, r2, r3])
 
         if diag_pivots:
+            n_lu += 1
             sol = _static_pivot_solve(kkt, rhs, residual)
             if sol is not None:
                 return sol
             diag_pivots = False
+        n_lu += 1
         try:
             lu = splu(kkt)
         except RuntimeError:
@@ -268,7 +277,7 @@ def solve_qp(p_mat, q, a_eq=None, b_eq=None, g_ineq=None, h_ineq=None, *,
         sol = kkt_solve(active)
         if sol is None:
             return QpSolution(x, nu, mu, np.inf, np.inf,
-                              "factorization-failed", it, active)
+                              "factorization-failed", it, active, n_lu)
         x = sol[:n]
         nu = sol[n:n + me]
         mu = np.zeros(mi)
@@ -287,7 +296,7 @@ def solve_qp(p_mat, q, a_eq=None, b_eq=None, g_ineq=None, h_ineq=None, *,
 
         active = (active & ~negative) | violated
 
-    return _solution(scaled, x, nu, np.maximum(mu, 0.0), status, it, active)
+    return _solution(scaled, x, nu, np.maximum(mu, 0.0), status, it, active, n_lu)
 
 
 class _Kkt:
@@ -326,9 +335,21 @@ class _Kkt:
         diag = n + np.arange(mb)
         rows = np.concatenate([p.row, n + b.row, b.col, diag, g_ineq.indices[self.pair_a]])
         cols = np.concatenate([p.col, b.col, n + b.row, diag, g_ineq.indices[self.pair_b]])
-        keys, slots = np.unique(cols.astype(np.int64) * (n + mb) + rows, return_inverse=True)
+        keys = cols.astype(np.int64) * (n + mb) + rows
         n_base = rows.size - self.pair_a.size
-        slots = slots.astype(np.int32)
+        del rows, cols
+        # each entry's slot: its key's rank among the distinct keys, read from
+        # a stable sort and the starts of its runs of equal keys, which peaks
+        # about a third lower than np.unique's inverse
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        first = np.empty(keys.size, dtype=bool)
+        first[:1] = True
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        slots = np.empty(keys.size, dtype=np.int32)
+        slots[order] = np.cumsum(first, dtype=np.int32) - 1
+        del order
+        keys = keys[first]
         self.base_slots, self.slots = slots[:n_base], slots[n_base:]
         self.dim = n + mb
         ptr = np.searchsorted(keys, np.arange(self.dim + 1) * self.dim)
@@ -411,7 +432,9 @@ def solve_qp_ipm(p_mat, q, a_eq=None, b_eq=None, g_ineq=None, h_ineq=None, *, wo
     residuals (max-norm) and the mean complementarity ``s'mu / m_ineq`` are
     all below ``IPM_TOL`` times ``1 + max(|q|, |h|, |b|)`` of the
     cost-scaled data. On an infeasible QP it stops at its last finite
-    iterate and says so.
+    iterate and says so. Its working set holds the rows within
+    ``1e-7 (1 + |h|)`` of their bound: an l1 slack pair with both slacks at
+    zero can end with both near 1e-8.
     """
     n = q.shape[0]
     scaled = _scaled(p_mat, q, a_eq, b_eq, g_ineq, h_ineq)
@@ -429,6 +452,7 @@ def solve_qp_ipm(p_mat, q, a_eq=None, b_eq=None, g_ineq=None, h_ineq=None, *, wo
     scale = 1.0 + max(float(np.max(np.abs(q))), float(np.max(np.abs(h_ineq))),
                       float(np.max(np.abs(b_eq), initial=0.0)))
     kkt = workspace.reduced_kkt(p_mat, a_eq, g_ineq)
+    n_lu = 0
 
     status = "max-iter"
     it = 0
@@ -448,11 +472,12 @@ def solve_qp_ipm(p_mat, q, a_eq=None, b_eq=None, g_ineq=None, h_ineq=None, *, wo
         w = mu / s
         if not np.all(np.isfinite(w)):
             break  # s underflowed: the unclipped weights overflow on an infeasible QP
+        n_lu += 1
         try:
             kkt.factor(w)
         except RuntimeError:
             return QpSolution(x, nu, mu, np.inf, np.inf,
-                              "factorization-failed", it, np.zeros(mi, dtype=bool))
+                              "factorization-failed", it, np.zeros(mi, dtype=bool), n_lu)
 
         def solve_dir(sig_mu, ds_prod):
             # rhs folded from the eliminated (s, mu) blocks
@@ -495,7 +520,7 @@ def solve_qp_ipm(p_mat, q, a_eq=None, b_eq=None, g_ineq=None, h_ineq=None, *, wo
 
     kkt.release()            # the workspace keeps the KKT's maps for the next QP
     sol = _solution(scaled, x, nu, mu, status, it,
-                    g_ineq @ x - h_ineq > -1e-8 * (1.0 + np.abs(h_ineq)))
+                    g_ineq @ x - h_ineq > -1e-7 * (1.0 + np.abs(h_ineq)), n_lu)
     if status != "converged" and sol.primal_infeasibility > 1e-7 and sol.duality_gap > 1e6:
         # stalled primal residual with exploding duals: no feasible point
         sol.status = "infeasible"

@@ -566,7 +566,7 @@ def test_ilc_summary_reports_fit_effort(ilc_run_dir):
             assert set(effort) == {"iterations", *nlp.QP_EFFORT}
             assert all(type(v) is int for v in effort.values())
             assert effort["iterations"] >= 1
-            assert effort["qp_calls"] >= effort["qp_ipm_calls"] >= 0
+            assert effort["qp_factorizations"] >= effort["qp_calls"] >= effort["qp_ipm_calls"] >= 0
         cond = st["parameters_condition"]
         assert cond is None or cond >= 1.0
         for plan in ("ocp_entry", "ocp_next"):
@@ -574,7 +574,32 @@ def test_ilc_summary_reports_fit_effort(ilc_run_dir):
             assert set(effort) == {"status", "fell_back", "iterations", *nlp.QP_EFFORT}
             assert all(type(effort[key]) is int for key in ("iterations", *nlp.QP_EFFORT))
             assert effort["iterations"] >= 1
-            assert effort["qp_calls"] >= effort["qp_ipm_calls"] >= 0
+            assert effort["qp_factorizations"] >= effort["qp_calls"] >= effort["qp_ipm_calls"] >= 0
+
+
+def test_ilc_factorizations_count_every_lu(tmp_path, monkeypatch):
+    # the default config, cut to 3 passes: the factorizations its summary
+    # reports, summed over every solve, are the sparse LUs the run made
+    from beamilc import qp
+
+    doc = json.loads(json.dumps(RunConfig.default().raw))
+    doc["ilc"]["i_max"] = 3
+    n_lu = []
+    splu = qp.splu
+
+    def counting(*args, **kwargs):
+        n_lu.append(1)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(qp, "splu", counting)
+    out = tmp_path / "run"
+    assert main(["ilc", "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 0
+    with open(out / "summary.json") as fh:
+        its = json.load(fh)["iterations"]
+    efforts = [its[0]["statuses"]["ocp_entry"]] + [
+        it["statuses"][key] for it in its
+        for key in ("parameters_effort", "disturbance_effort", "ocp_next")]
+    assert sum(effort["qp_factorizations"] for effort in efforts) == len(n_lu)
 
 
 def test_plot_outputs_parse(ilc_run_dir, tmp_path):

@@ -318,16 +318,46 @@ def elastic_problem():
     return prob
 
 
-def test_elastic_mode_on_inconsistent_linearization():
+def test_elastic_mode_on_inconsistent_linearization(monkeypatch):
     # z0^2 = 1 has a zero gradient at the start z0 = 0, so the first QP's
     # linearized row 0 * dz0 = 1 is inconsistent; the solve goes on in
-    # elastic form, with that row in an l1 slack pair, and reaches z = (1, 2)
+    # elastic form, with that row in an l1 slack pair, and reaches z = (1, 2).
+    # The problem has an l1 term, so each QP is answered by the interior
+    # point or by one converged active-set iteration on the working set of
+    # the last converged QP; the first elastic QP, wider than that set, goes
+    # to the interior point
+    calls = []
+
+    def recording(name):
+        solver = getattr(nlp, name)
+
+        def record(*args, **kwargs):
+            sol = solver(*args, **kwargs)
+            calls.append((name, kwargs.get("working_set"), kwargs.get("max_iter"), sol,
+                          args[4].shape[0]))
+            return sol
+        return record
+
+    for name in ("solve_qp", "solve_qp_ipm"):
+        monkeypatch.setattr(nlp, name, recording(name))
     sol = solve(elastic_problem())
     assert sol.converged
     np.testing.assert_allclose(sol.variables["z"], [1.0, 2.0], rtol=0, atol=1e-9)
     effort = sol.qp_effort
     assert effort["qp_elastic_calls"] >= 1
-    assert effort["qp_calls"] == effort["qp_ipm_calls"] > effort["qp_elastic_calls"]
+    ipm_calls = [c for c in calls if c[0] == "solve_qp_ipm"]
+    checked = [c for c in calls if c[0] == "solve_qp" and c[3].status == "converged"]
+    assert effort["qp_ipm_calls"] == len(ipm_calls)
+    assert effort["qp_calls"] == len(ipm_calls) + len(checked) > effort["qp_elastic_calls"]
+    last_set = None
+    for name, working_set, max_iter, qp_sol, _ in calls:
+        if name == "solve_qp":
+            assert max_iter == 1
+            np.testing.assert_array_equal(working_set, last_set)
+        if qp_sol.status == "converged":
+            last_set = qp_sol.working_set
+    first_elastic = next(c for c in calls if c[4] > calls[0][4])
+    assert first_elastic[0] == "solve_qp_ipm"
     assert "worst_equality_rows" not in sol.diagnostics
 
 

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import REFERENCE_Q0_7DOF
+from conftest import REFERENCE_Q0_7DOF, assert_same_bits
 from derivative_check import check_derivatives
 from test_dynamics import vertical_plane_chain
 
 from beamilc import nlp, qp
+from beamilc.config import RunConfig
 from beamilc.dynamics import BeamParams, equilibrium_for_rotation, fast_rollout, state_dim
 from beamilc.kinematics import (GRAVITY, KinematicChain, forward_kinematics,
                                 orientation_error)
@@ -410,22 +411,43 @@ def test_interior_point_kkt_refill_matches_assembly(chain7, nominal_params, monk
     assert kkt.perm is not None
 
 
+def _answered_qps(monkeypatch):
+    """Record each QP that ``nlp.solve`` answers: (its data, the working set
+    of the check that answered it or None, its answer)."""
+    answered = []
+
+    def recording(name):
+        solver = getattr(nlp, name)
+
+        def record(*args, **kwargs):
+            sol = solver(*args, **kwargs)
+            if name == "solve_qp_ipm" or sol.status == "converged":
+                answered.append((args, kwargs.get("working_set"), sol))
+            return sol
+        return record
+
+    for name in ("solve_qp", "solve_qp_ipm"):
+        monkeypatch.setattr(nlp, name, recording(name))
+    return answered
+
+
 def test_interior_point_kkt_kept_across_one_solves_calls(chain3, nominal_params, monkeypatch):
     # the QPs of one SQP solve share one reduced KKT: its index map and the
     # column order of its first factorization carry over to the next call,
     # whose refill stores, bit for bit, what a fresh assembly of that QP
-    # stores in that order
+    # stores in that order. The plan's later QPs are answered by the
+    # active-set check, so its QPs are solved again here, each by the
+    # interior point, through one workspace
     task = TaskDefinition.from_goal_joints(chain3, Q0, Q_GOAL, n_ctrl=48, n_pred=144, dt=0.01)
+    with monkeypatch.context() as m:
+        answered = _answered_qps(m)
+        plan = solve_ptp_ocp(chain3, task, nominal_params)
+    assert plan.solution.converged and len(answered) >= 3
+    workspace = qp.KktWorkspace()
     calls = []
-    solve_qp_ipm = nlp.solve_qp_ipm
-
-    def recording(*args, workspace):
+    for args, _, _ in answered:
         calls.append((args, workspace.reduced))
-        return solve_qp_ipm(*args, workspace=workspace)
-
-    monkeypatch.setattr(nlp, "solve_qp_ipm", recording)
-    plan = solve_ptp_ocp(chain3, task, nominal_params)
-    assert plan.solution.converged and len(calls) >= 3
+        assert qp.solve_qp_ipm(*args, workspace=workspace).status == "converged"
     kept = calls[1][1]
     assert kept is not None and kept.perm is not None
     assert all(held is kept for _, held in calls[2:])
@@ -439,6 +461,107 @@ def test_interior_point_kkt_kept_across_one_solves_calls(chain3, nominal_params,
     np.testing.assert_array_equal(kept.mat.indptr, ref.indptr)
     np.testing.assert_array_equal(kept.mat.indices, ref.indices)
     np.testing.assert_array_equal(kept.mat.data.view(np.int64), ref.data.view(np.int64))
+
+
+@pytest.fixture(scope="module")
+def default_plan_qps():
+    """The default config's entry plan and the QPs its solve answered (:func:`_answered_qps`)."""
+    cfg = RunConfig.default()
+    chain = cfg.chain()
+    with pytest.MonkeyPatch.context() as m:
+        answered = _answered_qps(m)
+        plan = solve_ptp_ocp(chain, cfg.task(chain), cfg.prior_params(),
+                             weights=cfg.ocp_weights())
+    return plan, answered
+
+
+def test_checked_qp_answer_is_the_kkt_point(default_plan_qps):
+    # a QP answered by one active-set iteration on the last QP's working set
+    # meets the active set's KKT tolerances and the interior point's stopping
+    # test, and its objective is the interior point's within that test's
+    # tolerance (its x is not: the plan's weakly curved directions leave the
+    # interior point's x 1e-5 off, while its residuals stay at IPM_TOL)
+    plan, answered = default_plan_qps
+    checked = [(args, sol) for args, working_set, sol in answered if working_set is not None]
+    assert plan.solution.converged and checked
+    assert plan.solution.qp_effort["qp_calls"] == len(answered)
+    for args, sol in checked:
+        assert sol.status == "converged" and sol.iterations == 1
+        cost_scale, p_mat, q, a_eq, b_eq, g_ineq, h_ineq = qp._scaled(*args)
+        scale = 1.0 + max(np.max(np.abs(q)), np.max(np.abs(h_ineq)), np.max(np.abs(b_eq)))
+        tol = qp.IPM_TOL * scale
+        nu, mu = sol.eq_duals / cost_scale, sol.ineq_duals / cost_scale
+        slack = g_ineq @ sol.x - h_ineq
+        active = sol.working_set
+        # the active set's: primal feasible, the working set at its bound,
+        # duals nonnegative and zero off it, equalities within TOL_EQ
+        assert np.max(slack) <= qp.TOL_PRIMAL
+        assert np.max(np.abs(slack[active])) <= qp.TOL_PRIMAL
+        assert np.min(mu) >= -qp.TOL_DUAL and not np.any(mu[~active])
+        assert np.max(np.abs(a_eq @ sol.x - b_eq)) <= qp.TOL_EQ * (1.0 + np.max(np.abs(b_eq)))
+        # the interior point's: dual residual and mean complementarity
+        r_d = p_mat @ sol.x + q + a_eq.T @ nu + g_ineq.T @ mu
+        assert np.max(np.abs(r_d)) < tol and abs(float(mu @ slack)) / slack.size < tol
+        ipm = qp.solve_qp_ipm(*args)
+        assert ipm.status == "converged"
+
+        def objective(x):
+            return 0.5 * float(x @ (p_mat @ x)) + float(q @ x)
+
+        assert abs(objective(sol.x) - objective(ipm.x)) < tol
+
+
+def test_wrong_working_set_falls_through(monkeypatch):
+    # a check on a wrong working set (the last answer's most strongly active
+    # row dropped) does not converge, and the plan is, bit for bit, the one
+    # whose QPs all go to the interior point
+    cfg = RunConfig.default()
+    chain = cfg.chain()
+    task = cfg.task(chain)
+    solve_qp, solve_qp_ipm = nlp.solve_qp, nlp.solve_qp_ipm
+    last, checks = [], []
+
+    def remembering(*args, **kwargs):
+        sol = solve_qp_ipm(*args, **kwargs)
+        last[:] = [sol]
+        return sol
+
+    def wrong_set(*args, working_set, **kwargs):
+        wrong = working_set.copy()
+        wrong[np.argmax(np.where(working_set, last[0].ineq_duals, -np.inf))] = False
+        sol = solve_qp(*args, working_set=wrong, **kwargs)
+        checks.append(sol.status)
+        return sol
+
+    def no_check(*args, working_set, **kwargs):
+        return qp.QpSolution(None, None, None, np.inf, np.inf, "max-iter", 1, working_set, 0)
+
+    plans = []
+    for check in (wrong_set, no_check):
+        with monkeypatch.context() as m:
+            m.setattr(nlp, "solve_qp", check)
+            m.setattr(nlp, "solve_qp_ipm", remembering)
+            plans.append(solve_ptp_ocp(chain, task, cfg.prior_params(),
+                                       weights=cfg.ocp_weights()))
+    checked, alone = plans
+    assert checks and "converged" not in checks
+    assert checked.solution.iterations == alone.solution.iterations
+    effort = checked.solution.qp_effort
+    assert effort["qp_calls"] == effort["qp_ipm_calls"] == alone.solution.qp_effort["qp_ipm_calls"]
+    for name, value in alone.solution.variables.items():
+        assert_same_bits(checked.solution.variables[name], value)
+
+
+def test_seven_dof_plan_later_qps_checked(chain7, nominal_params):
+    # the criterion-3 plan's later QPs share the first one's active set, so
+    # the check answers each with one factorization: a deterministic guard,
+    # where wall times on a shared host are too noisy to be one
+    task = TaskDefinition.from_displacement(chain7, REFERENCE_Q0_7DOF, [0.20, 0.0, -0.20],
+                                            n_ctrl=48, n_pred=144, dt=0.01)
+    plan = solve_ptp_ocp(chain7, task, nominal_params)
+    effort = plan.solution.qp_effort
+    assert plan.solution.converged
+    assert effort["qp_ipm_calls"] == 1 and effort["qp_factorizations"] <= 12
 
 
 def test_warm_start_converges_fast(chain3, nominal_params, plan3):

@@ -5,11 +5,12 @@ import pytest
 
 from beamilc import plant
 from beamilc.config import RunConfig
-from beamilc.dynamics import BeamParams, arm_stage_states, fast_rollout, plane_frame_coeffs
+from beamilc.dynamics import (BeamParams, arm_stage_states, equilibrium_for_rotation,
+                               fast_rollout, plane_frame_coeffs)
 from beamilc.kinematics import GRAVITY, forward_kinematics
 from beamilc.ocp import solve_ptp_ocp
 from beamilc.plant import (TRUTH_KINDS, PlantConfig, TwoSegmentParams, run_experiment,
-                           steps_per_sample, truth_equilibrium, two_segment_ode)
+                           steps_per_sample, two_segment_ode)
 from beamilc.trajectory import Trajectory
 from conftest import REFERENCE_Q0_7DOF, assert_same_bits
 from reference_model import (frame_blocks, rest_state, two_segment_equilibrium,
@@ -36,7 +37,8 @@ def test_rest_experiment_constant_output(free_params):
     y = res.y.data[:, 0]
     np.testing.assert_allclose(y, y[0], atol=1e-10)
     # constant equals -k_true * theta_eq of the perturbed truth
-    th_eq = truth_equilibrium(cfg, ch, [0.3], free_params)[0]
+    true_params = replace(free_params, k=free_params.k * 1.3, m=free_params.m * 0.9)
+    th_eq = equilibrium_for_rotation(forward_kinematics(ch, [0.3]).rotation, true_params)
     assert y[0] == pytest.approx(-free_params.k * 1.3 * th_eq, rel=1e-9)
 
 
