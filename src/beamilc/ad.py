@@ -18,7 +18,7 @@ __all__ = [
     "Dual", "value", "seed", "constant", "is_dual",
     "sin", "cos", "sqrt", "arctan2",
     "comp", "stack_last", "concat_last", "matmat", "matvec", "inner",
-    "cross", "mtranspose", "moveaxis", "tail",
+    "cross", "mtranspose", "moveaxis", "tail", "where",
 ]
 
 
@@ -258,12 +258,25 @@ def mtranspose(a):
 
 
 def moveaxis(x, source, destination):
-    """``np.moveaxis`` over the value axes; negative axes count from the last one."""
+    """``np.moveaxis`` over the value axes; negative axes count from the last one.
+
+    ``source`` and ``destination`` are axes or sequences of axes.
+    """
     if isinstance(x, Dual):
         nd = x.val.ndim
         return Dual(np.moveaxis(x.val, source, destination),
-                    np.moveaxis(x.dot, source % nd, destination % nd))
+                    np.moveaxis(x.dot, np.mod(source, nd), np.mod(destination, nd)))
     return np.moveaxis(x, source, destination)
+
+
+def where(cond, a, b):
+    """``np.where`` over the value axes; a dual's derivative is that of the branch taken."""
+    if not (isinstance(a, Dual) or isinstance(b, Dual)):
+        return np.where(cond, a, b)
+    m = a.nseeds if isinstance(a, Dual) else b.nseeds
+    a, b = (v if isinstance(v, Dual) else constant(v, m) for v in (a, b))
+    cond = np.asarray(cond)
+    return Dual(np.where(cond, a.val, b.val), np.where(cond[..., None], a.dot, b.dot))
 
 
 def tail(x, k):

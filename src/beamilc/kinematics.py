@@ -23,11 +23,14 @@ ROT_TOL = 1e-10
 AXIS_TOL = 1e-12
 
 
-def _check_rotation(r, tol=ROT_TOL, what="rotation"):
+def _check_rotation(r, tol=ROT_TOL, what="rotation", stacked=False):
+    """``r`` as a float array, checked to be one rotation, or with ``stacked`` a stack of them."""
     r = np.asarray(r, dtype=float)
-    if r.shape != (3, 3):
+    if r.shape[-2:] != (3, 3) or not (stacked or r.ndim == 2):
         raise ValueError(f"{what} must be 3x3, got {r.shape}")
-    if np.max(np.abs(r.T @ r - np.eye(3))) > tol or abs(np.linalg.det(r) - 1.0) > tol:
+    gram = np.swapaxes(r, -2, -1) @ r
+    if (np.max(np.abs(gram - np.eye(3)), initial=0.0) > tol
+            or np.max(np.abs(np.linalg.det(r) - 1.0), initial=0.0) > tol):
         raise ValueError(f"{what} is not orthonormal with determinant +1")
     return r
 
@@ -168,13 +171,17 @@ def forward_kinematics(chain, q):
 def orientation_error(r, r_des):
     """Axis-angle vector of ``r_des^T r`` (zero iff the rotations agree).
 
-    Accepts plain rotation matrices or duals; plain inputs are validated.
-    Smooth for relative angles away from pi.
+    Accepts rotation matrices or duals, one pose or a stack of poses over
+    leading axes; every plain pose is validated. Each pose takes its own
+    branch: the series in sin^2 of its angle near zero, ``arctan2``
+    elsewhere, so a pose's error does not depend on the poses stacked
+    beside it. Smooth for relative angles away from pi. Within 1e-10 of pi,
+    where the axis is lost, one pose or a dual raises ``ValueError``; in a
+    plain stack, the error of each such pose alone is NaN.
     """
-    plain = not (ad.is_dual(r) or ad.is_dual(r_des))
-    if plain:
-        _check_rotation(r, what="r")
-        _check_rotation(r_des, what="r_des")
+    if not (ad.is_dual(r) or ad.is_dual(r_des)):
+        _check_rotation(r, what="r", stacked=True)
+        _check_rotation(r_des, what="r_des", stacked=True)
     m = ad.matmat(ad.mtranspose(r_des), r)
     w = ad.stack_last([
         (ad.entry(m, 2, 1) - ad.entry(m, 1, 2)) * 0.5,
@@ -184,16 +191,17 @@ def orientation_error(r, r_des):
     trace = ad.entry(m, 0, 0) + ad.entry(m, 1, 1) + ad.entry(m, 2, 2)
     cos_th = (trace - 1.0) * 0.5
     s2 = ad.inner(w, w)
-    s2v = float(np.max(ad.value(s2)))
-    cv = float(np.min(ad.value(cos_th)))
-    if cv < -1.0 + 1e-10:
-        raise ValueError("orientation error is not defined at a relative angle of pi")
-    if s2v < 1e-8:
-        # series for theta/sin(theta) in sin^2(theta); exact to O(theta^4)
-        scale = 1.0 + s2 * (1.0 / 6.0) + s2 * s2 * (3.0 / 40.0)
-    else:
-        sn = ad.sqrt(s2)
-        scale = ad.arctan2(sn, cos_th) / sn
+    # the series for theta/sin(theta) in sin^2(theta) is exact to O(theta^4);
+    # the poses that take it divide by 1, not by their tiny sine
+    small = ad.value(s2) < 1e-8
+    sn = ad.sqrt(ad.where(small, 1.0, s2))
+    scale = ad.where(small, 1.0 + s2 * (1.0 / 6.0) + s2 * s2 * (3.0 / 40.0),
+                     ad.arctan2(sn, cos_th) / sn)
+    at_pi = ad.value(cos_th) < -1.0 + 1e-10
+    if np.any(at_pi):
+        if ad.is_dual(cos_th) or at_pi.ndim == 0:
+            raise ValueError("orientation error is not defined at a relative angle of pi")
+        scale = np.where(at_pi, np.nan, scale)
     return ad.tail(scale, 1) * w
 
 

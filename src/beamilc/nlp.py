@@ -22,6 +22,18 @@ groups, gap groups included.
 Objective convention: ``0.5 * sum(r_i(z)^2) + sum(w_j |a_j' z - b_j|)``
 over the stacked residual groups and l1 terms.
 
+A group's ``eval`` takes one point (n,) or a stack of points (K, n) and
+returns (dim,) or (K, dim); :meth:`L1Term.value` returns a float or one
+value per row. Each row is its point's single evaluation, bit for bit. The
+line search tries the step lengths 1, 1/2, 1/4, ... down to ``ALPHA_MIN``
+in chunks (:func:`_trial_chunks`): the first holds as many trials as the
+solve's last passing search took (1 until one passes), each later one
+twice as many as the one before. A chunk's trial points are evaluated as
+one stack, each row's merit reduced as a single point's is, and the first
+trial in step order that passes Armijo is the step: the iterates, merit
+history, Levenberg updates and statuses are those of a search that
+evaluates one trial at a time, from fewer calls of the gap dynamics.
+
 Every sparse pattern comes from an index map made once; later calls only
 refill values. A shooting gap group maps each node's seed directions
 ``(x_k, u_k, p)`` to their columns in its constructor, and fixes there its
@@ -77,6 +89,11 @@ class VarBlock:
     offset: int = 0
 
 
+def _affine(a, b, z):
+    """``a z - b`` at one point ``z`` (n,), or at each row of a stack (K, n) as C-ordered rows."""
+    return np.ascontiguousarray((a @ z.T).T) - b
+
+
 class LinearGroup:
     """Affine function ``A z - b`` usable as residual or constraint group."""
 
@@ -86,14 +103,18 @@ class LinearGroup:
         self.dim = self.a.shape[0]
 
     def eval(self, z):
-        return self.a @ z - self.b
+        return _affine(self.a, self.b, z)
 
     def eval_with_jac(self, z):
         return self.a @ z - self.b, self.a
 
 
 class CallableGroup:
-    """Group from callables ``fn(z) -> r`` and ``fn_jac(z) -> (r, J_csr)``."""
+    """Group from callables ``fn(z) -> r`` and ``fn_jac(z) -> (r, J_csr)``.
+
+    ``fn`` takes a point (n,) or a stack of points (K, n) and returns
+    (dim,) or (K, dim), as every group's ``eval`` does.
+    """
 
     def __init__(self, dim, fn, fn_jac):
         self.dim = dim
@@ -110,8 +131,9 @@ class CallableGroup:
 def dual_group(dim, cols, fn):
     """Group ``fn(z[cols])`` whose Jacobian comes from seeding ``z[cols]``.
 
-    ``fn`` maps a plain array to ``dim`` values and a dual to their dual;
-    every one of the ``dim x len(cols)`` entries is stored. The CSR pattern
+    ``fn`` maps a plain array to ``dim`` values and a dual to their dual,
+    and a plain stack (K, len(cols)) to one row of values per point; every
+    one of the ``dim x len(cols)`` entries is stored. The CSR pattern
     is fixed here: each row stores the distinct ``cols`` in ascending
     order, and a call gathers the dual's dot into it.
     """
@@ -129,7 +151,8 @@ def dual_group(dim, cols, fn):
                             shape=(dim, z.size))
         return np.ravel(r.val), jac
 
-    return CallableGroup(dim, lambda z: np.ravel(fn(z[cols])), fn_jac)
+    return CallableGroup(dim, lambda z: np.reshape(fn(z[..., cols]), z.shape[:-1] + (dim,)),
+                         fn_jac)
 
 
 @dataclass
@@ -150,7 +173,11 @@ class L1Term:
         return self.a.shape[0]
 
     def value(self, z):
-        return float(self.w @ np.abs(self.a @ z - self.b))
+        """The term at one point ``z`` (n,), or an array of its value at each row of (K, n)."""
+        dev = np.abs(_affine(self.a, self.b, z))
+        if dev.ndim == 1:
+            return float(self.w @ dev)
+        return np.array([float(self.w @ row) for row in dev])
 
 
 class NlpProblem:
@@ -262,9 +289,11 @@ class SolverOptions:
 
 
 def _eval_groups(groups, z):
-    """The stacked values of ``groups`` at ``z``."""
-    return np.concatenate([np.zeros(0)] + [np.asarray(g.eval(z), dtype=float).ravel()
-                                           for g in groups])
+    """The stacked values of ``groups`` at one point ``z`` (n,), or per row of a stack (K, n)."""
+    lead = z.shape[:-1]
+    return np.concatenate([np.zeros(lead + (0,))]
+                          + [np.asarray(g.eval(z), dtype=float).reshape(lead + (-1,))
+                             for g in groups], axis=-1)
 
 
 def _linearized(groups, stack, z):
@@ -301,13 +330,26 @@ def _l1_value(problem, z):
     return sum(t.value(z) for t in problem.l1_terms)
 
 
-def _merit(problem, z, mu_merit):
-    r = _eval_groups(problem.residual_groups, z)
-    c = _eval_groups(problem.eq_groups, z)
-    g = _eval_groups(problem.ineq_groups, z)
-    f = 0.5 * float(r @ r) + _l1_value(problem, z)
-    viol = float(np.sum(np.abs(c))) + float(np.sum(np.maximum(g, 0.0)))
-    return f + mu_merit * viol, f, viol
+def _merit(problem, zs, mu_merit):
+    """The l1 merit at each row of the stack ``zs`` (K, n), each row reduced as one point is."""
+    r, c, g = (_eval_groups(groups, zs)
+               for groups in (problem.residual_groups, problem.eq_groups, problem.ineq_groups))
+    l1 = np.broadcast_to(_l1_value(problem, zs), zs.shape[:1])
+    return [float(0.5 * float(rk @ rk) + l1k
+                  + mu_merit * (float(np.sum(np.abs(ck))) + float(np.sum(np.maximum(gk, 0.0)))))
+            for rk, ck, gk, l1k in zip(r, c, g, l1)]
+
+
+def _trial_chunks(first, n_trials):
+    """The slices of a line search's trial steps that it evaluates together, in order.
+
+    The first chunk holds ``first`` trials and each later one twice as many
+    as the one before, up to ``n_trials`` in all.
+    """
+    start, size = 0, first
+    while start < n_trials:
+        yield slice(start, start + size)
+        start, size = start + size, 2 * size
 
 
 def solve(problem, opts=None):
@@ -350,19 +392,23 @@ def solve(problem, opts=None):
     # the constant rows; elastic ones give each linearized equality a pair
     # v+ - v-, v >= 0, whose columns follow the l1 slacks', and its sign rows
     a_stack, g_stack = _Stacked(), _Stacked()
+    const_rows = {}     # per elastic flag: the constant parts of A and G at the QP's width
 
     def qp_rows(elastic):
         """The QP's constraints ``(A, b, G, h)`` at the current iterate."""
         n_v = 2 * m_eq if elastic else 0
         width = n + n_sl + n_v
+        if elastic not in const_rows:
+            const_rows[elastic] = (widened(a_fixed, width), widened(g_fixed, width),
+                                   picks(n + n_sl + np.arange(n_v), -1.0, width))
+        a_const, *g_const = const_rows[elastic]
         lin = widened(jc)
         if elastic:
             pairs = sp.identity(m_eq, format="csr")
             lin = sp.hstack([jc, sp.csr_matrix((m_eq, n_sl)), -pairs, pairs], format="csr")
-        return (a_stack([lin, widened(a_fixed, width)]),
+        return (a_stack([lin, a_const]),
                 np.concatenate([-c, lb[fixed_idx] - z[fixed_idx], -e0]),
-                g_stack([widened(jg, width), widened(g_fixed, width),
-                         picks(n + n_sl + np.arange(n_v), -1.0, width)]),
+                g_stack([widened(jg, width), *g_const]),
                 np.concatenate([-g, ub[free_fin_ub] - z[free_fin_ub],
                                 z[free_fin_lb] - lb[free_fin_lb], np.zeros(n_sl + n_v)]))
 
@@ -386,6 +432,14 @@ def solve(problem, opts=None):
     stacks = [(groups, _Stacked()) for groups in (problem.residual_groups, problem.eq_groups,
                                                   problem.ineq_groups)]
     workspace = KktWorkspace()
+    eye_n = sp.identity(n, format="csc")
+    # J'J, kept while the stacked residual Jacobian keeps its pattern and values
+    jtj = jr_seen = None
+    # the step lengths tried, 1, 1/2, 1/4, ... down to ALPHA_MIN; a line search
+    # evaluates them in chunks, the first as long as the solve's last search
+    # that passed
+    alphas = 0.5 ** np.arange(int(np.log2(1.0 / ALPHA_MIN)) + 1)
+    n_tried = 1
 
     for n_iter in range(1, opts.max_iter + 1):
         (r, jr), (c, jc), (g, jg) = (_linearized(groups, stack, z) for groups, stack in stacks)
@@ -417,7 +471,10 @@ def solve(problem, opts=None):
 
         accepted = False
         step = np.zeros(n)
-        jtj = (jr.T @ jr).tocsc()
+        if jr_seen is None or not (same_pattern(jr, jr_seen[0])
+                                   and np.array_equal(jr.data, jr_seen[1])):
+            jtj = (jr.T @ jr).tocsc()
+            jr_seen = (pattern_of(jr), jr.data)
 
         def solve_subproblem(h_mat):
             """The QP with Hessian ``h_mat`` on the decision part, by the solve's routing."""
@@ -462,7 +519,7 @@ def solve(problem, opts=None):
 
         for bump in range(6):
             # quadratic model: H on the decision part
-            h_mat = jtj + lam * sp.identity(n, format="csc")
+            h_mat = jtj + lam * eye_n
             qp = solve_subproblem(h_mat)
             if qp.status == "infeasible" and not elastic:
                 # an inconsistent linearization: re-solve with each linearized
@@ -518,22 +575,28 @@ def solve(problem, opts=None):
                 lam = min(lam * 10.0, LAM_MAX)
                 continue
 
+            # each chunk's trial points are evaluated as one stack; the first
+            # that passes Armijo, in step order, is the step
             phi0 = f_val + mu_merit * viol1
-            alpha = 1.0
-            while alpha >= ALPHA_MIN:
-                z_trial = np.clip(z + alpha * step, lb, ub)
-                phi_t, _, _ = _merit(problem, z_trial, mu_merit)
-                if phi_t <= phi0 - ARMIJO * alpha * pred:
+            for chunk in _trial_chunks(n_tried, alphas.size):
+                steps = alphas[chunk]
+                trials = np.clip(z + steps[:, None] * step, lb, ub)
+                phis = _merit(problem, trials, mu_merit)
+                passed = [i for i, (alpha, phi_t) in enumerate(zip(steps, phis))
+                          if phi_t <= phi0 - ARMIJO * alpha * pred]
+                if passed:
+                    i = passed[0]
+                    alpha, phi_t = steps[i], phis[i]
                     rho = (phi0 - phi_t) / (alpha * pred)
                     if alpha == 1.0 and rho > 0.75:
                         lam = max(lam / 3.0, 1e-12)
                     elif rho < 0.25:
                         lam = min(lam * 4.0, LAM_MAX)
-                    z = z_trial
+                    z = trials[i].copy()
+                    n_tried = chunk.start + i + 1
                     accepted = True
                     merit_hist.append(phi_t)
                     break
-                alpha *= 0.5
             if accepted:
                 break
             lam = min(lam * 10.0, LAM_MAX)
@@ -572,7 +635,9 @@ class ShootingGapGroup:
 
     The dynamics callable must be batched over nodes and transparent to
     :mod:`beamilc.ad` duals; an absent input or parameter block comes as a
-    zero-width array. The states are the ``horizon + 1`` nodes of the
+    zero-width array. :meth:`eval` at a stack of points calls it once, with
+    a leading stack axis before the node axis (``p`` then has a node axis of
+    length one). The states are the ``horizon + 1`` nodes of the
     variable block named ``block``. Controls may exist only on a subset of
     nodes (``control_map[k] < 0`` means the node input is pinned to zero).
 
@@ -612,14 +677,20 @@ class ShootingGapGroup:
         self._indices, self._indptr = pattern.indices, pattern.indptr
 
     def _gather(self, z):
-        """The dynamics' ``(x_k, u_k, p)`` read through the column map, and ``x_{k+1}``."""
+        """The dynamics' ``(x_k, u_k, p)`` read through the column map, and ``x_{k+1}``.
+
+        At a stack of points (K, n) each gains a leading stack axis, and ``p``
+        a node axis of length one, so that it broadcasts over the nodes.
+        """
         nx, nu = self.n_x, self.n_u
-        v = np.where(self._cols >= 0, z[self._cols], 0.0)
-        return v[:, :nx], v[:, nx:nx + nu], v[0, nx + nu:], z[self._cols[:, :nx] + nx]
+        v = np.where(self._cols >= 0, z[..., self._cols], 0.0)
+        p = v[..., 0, nx + nu:]
+        return (v[..., :nx], v[..., nx:nx + nu], p if z.ndim == 1 else p[:, None],
+                z[..., self._cols[:, :nx] + nx])
 
     def eval(self, z):
         x, u, p, x_next = self._gather(z)
-        return (ad.value(self.dynamics(x, u, p)) - x_next).ravel()
+        return (ad.value(self.dynamics(x, u, p)) - x_next).reshape(z.shape[:-1] + (self.dim,))
 
     def eval_with_jac(self, z):
         nx, nu = self.n_x, self.n_u

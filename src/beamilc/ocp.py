@@ -281,9 +281,12 @@ def solve_ptp_ocp(chain, task, params, d=None, u_prev=None, weights=None, opts=N
     def dyn(x, u, _p):
         q_s, dq_s = arm_rk4_stages(ad.sub(x, slice(0, n)), ad.sub(x, slice(n + 1, 2 * n + 1)),
                                    u, dt)
-        # one chain pass over the four stages, stacked on a leading axis
+        # one chain pass over the four stages, stacked on a leading axis; the
+        # node axes (a stack's, then the nodes') move behind the components
         frame = plane_frame_coeffs(chain, on_arm(q_s), on_arm(dq_s), on_arm(u))
-        frame = {nm: ad.moveaxis(frame[nm], 1, -1) for nm in ("g2", "m_rot")}
+        n_lead = ad.value(x).ndim - 1
+        frame = {nm: ad.moveaxis(frame[nm], range(1, 1 + n_lead), range(-n_lead, 0))
+                 for nm in ("g2", "m_rot")}
         if ad.is_dual(x):
             for nm, v in frame.items():
                 dot = np.zeros(v.dot.shape[:-1] + (x.nseeds,))

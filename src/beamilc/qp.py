@@ -122,7 +122,7 @@ class KktWorkspace:
 
     def __init__(self):
         self.patterns = None         # those of the last QP's P, A and G
-        self.active = None           # (working set, its _Kkt)
+        self.active = None           # (working set, its _Kkt, offsets of its G rows' data)
         self.reduced = None          # the interior point's _Kkt
 
     def keep(self, p_mat, a_eq, g_ineq):
@@ -133,13 +133,22 @@ class KktWorkspace:
         self.patterns = [pattern_of(m) for m in mats]
 
     def active_kkt(self, p_mat, a_eq, g_ineq, active):
-        """The active-set KKT of working set ``active``, filled from P, A and G."""
+        """The active-set KKT of working set ``active``, filled from P, A and G.
+
+        B = [A; Gw] is stacked when the working set changes; otherwise B's
+        values are A's data followed by those of G's rows in ``active``.
+        """
         key, no_g = active.tobytes(), g_ineq[:0]
-        b_mat = sp.vstack([a_eq, g_ineq[active]], format="csr")
         if self.active is None or self.active[0] != key:
-            self.active = (key, _Kkt(p_mat, b_mat, no_g))
+            # the offsets into G's data of its active rows' entries, row by row
+            starts, counts = g_ineq.indptr[:-1][active], np.diff(g_ineq.indptr)[active]
+            g_at = (np.repeat(starts - (np.cumsum(counts) - counts), counts)
+                    + np.arange(counts.sum()))
+            b_mat = sp.vstack([a_eq, g_ineq[active]], format="csr")
+            self.active = (key, _Kkt(p_mat, b_mat, no_g), g_at)
         else:
-            self.active[1].refill(p_mat, b_mat, no_g)
+            _, kkt, g_at = self.active
+            kkt.refill(p_mat, np.concatenate([a_eq.data, g_ineq.data[g_at]]), no_g)
         return self.active[1].matrix(np.zeros(0))
 
     def reduced_kkt(self, p_mat, a_eq, g_ineq):
@@ -147,12 +156,17 @@ class KktWorkspace:
         if self.reduced is None:
             self.reduced = _Kkt(p_mat, a_eq, g_ineq)
         else:
-            self.reduced.refill(p_mat, a_eq, g_ineq)
+            self.reduced.refill(p_mat, a_eq.data, g_ineq)
         return self.reduced
 
 
+def _row_abs_sums(kkt):
+    """The row sums of ``|K|`` for a CSC ``kkt``, added in its stored order, as ``|K| @ 1`` is."""
+    return np.bincount(kkt.indices, np.abs(kkt.data), minlength=kkt.shape[0])
+
+
 def _static_pivot_solve(kkt, rhs, residual):
-    """Solve with diagonal pivots, refining until the residual stops halving.
+    """Solve the CSC ``kkt`` with diagonal pivots, refining until the residual stops halving.
 
     Returns None when the factorization breaks down or the refined solution
     is not finite or not backward stable to ``BACKWARD_TOL``.
@@ -178,7 +192,7 @@ def _static_pivot_solve(kkt, rhs, residual):
             sol, r, r_norm = trial, r_trial, t_norm
             if not halved:
                 break
-        k_norm = np.max(np.asarray(abs(kkt).sum(axis=1)), initial=0.0)
+        k_norm = np.max(_row_abs_sums(kkt), initial=0.0)
         scale = k_norm * np.max(np.abs(sol), initial=0.0) + np.max(np.abs(rhs), initial=0.0)
     return sol if r_norm <= BACKWARD_TOL * scale else None
 
@@ -358,14 +372,14 @@ class _Kkt:
         self.pattern = pattern.indices, pattern.indptr
         self.perm = None     # the column order of the stored pattern, None while natural
         self.mat = self.lu = None
-        self.refill(p_mat, b_mat, g_ineq)
+        self.refill(p_mat, b_mat.data, g_ineq)
 
-    def refill(self, p_mat, b_mat, g_ineq):
-        """Take new values of P, B and G, in the patterns the map was made for."""
+    def refill(self, p_mat, b_data, g_ineq):
+        """Take new values of P, B (its data) and G, in the patterns the map was made for."""
         self.g = g_ineq
         self.base = np.bincount(
-            self.base_slots, np.concatenate([p_mat.data, b_mat.data, b_mat.data,
-                                             np.full(b_mat.shape[0], -REG)]),
+            self.base_slots, np.concatenate([p_mat.data, b_data, b_data,
+                                             np.full(self.dim - self.n, -REG)]),
             minlength=self.pattern[0].size)
 
     def matrix(self, w):

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from beamilc import ad
 from beamilc.kinematics import (KinematicChain, chain_from_dict, forward_kinematics,
                                 frame_state, load_chain, orientation_error)
 from chain_file import save_chain
-from conftest import REFERENCE_Q0_7DOF
+from conftest import REFERENCE_Q0_7DOF, assert_same_bits
 
 
 def rot_z(t):
@@ -201,6 +202,41 @@ def test_orientation_error_antisymmetry():
 def test_orientation_error_rejects_bad_input():
     with pytest.raises(ValueError):
         orientation_error(np.eye(3) * 1.1, np.eye(3))
+    # every pose of a stack is checked, not only its shape
+    with pytest.raises(ValueError):
+        orientation_error(np.stack([np.eye(3), np.eye(3) * 1.1]), np.eye(3))
+    with pytest.raises(ValueError):
+        orientation_error(np.eye(3)[:2], np.eye(3))
+
+
+def test_orientation_error_stack_rows_are_single_poses(chain7):
+    # one pose under 1e-4 rad off the goal (the series branch), one 0.5 rad
+    # off, and the goal itself: each row is its pose's own error, bit for
+    # bit, whichever branch the poses beside it take
+    r_des = forward_kinematics(chain7, REFERENCE_Q0_7DOF).rotation
+    axis = np.array([0.3, -0.5, 0.8]) / np.linalg.norm([0.3, -0.5, 0.8])
+    k = np.array([[0, -axis[2], axis[1]], [axis[2], 0, -axis[0]], [-axis[1], axis[0], 0]])
+    poses = np.stack([r_des @ expm(5e-5 * k), r_des @ expm(0.5 * k), r_des])
+    stacked = orientation_error(poses, r_des)
+    assert stacked.shape == (3, 3)
+    for row, pose in zip(stacked, poses):
+        assert_same_bits(row, orientation_error(pose, r_des))
+    np.testing.assert_allclose(np.linalg.norm(stacked, axis=1), [5e-5, 0.5, 0.0], atol=1e-12)
+
+
+def test_orientation_error_at_pi():
+    # a relative angle of pi has no axis: one pose or a dual raises; in a
+    # plain stack that pose's error alone is NaN, without a warning, and the
+    # other poses keep their own errors
+    flip = np.diag([-1.0, -1.0, 1.0])
+    tilt = expm(np.array([[0, -0.2, 0], [0.2, 0, 0], [0, 0, 0.0]]))
+    with pytest.raises(ValueError, match="relative angle of pi"):
+        orientation_error(flip, np.eye(3))
+    with pytest.raises(ValueError, match="relative angle of pi"):
+        orientation_error(ad.seed(flip, 3, 0), np.eye(3))
+    stacked = orientation_error(np.stack([flip, tilt]), np.eye(3))
+    assert np.all(np.isnan(stacked[0]))
+    assert_same_bits(stacked[1], orientation_error(tilt, np.eye(3)))
 
 
 # ---------------------------------------------------------------------------

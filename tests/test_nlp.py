@@ -307,14 +307,16 @@ def test_l1_with_active_bound():
 def elastic_problem():
     """z0^2 = 1 from z = 0, with 0.5 (z0 - 1)^2 ... a residual and an l1 term on z1."""
     def circle(z):
-        return np.array([z[0] ** 2 - 1.0]), sp.csr_matrix(np.array([[2.0 * z[0], 0.0]]))
+        # at a point (2,) or at each row of a stack (K, 2)
+        return z[..., :1] ** 2 - 1.0
 
     prob = NlpProblem()
     prob.add_block("z", 2)
     prob.residual_groups.append(LinearGroup(np.array([[1.0, 0.0]]), np.array([0.5])))
     prob.l1_terms.append(L1Term(sp.csr_matrix(np.array([[0.0, 1.0]])),
                                 np.array([2.0]), np.array([1.0])))
-    prob.eq_groups.append(CallableGroup(1, lambda z: circle(z)[0], circle))
+    prob.eq_groups.append(CallableGroup(
+        1, circle, lambda z: (circle(z), sp.csr_matrix(np.array([[2.0 * z[0], 0.0]])))))
     return prob
 
 
@@ -365,7 +367,8 @@ class RosenbrockGroup:
     dim = 2
 
     def eval(self, z):
-        return np.array([1.0 - z[0], 10.0 * (z[1] - z[0] ** 2)])
+        # at a point (2,) or at each row of a stack (K, 2)
+        return np.stack([1.0 - z[..., 0], 10.0 * (z[..., 1] - z[..., 0] ** 2)], axis=-1)
 
     def eval_with_jac(self, z):
         jac = sp.csr_matrix(np.array([[-1.0, 0.0], [-20.0 * z[0], 10.0]]))
@@ -586,12 +589,14 @@ def test_stacked_jacobian_refill_matches_assembly():
     # a linear group, a group whose pattern depends on the point (its
     # Jacobian comes from a dense matrix, zeros dropped) and a gap group
     def circle(z):
-        return np.array([z[0] ** 2 - 1.0]), sp.csr_matrix(np.array([[2.0 * z[0], 0.0, z[1]]]))
+        # at a point (3,) or at each row of a stack (K, 3)
+        return z[..., :1] ** 2 - 1.0
 
     prob = NlpProblem()
     prob.add_block("z", 3)
     groups = [LinearGroup(np.array([[1.0, 0.0, 2.0], [0.0, 3.0, 0.0]]), np.ones(2)),
-              CallableGroup(1, lambda z: circle(z)[0], circle)]
+              CallableGroup(1, circle, lambda z: (
+                  circle(z), sp.csr_matrix(np.array([[2.0 * z[0], 0.0, z[1]]]))))]
     stack = _Stacked()
     points = np.array([[0.5, 1.0, 0.0], [0.7, -1.0, 0.0], [0.0, 2.0, 0.0], [0.3, 1.0, 0.0]])
     prev, held = None, []
@@ -700,6 +705,20 @@ def test_active_set_kkt_refill_matches_assembly(monkeypatch):
     assert seen[0][1] is last[1]                      # the kept map, refilled
     fresh = solve_qp(*data, working_set=first.working_set)
     np.testing.assert_array_equal(second.x, fresh.x)
+
+
+def test_kkt_row_sums_are_the_product_with_ones():
+    # the diagonal-pivot solve's backward-error scale reads |K|'s row sums
+    # from the stored values; they are |K| @ 1's, bit for bit, so no accept
+    # or reject decision of that solve moves
+    rng = np.random.default_rng(15)
+    p_mat, _, a_eq, _, g, _ = random_strictly_convex_qp(rng, mi=10)
+    g = sp.csr_matrix(g)
+    g.data[::4] = 0.0                                 # explicit zeros
+    for act in (np.zeros(10, dtype=bool), rng.uniform(size=10) < 0.5):
+        kkt = active_kkt_assembly(sp.csc_matrix(p_mat), sp.csr_matrix(a_eq), g, act)
+        want = np.asarray(abs(kkt).sum(axis=1)).ravel()
+        np.testing.assert_array_equal(qp._row_abs_sums(kkt).view(np.int64), want.view(np.int64))
 
 
 # ---------------------------------------------------------------------------

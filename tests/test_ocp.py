@@ -148,6 +148,15 @@ def test_cold_infeasible_task_falls_back_to_rest(chain3, nominal_params):
     np.testing.assert_array_equal(plan.states[:, :3], np.tile(Q0, (101, 1)))
 
 
+def test_half_turn_task_rejected(chain3, nominal_params):
+    # a goal orientation a half-turn from the start has no axis-angle error
+    start = forward_kinematics(chain3, Q0)
+    task = TaskDefinition(Q0, start.position, start.rotation @ np.diag([-1.0, -1.0, 1.0]),
+                          n_ctrl=48, n_pred=100, dt=0.01)
+    with pytest.raises(ValueError, match="relative angle of pi"):
+        solve_ptp_ocp(chain3, task, nominal_params)
+
+
 @pytest.mark.parametrize("dt, n, match", [(0.006, 100, "OCP grid"), (0.01, 99, "shorter"),
                                           (0.01, (100, 2), "2 columns")])
 def test_disturbance_off_the_ocp_grid_rejected(chain3, nominal_params, dt, n, match):
@@ -453,7 +462,7 @@ def test_interior_point_kkt_kept_across_one_solves_calls(chain3, nominal_params,
     assert all(held is kept for _, held in calls[2:])
     _, p_mat, _, a_eq, _, g_ineq, _ = qp._scaled(*calls[1][0])
     fresh = qp._Kkt(p_mat, a_eq, g_ineq)
-    kept.refill(p_mat, a_eq, g_ineq)
+    kept.refill(p_mat, a_eq.data, g_ineq)
     w = np.exp(np.random.default_rng(5).uniform(-5, 5, g_ineq.shape[0]))
     kept.factor(w)
     fresh.factor(w)
